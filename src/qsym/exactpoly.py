@@ -1,10 +1,15 @@
 """Exact arithmetic substrate: rationals, dense polynomials, truncated series.
 
-A univariate polynomial in q is a tuple of Fractions, index i holding the
-coefficient of q**i, with trailing zeros stripped.  The zero polynomial is
-the empty tuple and its degree is None (not a number), so degree arithmetic
-on it fails loudly instead of silently.  Bivariate polynomials in (p, q)
-are stored as a minimal dense rectangle, row index = power of p.
+A univariate polynomial in q is a tuple of coefficients, index i holding
+the coefficient of q**i, with trailing zeros stripped.  Each coefficient is
+an ``int`` where integral and a reduced ``Fraction`` otherwise, so the integer
+polynomials that make up most of the package never pay for ``Fraction``
+arithmetic.  An ``int`` has ``numerator``/``denominator`` and compares and
+hashes equal to the same-valued ``Fraction``, so callers need not tell the
+two apart.  The zero polynomial is the empty tuple and its degree is None
+(not a number), so degree arithmetic on it fails loudly instead of
+silently.  Bivariate polynomials in (p, q) are stored as a minimal dense
+rectangle, row index = power of p, with coefficients of the same two types.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -15,7 +20,8 @@ import json
 from fractions import Fraction
 
 # Arbitrary-precision rational, always reduced, denominator > 0.  The stdlib
-# type already guarantees every invariant we need, so it is used directly.
+# type already guarantees every invariant we need, so it is used directly;
+# coefficients hold it only when they are not integral.
 ExactRational = Fraction
 
 
@@ -23,11 +29,12 @@ class InexactDivisionError(ArithmeticError):
     """A division that must be exact left a nonzero remainder."""
 
 
-def _coerce(c) -> Fraction:
+def _coerce(c):
+    """The stored form of an exact coefficient: int if integral, else Fraction."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
@@ -44,7 +51,8 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
+        # ints, the common case, skip the call
+        cs = [c if type(c) is int else _coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -67,15 +75,15 @@ class UniPoly:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int) -> int | Fraction:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> int | Fraction:
         return self.coeff(0)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int | Fraction:
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -130,7 +138,7 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -165,9 +173,9 @@ class UniPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def evaluate(self, x: Fraction) -> Fraction:
+    def evaluate(self, x: int | Fraction) -> int | Fraction:
         """Value at q = x, by Horner's rule."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -178,7 +186,7 @@ class UniPoly:
             raise ValueError("substitution exponent must be >= 1")
         if not self.coeffs:
             return self
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * r + 1)
+        out = [0] * ((len(self.coeffs) - 1) * r + 1)
         for i, c in enumerate(self.coeffs):
             out[i * r] = c
         return UniPoly(out)
@@ -190,7 +198,7 @@ class UniPoly:
         if d is not None and target_degree < d:
             raise ValueError(
                 f"reversal window {target_degree} is below the degree {d}")
-        window = [Fraction(0)] * (target_degree + 1)
+        window = [0] * (target_degree + 1)
         for i, c in enumerate(self.coeffs):
             window[target_degree - i] = c
         return UniPoly(window)
@@ -293,8 +301,8 @@ def parse_poly_text(s: str) -> UniPoly:
                 c = Fraction(head)
         else:
             k, c = 0, Fraction(term)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-    out = [Fraction(0)] * (max(coeffs) + 1)
+        coeffs[k] = coeffs.get(k, 0) + c
+    out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
     return UniPoly(out)
@@ -314,10 +322,10 @@ class BiPoly:
     __slots__ = ("rows",)
 
     def __init__(self, rows=()):
-        grid = [[_coerce(c) for c in row] for row in rows]
+        grid = [[c if type(c) is int else _coerce(c) for c in row] for row in rows]
         width = max((len(r) for r in grid), default=0)
         for r in grid:
-            r.extend(Fraction(0) for _ in range(width - len(r)))
+            r.extend([0] * (width - len(r)))
         while grid and not any(grid[-1]):
             grid.pop()
         if grid:
@@ -346,10 +354,10 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def coeff(self, i: int, j: int) -> Fraction:
+    def coeff(self, i: int, j: int) -> int | Fraction:
         if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
             return self.rows[i][j]
-        return Fraction(0)
+        return 0
 
     @staticmethod
     def _lift(other):
@@ -396,7 +404,7 @@ class BiPoly:
             return BiPoly()
         h = len(self.rows) + len(other.rows) - 1
         w = len(self.rows[0]) + len(other.rows[0]) - 1
-        grid = [[Fraction(0)] * w for _ in range(h)]
+        grid = [[0] * w for _ in range(h)]
         for i, row in enumerate(self.rows):
             for j, c in enumerate(row):
                 if not c:
@@ -565,12 +573,12 @@ def divmod_poly(a: UniPoly, b: UniPoly):
     db, lead = b.degree(), b.leading_coeff()
     if len(rem) - 1 < db:
         return UniPoly(), a
-    quot = [Fraction(0)] * (len(rem) - db)
+    quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if not c:
             continue
-        f = c / lead
+        f = _coerce(Fraction(c) / lead)        # exact, even for two ints
         quot[i - db] = f
         for j, cb in enumerate(b.coeffs):
             rem[i - db + j] -= f * cb

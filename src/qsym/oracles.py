@@ -270,6 +270,55 @@ def reciprocal_level_statistic(forest: Forest, ranking: Ranking) -> int:
     return s
 
 
+def _poly_from_counts(counter: dict) -> UniPoly:
+    """The polynomial sum of c q^s over the (s, c) items of counter."""
+    coeffs = [0] * (max(counter) + 1 if counter else 0)
+    for s, c in counter.items():
+        coeffs[s] = c
+    return UniPoly(coeffs)
+
+
+# The level-size part of each variant's statistic; the parent-rank shortfall
+# is common to both.
+_LEVEL_PARTS = {"standard": lambda sizes: sum(comb(u, 2) for u in sizes[1:]),
+                "reciprocal": sigma_statistic}
+
+
+def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
+    """Sum q^statistic over all forests for every variant and ranking, in one
+    walk of the candidate space.
+
+    Forests are tallied by (level sizes, parent-rank shortfall), once per
+    ranking; every variant's statistic is a function of that pair, so each
+    is read off the tally afterwards.  Returns one list of polynomials per
+    variant, each indexed like rankings.
+    """
+    roots = _check_roots(n, roots)
+    projected = n ** (n - len(roots))
+    if projected > cap:
+        raise EnumerationCapExceeded(projected, cap)
+    nonroots = [v for v in range(1, n + 1) if v not in roots]
+    tallies = [{} for _ in rankings]
+    for parent, depth, levels in _raw_forests(n, roots):
+        sizes = tuple(map(len, levels))
+        for ranking, tally in zip(rankings, tallies):
+            rank_tables = [ranking.ranks(l) for l in levels]
+            key = (sizes, _weight_shortfall(parent, depth, nonroots, rank_tables))
+            tally[key] = tally.get(key, 0) + 1
+    polys = []
+    for variant in variants:
+        level_part = _LEVEL_PARTS[variant]
+        variant_polys = []
+        for tally in tallies:
+            counter = {}
+            for (sizes, shortfall), count in tally.items():
+                s = level_part(sizes) + shortfall
+                counter[s] = counter.get(s, 0) + count
+            variant_polys.append(_poly_from_counts(counter))
+        polys.append(variant_polys)
+    return polys
+
+
 def forest_enumerator_polys(n: int, roots, rankings, variant: str = "standard",
                             cap: int = DEFAULT_CAP):
     """Sum q^statistic over all forests, once per ranking, in a single pass.
@@ -277,32 +326,9 @@ def forest_enumerator_polys(n: int, roots, rankings, variant: str = "standard",
     variant "standard" uses the level statistic, "reciprocal" the companion
     statistic; the returned polynomials are indexed like rankings.
     """
-    if variant not in ("standard", "reciprocal"):
+    if variant not in _LEVEL_PARTS:
         raise ValueError(f"unknown variant {variant!r}")
-    roots = _check_roots(n, roots)
-    projected = n ** (n - len(roots))
-    if projected > cap:
-        raise EnumerationCapExceeded(projected, cap)
-    nonroots = [v for v in range(1, n + 1) if v not in roots]
-    counters = [{} for _ in rankings]
-    for parent, depth, levels in _raw_forests(n, roots):
-        sizes = [len(l) for l in levels]
-        if variant == "standard":
-            base = sum(comb(u, 2) for u in sizes[1:])
-        else:
-            base = sigma_statistic(sizes)
-        for counter, ranking in zip(counters, rankings):
-            rank_tables = [ranking.ranks(l) for l in levels]
-            s = base + _weight_shortfall(parent, depth, nonroots, rank_tables)
-            counter[s] = counter.get(s, 0) + 1
-    polys = []
-    for counter in counters:
-        size = max(counter) + 1 if counter else 0
-        coeffs = [0] * size
-        for s, c in counter.items():
-            coeffs[s] = c
-        polys.append(UniPoly(coeffs))
-    return polys
+    return _forest_enumerators(n, roots, rankings, (variant,), cap)[0]
 
 
 def forest_enumerator_poly(n: int, roots, ranking: Ranking,
@@ -344,11 +370,7 @@ def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
         if all(b[i] < r + i for i in range(m)):
             s = sum(a)
             counter[s] = counter.get(s, 0) + 1
-    size = max(counter) + 1 if counter else 0
-    coeffs = [0] * size
-    for s, c in counter.items():
-        coeffs[s] = c
-    return UniPoly(coeffs)
+    return _poly_from_counts(counter)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +444,8 @@ def oracle_suite_report(n_max: int, seed: int = 0, cap: int = DEFAULT_CAP,
             roots = tuple(((r + i + n - 2) % n) + 1 for i in range(r))
             expected = table.entry(n, r)
             expected_rec = reciprocal(n, r, table)
-            std = forest_enumerator_polys(n, roots, rankings, "standard", cap)
-            rec = forest_enumerator_polys(n, roots, rankings, "reciprocal", cap)
+            std, rec = _forest_enumerators(n, roots, rankings,
+                                           ("standard", "reciprocal"), cap)
             for name, poly in zip(ranking_names, std):
                 report.check("forest-level-enumerator", poly == expected,
                              detail=f"got={poly} expected={expected}",

@@ -9,6 +9,7 @@ to the one-parameter versions at p = 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from .exactpoly import BiPoly, TruncSeries, UniPoly, one, zero
 
@@ -30,19 +31,38 @@ def qfactorial(n: int) -> UniPoly:
     return qfactorial(n - 1) * qbracket(n)
 
 
+def triangle_rows(weight, k_max: int):
+    """Rows n = 0, 1, 2, ... of the triangle T[n,k] = T[n-1,k-1] + w(k) T[n-1,k],
+    T[0,0] = 1, each cut to the band 0 <= k <= min(n, k_max).
+
+    w(k) = weight(k) is computed once per column.  Rows are built bottom-up
+    and only the previous one is kept, so an entry far down the triangle
+    needs no recursion and memory for one band-wide row.
+    """
+    weights = [weight(k) for k in range(k_max + 1)]
+    row = (one,)
+    while True:
+        yield row
+        nxt = [weights[0] * row[0]]
+        nxt.extend(row[k - 1] + weights[k] * row[k] for k in range(1, len(row)))
+        if len(row) <= k_max:
+            nxt.append(row[-1])          # T[n,n] = T[n-1,n-1]
+        row = tuple(nxt)
+
+
 @lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> UniPoly:
     """Gaussian binomial coefficient, zero outside 0 <= k <= n.
 
-    Built by the triangular recurrence rather than by dividing factorials,
-    so no rational intermediate values appear.  The cache is write-once:
-    entries are fully constructed before being published.
+    Built by the triangular recurrence [n k] = [n-1 k-1] + q^k [n-1 k]
+    rather than by dividing factorials, so no rational intermediate values
+    appear; the band is the smaller of k and n - k, by symmetry.  Only final
+    answers are cached, and each is fully constructed before it is published.
     """
     if k < 0 or n < 0 or k > n:
         return zero
-    if k == 0 or k == n:
-        return one
-    return qbinomial(n - 1, k - 1) + UniPoly.monomial(k) * qbinomial(n - 1, k)
+    k = min(k, n - k)
+    return next(islice(triangle_rows(UniPoly.monomial, k), n, None))[k]
 
 
 def qbracket_power_base(n: int, r: int) -> UniPoly:

@@ -11,23 +11,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from .exactpoly import UniPoly, json_coeff_list, one, q, zero
-from .qcalc import qbinomial, qbracket
+from .qcalc import qbracket, triangle_rows
 from .report import CheckReport
+
+
+def _second_kind_rows(n_max: int):
+    """Rows n = 1..n_max of the second-kind triangle, entries k = 0..n."""
+    return islice(triangle_rows(qbracket, n_max), 1, n_max + 1)
 
 
 @lru_cache(maxsize=None)
 def qstirling2(n: int, k: int) -> UniPoly:
-    """Second-kind q-Stirling number S[n,k]; S[n,0] = [n == 0], 0 for k > n."""
-    if n < 0 or k < 0:
+    """Second-kind q-Stirling number S[n,k]; S[n,0] = [n == 0], 0 for k > n.
+
+    Rows are built bottom-up in the band of columns 0..k; only final answers
+    are cached."""
+    if n < 0 or k < 0 or k > n:
         return zero
-    if k == 0:
-        return one if n == 0 else zero
-    if k > n:
-        return zero
-    return qstirling2(n - 1, k - 1) + qbracket(k) * qstirling2(n - 1, k)
+    return next(islice(triangle_rows(qbracket, k), n, None))[k]
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,7 @@ class StirlingTriangle:
 def qstirling2_triangle(n_max: int) -> StirlingTriangle:
     if n_max < 1:
         raise ValueError("triangle size must be >= 1")
-    rows = tuple(tuple(qstirling2(n, k) for k in range(1, n + 1))
-                 for n in range(1, n_max + 1))
+    rows = tuple(row[1:] for row in _second_kind_rows(n_max))
     return StirlingTriangle("second", n_max, rows)
 
 
@@ -61,12 +65,12 @@ def qstirling1_triangle(n_max: int) -> StirlingTriangle:
     if n_max < 1:
         raise ValueError("triangle size must be >= 1")
     s = [[zero] * n_max for _ in range(n_max)]
-    for n in range(1, n_max + 1):
+    for n, second in enumerate(_second_kind_rows(n_max), 1):
         s[n - 1][n - 1] = one
         for k in range(n - 1, 0, -1):
             acc = zero
             for j in range(k, n):
-                acc = acc + qstirling2(n, j) * s[j - 1][k - 1]
+                acc = acc + second[j] * s[j - 1][k - 1]
             s[n - 1][k - 1] = -acc
     rows = tuple(tuple(s[n - 1][k - 1] for k in range(1, n + 1))
                  for n in range(1, n_max + 1))
@@ -108,19 +112,22 @@ def verify_carlitz_identities(n_max: int) -> CheckReport:
     report = CheckReport()
     qm1 = _qminus1_powers(n_max)
     omq = _oneminusq_powers(n_max)
+    # rows 0..n_max of both triangles in one pass each, not entry by entry
+    binom = list(islice(triangle_rows(UniPoly.monomial, n_max), n_max + 1))
+    stirling = list(islice(triangle_rows(qbracket, n_max), n_max + 1))
     for n in range(n_max + 1):
         for k in range(n + 1):
-            lhs = qbinomial(n, k)
+            lhs = binom[n][k]
             rhs = zero
             for j in range(k, n + 1):
-                rhs = rhs + comb(n, j) * qm1[j - k] * qstirling2(j, k)
+                rhs = rhs + comb(n, j) * qm1[j - k] * stirling[j][k]
             report.check("carlitz-qbinomial-expansion", lhs == rhs,
                          detail=f"lhs={lhs} rhs={rhs}", n=n, k=k)
 
-            lhs2 = omq[n - k] * qstirling2(n, k)
+            lhs2 = omq[n - k] * stirling[n][k]
             rhs2 = zero
             for l in range(k, n + 1):
-                term = comb(n, l) * qbinomial(l, k)
+                term = comb(n, l) * binom[l][k]
                 rhs2 = rhs2 + (term if (l - k) % 2 == 0 else -term)
             report.check("carlitz-inverse-expansion", lhs2 == rhs2,
                          detail=f"lhs={lhs2} rhs={rhs2}", n=n, k=k)

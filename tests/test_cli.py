@@ -93,6 +93,26 @@ def test_query_qbinomial_and_stirling():
     assert code == 0 and text == "-2-q\n"
 
 
+@pytest.mark.parametrize("kind, degree, value_at_one", [
+    ("qbinomial", 3 * 497, 500 * 499 * 498 // 6),
+    # S(n, 3) = (3^n - 3 * 2^n + 3) / 3!
+    ("qstirling2", 2 * 497, (3 ** 500 - 3 * 2 ** 500 + 3) // 6),
+], ids=["qbinomial", "qstirling2"])
+def test_query_far_down_the_triangle(kind, degree, value_at_one):
+    code, text = run("query", kind, "--n", "500", "--k", "3")
+    assert code == 0
+    poly = parse_poly_text(text)
+    assert poly.degree() == degree
+    assert poly.evaluate(1) == value_at_one
+
+
+def test_query_qbinomial_large_n_small_k():
+    code, text = run("query", "qbinomial", "--n", "3000", "--k", "2")
+    assert code == 0
+    poly = parse_poly_text(text)
+    assert poly.degree() == 2 * 2998 and poly.evaluate(1) == 3000 * 2999 // 2
+
+
 def test_query_parking():
     code, text = run("query", "parking", "--m", "2", "--r", "1")
     assert code == 0 and text == "1+2q\n"

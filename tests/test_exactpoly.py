@@ -8,8 +8,8 @@ import pytest
 
 from qsym.exactpoly import (BiPoly, InexactDivisionError, TruncSeries,
                             UniPoly, det_cofactor, det_fraction_free,
-                            divmod_poly, exact_div, one, parse_poly_text,
-                            poly_text, q, zero)
+                            divmod_poly, exact_div, json_coeff_list, one,
+                            parse_poly_text, poly_text, q, zero)
 
 
 def P(*coeffs):
@@ -36,9 +36,34 @@ def test_coefficients_are_reduced_rationals():
     assert all(c.denominator > 0 for c in p.coeffs)
 
 
+def _types(coeffs):
+    return [type(c) for c in coeffs]
+
+
+def test_integral_coefficients_are_stored_as_int():
+    assert type(UniPoly((Fraction(4, 2),)).coeffs[0]) is int
+    assert _types(UniPoly((Fraction(2, 4), Fraction(-6, 3), 5)).coeffs) == \
+        [Fraction, int, int]
+    assert _types(BiPoly([[Fraction(3), Fraction(1, 3)]]).rows[0]) == [int, Fraction]
+    # results of arithmetic and parsing are normalized the same way
+    half = P(Fraction(1, 2), Fraction(3, 2))
+    assert _types((half * 2).coeffs) == [int, int]
+    assert _types((half + half).coeffs) == [int, int]
+    assert _types((half * half).coeffs) == [Fraction, Fraction, Fraction]
+    assert _types(P(Fraction(1, 2)).inverse().coeffs) == [int]
+    assert _types(UniPoly.from_json('{"var":"q","coeffs":["3","3/2"]}').coeffs) == \
+        [int, Fraction]
+    assert _types(parse_poly_text("4+2q^2").coeffs) == [int, int, int]
+    assert _types(BiPoly.from_json_dict({"vars": ["p", "q"],
+                                         "coeffs": [["2", "1/2"]]}).rows[0]) == \
+        [int, Fraction]
+
+
 def test_floats_rejected():
     with pytest.raises(TypeError):
         UniPoly((0.5,))
+    with pytest.raises(TypeError):
+        BiPoly(((0.5,),))
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -136,6 +161,19 @@ def test_exact_div_raises_on_remainder():
         exact_div(P(1, 1, 1), P(1, 1))
 
 
+def test_division_of_int_polys_is_exact_rational():
+    quot, rem = divmod_poly(P(1), P(2))
+    assert quot.coeffs == (Fraction(1, 2),) and type(quot.coeffs[0]) is Fraction
+    assert rem == zero
+    quot, rem = divmod_poly(P(1, 2, 3), P(1, 2))        # non-monic divisor
+    assert quot == P(Fraction(1, 4), Fraction(3, 2)) and rem == P(Fraction(3, 4))
+    assert quot * P(1, 2) + rem == P(1, 2, 3)
+    assert exact_div(P(3, 9, 6), P(3)) == P(1, 3, 2)
+    assert exact_div(P(1, 3, 2), P(2, 2)) == P(Fraction(1, 2), 1)
+    for poly in (quot, rem, exact_div(P(1, 3, 2), P(2, 2))):
+        assert all(isinstance(c, (int, Fraction)) for c in poly.coeffs)
+
+
 # -- determinants ------------------------------------------------------------
 
 def test_det_trivial_cases():
@@ -223,6 +261,16 @@ def test_parse_poly_text_roundtrip():
     for _ in range(50):
         p = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
         assert parse_poly_text(poly_text(p)) == p
+
+
+def test_output_does_not_depend_on_coefficient_type():
+    ints = [0, 3, -1, 12345678901234567890, 0, 1]
+    from_ints = UniPoly(ints)
+    from_fractions = UniPoly(Fraction(c) for c in ints)
+    assert from_ints == from_fractions
+    assert hash(from_ints) == hash(from_fractions)
+    for render in (UniPoly.to_json, json_coeff_list, poly_text, str):
+        assert render(from_ints) == render(from_fractions)
 
 
 def test_json_form():

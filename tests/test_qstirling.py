@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qsym.exactpoly import UniPoly, one, zero
+from qsym.qcalc import qbracket
 from qsym.qstirling import (qstirling1, qstirling1_triangle, qstirling2,
                             qstirling2_triangle, verify_carlitz_identities,
                             verify_conjugated_inverse, verify_triangle_inverse)
@@ -23,6 +24,15 @@ def test_second_kind_values():
     assert qstirling2(4, 2).evaluate(Fraction(1)) == 7
     assert qstirling2(3, 4) == zero
     assert qstirling2(3, 0) == zero
+
+
+def test_second_kind_recurrence_and_triangle_agree():
+    tri = qstirling2_triangle(16)
+    for n in range(1, 17):
+        for k in range(1, n + 1):
+            assert qstirling2(n, k) == (qstirling2(n - 1, k - 1)
+                                        + qbracket(k) * qstirling2(n - 1, k))
+            assert tri.entry(n, k) == qstirling2(n, k)
 
 
 def classical_stirling2(n, k, _memo={}):
