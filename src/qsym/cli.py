@@ -3,8 +3,9 @@
 Commands: jtable (print the triangle), verify (run an identity battery),
 query (one exact object), export (CSV / LaTeX dumps).  Exit codes are a
 stable contract: 0 success, 1 a mathematical identity failed, 2 usage
-error, 3 enumeration cap exceeded.  Output is byte-deterministic for fixed
-flags and seed.
+error (a bad argument, or an output file that cannot be written), 3
+enumeration cap exceeded.  Output is byte-deterministic for fixed flags and
+seed.
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ import csv
 import io
 import json
 import sys
+from itertools import groupby
+from operator import itemgetter
 
-from .exactpoly import UniPoly, json_coeff_list, poly_text
+from .exactpoly import UniPoly, json_coeff_list, latex_poly, poly_text
 from .qcalc import qbinomial
 from .qstirling import (qstirling1, qstirling1_triangle, qstirling2,
                         qstirling2_triangle, stirling_suite_report)
 from .symfunc import symfunc_suite_report
 from .jpoly import (build_jtable, jpoly_suite_report, jtable_csv_rows,
-                    jtable_latex, latex_poly, reciprocal)
-from .oracles import (DEFAULT_CAP, EnumerationCapExceeded, forests_json_lines,
-                      forest_enumerator_poly, make_ranking, oracle_suite_report,
-                      parking_enumerator_poly)
+                    jtable_latex, reciprocal)
+from .oracles import (DEFAULT_CAP, EnumerationCapExceeded, _poly_from_counts,
+                      forest_enumerator_poly, forest_records, make_ranking,
+                      oracle_suite_report, parking_enumerator_poly)
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -105,33 +108,29 @@ def _render_poly(poly: UniPoly, args) -> str:
     return poly_text(poly, superscripts=not args.ascii)
 
 
-def _cmd_jtable(args, out) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
-    table = build_jtable(args.n_max)
-    if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "r", "degree", "coeffs"])
-        for row in jtable_csv_rows(table, use_reciprocal=args.reciprocal):
-            writer.writerow(row)
-    elif args.format == "latex":
+def _write_jtable_export(table, args, out):
+    """The LaTeX triangle for --format latex, else CSV rows n,r,degree,coeffs."""
+    if args.format == "latex":
         out.write(jtable_latex(table, use_reciprocal=args.reciprocal) + "\n")
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["n", "r", "degree", "coeffs"])
+    writer.writerows(jtable_csv_rows(table, use_reciprocal=args.reciprocal))
+
+
+def _cmd_jtable(args, out) -> int:
+    table = build_jtable(args.n_max)
+    if args.format in ("csv", "latex"):
+        _write_jtable_export(table, args, out)
     elif args.format == "json":
-        records = []
-        for n in range(1, args.n_max + 1):
-            for r in range(1, n + 1):
-                poly = (reciprocal(n, r, table) if args.reciprocal
-                        else table.entry(n, r))
-                records.append({"n": n, "r": r, "degree": table.degree(n, r),
-                                "poly": poly.to_json_dict()})
+        records = [{"n": n, "r": r, "degree": table.degree(n, r),
+                    "poly": poly.to_json_dict()}
+                   for n, r, poly in table.entries(args.reciprocal)]
         out.write(json.dumps(records, separators=(",", ":")) + "\n")
     else:
-        for n in range(1, args.n_max + 1):
-            cells = []
-            for r in range(1, n + 1):
-                poly = (reciprocal(n, r, table) if args.reciprocal
-                        else table.entry(n, r))
-                cells.append(poly_text(poly, superscripts=not args.ascii))
+        for n, row in groupby(table.entries(args.reciprocal), key=itemgetter(0)):
+            cells = [poly_text(poly, superscripts=not args.ascii)
+                     for _n, _r, poly in row]
             out.write(f"n={n}: " + " | ".join(cells) + "\n")
     return EXIT_OK
 
@@ -153,8 +152,6 @@ def _verify_report(suite: str, n_max: int, seed: int, cap: int):
 
 
 def _cmd_verify(args, out) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
     report = _verify_report(args.suite, args.n_max, args.seed, args.cap)
     if args.format == "json":
         out.write(report.to_json() + "\n")
@@ -208,40 +205,37 @@ def _cmd_query(args, out) -> int:
             raise ValueError("forest-stat requires --roots or --r")
         ranking = make_ranking(args.ranking, seed=args.seed)
         if args.dump_forests:
-            for line in forests_json_lines(args.n, roots, ranking,
-                                           variant=args.variant, cap=args.cap):
+            counts = {}
+            for stat, line in forest_records(args.n, roots, ranking,
+                                             variant=args.variant, cap=args.cap):
                 out.write(line + "\n")
-        poly = forest_enumerator_poly(args.n, roots, ranking,
-                                      variant=args.variant, cap=args.cap)
+                counts[stat] = counts.get(stat, 0) + 1
+            poly = _poly_from_counts(counts)
+        else:
+            poly = forest_enumerator_poly(args.n, roots, ranking,
+                                          variant=args.variant, cap=args.cap)
     out.write(_render_poly(poly, args) + "\n")
     return EXIT_OK
 
 
 def _cmd_export(args, out) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
     buf = io.StringIO()
     if args.what == "jtable":
-        table = build_jtable(args.n_max)
-        if args.format == "latex":
-            buf.write(jtable_latex(table, use_reciprocal=args.reciprocal) + "\n")
-        else:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["n", "r", "degree", "coeffs"])
-            for row in jtable_csv_rows(table, use_reciprocal=args.reciprocal):
-                writer.writerow(row)
+        _write_jtable_export(build_jtable(args.n_max), args, buf)
     else:
         triangle = (qstirling2_triangle(args.n_max) if args.kind == "second"
                     else qstirling1_triangle(args.n_max))
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "k", "coeffs"])
-        for row in triangle.csv_rows():
-            writer.writerow(row)
+        writer.writerows(triangle.csv_rows())
     if args.output == "-":
         out.write(buf.getvalue())
     else:
-        with open(args.output, "w") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:            # a usage fault, not a failed identity
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
     return EXIT_OK
 
 
@@ -250,6 +244,8 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n_max", 1) < 1:      # jtable, verify and export
+            raise ValueError("--n-max must be >= 1")
         if args.command == "jtable":
             return _cmd_jtable(args, out)
         if args.command == "verify":

@@ -19,11 +19,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-# Arbitrary-precision rational, always reduced, denominator > 0.  The stdlib
-# type already guarantees every invariant we need, so it is used directly;
-# coefficients hold it only when they are not integral.
-ExactRational = Fraction
-
 
 class InexactDivisionError(ArithmeticError):
     """A division that must be exact left a nonzero remainder."""
@@ -39,6 +34,50 @@ def _coerce(c):
 
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def _add(a, b) -> list:
+    """Coefficientwise sum of two ascending coefficient sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _convolve(a, b, zero) -> list:
+    """Product of two ascending coefficient sequences; zero is the
+    coefficient ring's zero and fills the slots no term reaches."""
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _power(base, n: int, unit):
+    """base**n by repeated squaring, starting from the ring's unit."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    result = unit
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def powers(base, n: int) -> list:
+    """[base**0, base**1, ..., base**n], each from the one before."""
+    pw = [base ** 0]
+    for _ in range(n):
+        pw.append(pw[-1] * base)
+    return pw
 
 
 class UniPoly:
@@ -105,13 +144,7 @@ class UniPoly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        return UniPoly(_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -135,29 +168,12 @@ class UniPoly:
             return UniPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
+        return UniPoly(_convolve(self.coeffs, other.coeffs, 0))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly((1,)))
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -215,8 +231,8 @@ class UniPoly:
 
     # -- presentation --------------------------------------------------------
 
-    def text(self, superscripts: bool = False, var: str = "q") -> str:
-        return poly_text(self, superscripts=superscripts, var=var)
+    def text(self, superscripts: bool = False) -> str:
+        return poly_text(self, superscripts=superscripts)
 
     def __str__(self):
         return self.text()
@@ -246,8 +262,8 @@ one = UniPoly((1,))
 q = UniPoly((0, 1))
 
 
-def poly_text(poly: UniPoly, superscripts: bool = False, var: str = "q") -> str:
-    """Render ascending powers: 2+3q+2q^2+q^3 (or q-superscript unicode)."""
+def _terms_text(poly: UniPoly, exponent) -> str:
+    """Ascending signed terms; exponent(i) renders the power of q for i >= 2."""
     if poly.is_zero():
         return "0"
     parts = []
@@ -260,14 +276,21 @@ def poly_text(poly: UniPoly, superscripts: bool = False, var: str = "q") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            if i == 1:
-                body = f"{head}{var}"
-            elif superscripts:
-                body = f"{head}{var}{str(i).translate(_SUPERSCRIPTS)}"
-            else:
-                body = f"{head}{var}^{i}"
+            body = f"{head}q" if i == 1 else f"{head}q{exponent(i)}"
         parts.append(sign + body)
     return "".join(parts)
+
+
+def poly_text(poly: UniPoly, superscripts: bool = False) -> str:
+    """Render ascending powers: 2+3q+2q^2+q^3 (or q-superscript unicode)."""
+    if superscripts:
+        return _terms_text(poly, lambda i: str(i).translate(_SUPERSCRIPTS))
+    return _terms_text(poly, lambda i: f"^{i}")
+
+
+def latex_poly(poly: UniPoly) -> str:
+    """Render ascending powers for LaTeX math mode: 2+3q+2q^{2}+q^{3}."""
+    return _terms_text(poly, lambda i: f"^{{{i}}}")
 
 
 def json_coeff_list(poly: UniPoly) -> str:
@@ -367,16 +390,15 @@ class BiPoly:
             return BiPoly(((other,),))
         return None
 
+    def _row_polys(self) -> list:
+        """The rows as polynomials in q; arithmetic works on these."""
+        return [UniPoly(row) for row in self.rows]
+
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        h = max(len(self.rows), len(other.rows))
-        w = max(max((len(r) for r in self.rows), default=0),
-                max((len(r) for r in other.rows), default=0))
-        grid = [[self.coeff(i, j) + other.coeff(i, j) for j in range(w)]
-                for i in range(h)]
-        return BiPoly(grid)
+        return BiPoly(p.coeffs for p in _add(self._row_polys(), other._row_polys()))
 
     __radd__ = __add__
 
@@ -400,34 +422,13 @@ class BiPoly:
             return BiPoly(tuple(tuple(c * other for c in row) for row in self.rows))
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return BiPoly()
-        h = len(self.rows) + len(other.rows) - 1
-        w = len(self.rows[0]) + len(other.rows[0]) - 1
-        grid = [[0] * w for _ in range(h)]
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                for k, orow in enumerate(other.rows):
-                    for l, d in enumerate(orow):
-                        if d:
-                            grid[i + k][j + l] += c * d
-        return BiPoly(grid)
+        rows = _convolve(self._row_polys(), other._row_polys(), zero)
+        return BiPoly(p.coeffs for p in rows)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = BiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly.constant(1))
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -445,10 +446,7 @@ class BiPoly:
 
     def at_p_one(self) -> UniPoly:
         """Specialize p = 1, collapsing rows into a polynomial in q."""
-        out = UniPoly()
-        for row in self.rows:
-            out = out + UniPoly(row)
-        return out
+        return sum(self._row_polys(), zero)
 
     def __repr__(self):
         terms = []
@@ -517,13 +515,9 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             return TruncSeries(tuple(c * other for c in self.coeffs))
         m = min(self.order, other.order)
-        out = []
-        for n in range(m + 1):
-            acc = self._zero_elem()
-            for k in range(n + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[n - k]
-            out.append(acc)
-        return TruncSeries(out)
+        product = _convolve(self.coeffs[:m + 1], other.coeffs[:m + 1],
+                            self._zero_elem())
+        return TruncSeries(product[:m + 1])
 
     __rmul__ = __mul__
 
@@ -567,12 +561,8 @@ def divmod_poly(a: UniPoly, b: UniPoly):
     """Quotient and remainder of a by b over the rationals."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return UniPoly(), UniPoly()
     rem = list(a.coeffs)
     db, lead = b.degree(), b.leading_coeff()
-    if len(rem) - 1 < db:
-        return UniPoly(), a
     quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]

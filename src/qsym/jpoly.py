@@ -5,7 +5,7 @@ parking functions.
 J(n, r) is monic with strictly positive integer coefficients, has constant
 term (n-r)! and degree C(n-1,2) - C(r-1,2), and J(r, r) = 1.  The whole
 triangle is generated row by row from a linear recurrence whose coefficients
-are bracket powers; two explicit composition sums, and a route through the
+are bracket powers; an explicit composition sum, and a route through the
 symmetric-function machinery specialized at e_k = q^C(k,2) / k!, produce the
 same polynomials and are kept as mutually checking code paths.
 """
@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
+from operator import itemgetter
 
 from .exactpoly import (TruncSeries, UniPoly, exact_div, json_coeff_list,
-                        one, q, zero)
+                        latex_poly, one, powers, q, zero)
 from .qcalc import qbracket
 from .report import CheckReport
-from .symfunc import SymSeriesBundle, p_nr_series
+from .symfunc import SymSeriesBundle, p_nr_series, pn_bracket_determinant
 
 
 def multinomial(total: int, parts) -> int:
@@ -58,6 +60,21 @@ def column_binomial_sum(u) -> int:
     return sum(comb(a, 2) for a in u)
 
 
+def composition_terms(m: int, r: int):
+    """(u, [r]^(u1) [u1]^(u2) ... [u_(k-1)]^(uk), multinomial(m, u)) for
+    every composition u of m: the shared factors of the composition sums."""
+    for u in compositions(m):
+        w = qbracket(r) ** u[0]
+        for i in range(1, len(u)):
+            w = w * qbracket(u[i - 1]) ** u[i]
+        yield u, w, multinomial(m, u)
+
+
+def j_degree(n: int, r: int) -> int:
+    """Degree of J(n, r): C(n-1, 2) - C(r-1, 2)."""
+    return comb(n - 1, 2) - comb(r - 1, 2)
+
+
 class JTable:
     """Triangular table of J(n, r) for 1 <= r <= n <= n_max.
 
@@ -78,15 +95,19 @@ class JTable:
             raise ValueError(f"table only covers n <= {self.n_max}")
         return self._rows[n][r]
 
-    def reciprocal_entry(self, n: int, r: int) -> UniPoly:
-        return reciprocal(n, r, self)
-
     def degree(self, n: int, r: int) -> int:
-        return comb(n - 1, 2) - comb(r - 1, 2)
+        return j_degree(n, r)
+
+    def entries(self, use_reciprocal: bool = False):
+        """(n, r, J(n, r) or its reciprocal) for 1 <= r <= n <= n_max, row by row."""
+        for n in range(1, self.n_max + 1):
+            for r in range(1, n + 1):
+                yield n, r, (reciprocal(n, r, self) if use_reciprocal
+                             else self._rows[n][r])
 
 
 def _validate_entry(n: int, r: int, poly: UniPoly):
-    expected_degree = comb(n - 1, 2) - comb(r - 1, 2)
+    expected_degree = j_degree(n, r)
     if poly.degree() != expected_degree:
         raise AssertionError(f"J({n},{r}) degree {poly.degree()} != {expected_degree}")
     if not poly.is_monic():
@@ -97,14 +118,16 @@ def _validate_entry(n: int, r: int, poly: UniPoly):
         raise AssertionError(f"J({n},{r}) has a non positive-integer coefficient")
 
 
-def build_jtable(n_max: int, validate: bool = True) -> JTable:
+@lru_cache(maxsize=1)
+def build_jtable(n_max: int) -> JTable:
     """Fill the triangle from the row recurrence.
 
     J(n, r) = sum_j [r]^j q^C(j,2) C(n-r, j) J(n-r, j) for n > r, with
     J(r, r) = 1; row n only reads the earlier row n-r, so rows are built in
     increasing n.  Every entry is checked against the shape invariants
-    (monic, positive integer coefficients, degree, constant term) unless
-    validate is switched off.
+    (monic, positive integer coefficients, degree, constant term).  The
+    last table built is cached: the batteries of one verify run all ask for
+    the same size.
     """
     if n_max < 1:
         raise ValueError("table size must be >= 1")
@@ -119,8 +142,7 @@ def build_jtable(n_max: int, validate: bool = True) -> JTable:
             for j in range(1, m + 1):
                 bpow = bpow * br
                 acc = acc + UniPoly.monomial(comb(j, 2), comb(m, j)) * bpow * rows[m][j]
-            if validate:
-                _validate_entry(n, r, acc)
+            _validate_entry(n, r, acc)
             rows[n][r] = acc
     return JTable(n_max, rows)
 
@@ -133,13 +155,9 @@ def j_explicit_composition(n: int, r: int) -> UniPoly:
     """
     if not (n - 1 >= r >= 1):
         raise ValueError("need n - 1 >= r >= 1")
-    m = n - r
     acc = zero
-    for u in compositions(m):
-        w = qbracket(r) ** u[0]
-        for i in range(1, len(u)):
-            w = w * qbracket(u[i - 1]) ** u[i]
-        acc = acc + w * UniPoly.monomial(column_binomial_sum(u), multinomial(m, u))
+    for u, w, count in composition_terms(n - r, r):
+        acc = acc + w * UniPoly.monomial(column_binomial_sum(u), count)
     return acc
 
 
@@ -149,33 +167,24 @@ def j_explicit_sequences(n: int, r: int) -> UniPoly:
     A commencing sequence packs its nonzero terms at the front; all other
     sequences contribute zero because they carry a factor [0]^positive.
     The conventions J(r, r) = 1 and J(n, 0) = [n == 0] fall out of the empty
-    sequence and of [0]^positive = 0 respectively.
+    sequence and of [0]^positive = 0 respectively; the remaining sequences
+    are the compositions of n - r, whose factorial weight m!/prod u_i! is
+    the multinomial, so the sum is the composition sum.
     """
     if n < r or r < 0 or n < 0:
         raise ValueError("need n >= r >= 0")
-    m = n - r
-    if m == 0:
+    if n == r:
         return one
     if r == 0:
         return zero
-    acc = zero
-    fact_m = factorial(m)
-    for u in compositions(m):
-        scale = Fraction(fact_m)
-        for a in u:
-            scale /= factorial(a)
-        w = qbracket(r) ** u[0]
-        for i in range(1, len(u)):
-            w = w * qbracket(u[i - 1]) ** u[i]
-        acc = acc + w * UniPoly.monomial(column_binomial_sum(u)) * scale
-    return acc
+    return j_explicit_composition(n, r)
 
 
 def reciprocal(n: int, r: int, table: JTable) -> UniPoly:
     """q^(C(n-1,2) - C(r-1,2)) * J(n, r)(1/q): the coefficient reversal."""
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
-    return table.entry(n, r).reversed_to(comb(n - 1, 2) - comb(r - 1, 2))
+    return table.entry(n, r).reversed_to(j_degree(n, r))
 
 
 def reciprocal_recurrence_check(n_max: int) -> CheckReport:
@@ -209,9 +218,7 @@ def kung_yan_check(n_max: int) -> CheckReport:
         raise ValueError("need n_max >= 2")
     report = CheckReport()
     table = build_jtable(n_max)
-    omq = [one]
-    for _ in range(n_max):
-        omq.append(omq[-1] * (one - q))
+    omq = powers(one - q, n_max)
     for n in range(2, n_max + 1):
         for r in range(1, n):
             lhs = omq[n - r] * reciprocal(n, r, table)
@@ -299,7 +306,6 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
     r = 1 analog in bracket base q^r:
     p_n^(r) = (1 - q^r) / r! * q^C(r,2) * [p_(n-r)] with brackets in base q^r.
     """
-    from .symfunc import pn_bracket_determinant
     report = CheckReport()
     for n in range(2, n_max + 1):
         bundle = _exp_bundle(n)
@@ -360,28 +366,8 @@ def jpoly_suite_report(n_max: int) -> CheckReport:
 
 def jtable_csv_rows(table: JTable, use_reciprocal: bool = False):
     """Rows n,r,degree,coeffs with coeffs as a compact JSON array."""
-    for n in range(1, table.n_max + 1):
-        for r in range(1, n + 1):
-            poly = reciprocal(n, r, table) if use_reciprocal else table.entry(n, r)
-            yield n, r, table.degree(n, r), json_coeff_list(poly)
-
-
-def latex_poly(poly: UniPoly) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(poly.coeffs):
-        if not c:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = -c if c < 0 else c
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = f"{head}q" if i == 1 else f"{head}q^{{{i}}}"
-        parts.append(sign + body)
-    return "".join(parts)
+    for n, r, poly in table.entries(use_reciprocal):
+        yield n, r, table.degree(n, r), json_coeff_list(poly)
 
 
 def jtable_latex(table: JTable, use_reciprocal: bool = False) -> str:
@@ -393,14 +379,9 @@ def jtable_latex(table: JTable, use_reciprocal: bool = False) -> str:
     lines.append(r"\hline")
     header = ["$n \\backslash r$"] + [f"${r}$" for r in range(1, n_max + 1)]
     lines.append(" & ".join(header) + r" \\ \hline")
-    for n in range(1, n_max + 1):
-        cells = [f"${n}$"]
-        for r in range(1, n_max + 1):
-            if r <= n:
-                poly = reciprocal(n, r, table) if use_reciprocal else table.entry(n, r)
-                cells.append(f"${latex_poly(poly)}$")
-            else:
-                cells.append("")
+    for n, row in groupby(table.entries(use_reciprocal), key=itemgetter(0)):
+        cells = ([f"${n}$"] + [f"${latex_poly(poly)}$" for _n, _r, poly in row]
+                 + [""] * (n_max - n))
         lines.append(" & ".join(cells) + r" \\ \hline")
     lines.append(r"\end{tabular}")
     return "\n".join(lines)

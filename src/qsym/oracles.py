@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .exactpoly import UniPoly, one, zero
-from .qcalc import qbracket
-from .jpoly import (JTable, build_jtable, compositions, multinomial,
-                    reciprocal)
+from .jpoly import build_jtable, composition_terms, reciprocal
 from .report import CheckReport
 
 DEFAULT_CAP = 10_000_000
@@ -66,15 +64,11 @@ class Ranking:
 
 
 class IncreasingRanking(Ranking):
-    kind = "increasing"
-
     def _build(self, subset):
         return {v: i + 1 for i, v in enumerate(subset)}
 
 
 class DecreasingRanking(Ranking):
-    kind = "decreasing"
-
     def _build(self, subset):
         p = len(subset)
         return {v: p - i for i, v in enumerate(subset)}
@@ -87,8 +81,6 @@ class SeededRanking(Ranking):
     ranks are reproducible bit for bit on any platform: only 64-bit integer
     arithmetic is involved, no platform RNG.
     """
-
-    kind = "seeded"
 
     def __init__(self, seed: int):
         super().__init__()
@@ -138,12 +130,9 @@ class Forest:
     def level_sizes(self) -> tuple:
         return tuple(len(l) for l in self.levels)
 
-    def to_json_dict(self, stat=None) -> dict:
-        d = {"parent": {str(v): p for v, p in sorted(self.parent.items())},
-             "levels": [list(l) for l in self.levels]}
-        if stat is not None:
-            d["stat"] = stat
-        return d
+    def to_json_dict(self, stat: int) -> dict:
+        return {"parent": {str(v): p for v, p in sorted(self.parent.items())},
+                "levels": [list(l) for l in self.levels], "stat": stat}
 
 
 def _check_roots(n: int, roots) -> tuple:
@@ -236,6 +225,19 @@ def sigma_statistic(u, include_root=None) -> int:
     return total
 
 
+# The level-size part of each variant's statistic; the parent-rank shortfall
+# is common to both.
+_LEVEL_PARTS = {"standard": lambda sizes: sum(comb(u, 2) for u in sizes[1:]),
+                "reciprocal": sigma_statistic}
+
+
+def _forest_statistic(forest: Forest, ranking: Ranking, variant: str) -> int:
+    depth = {v: i for i, level in enumerate(forest.levels) for v in level}
+    rank_tables = [ranking.ranks(l) for l in forest.levels]
+    return (_LEVEL_PARTS[variant](forest.level_sizes())
+            + _weight_shortfall(forest.parent, depth, forest.parent, rank_tables))
+
+
 def level_statistic(forest: Forest, ranking: Ranking) -> int:
     """Inversion-type statistic: sum C(u_i, 2) over non-root levels, plus
     the parent-rank shortfall under the ranking; 0 for the edgeless
@@ -247,27 +249,14 @@ def level_statistic(forest: Forest, ranking: Ranking) -> int:
     shortfall (4-1) + 2(1-1) + 3(4-1) + (2-1) + (3-1) + 2(1-1) = 15, the
     statistic is 31.
     """
-    base = sum(comb(len(l), 2) for l in forest.levels[1:])
-    rank_tables = [ranking.ranks(l) for l in forest.levels]
-    s = base
-    for v, p in forest.parent.items():
-        lvl = next(i for i, l in enumerate(forest.levels) if p in l)
-        s += rank_tables[lvl][p] - 1
-    return s
+    return _forest_statistic(forest, ranking, "standard")
 
 
 def reciprocal_level_statistic(forest: Forest, ranking: Ranking) -> int:
     """Companion statistic whose enumerator is the reciprocal polynomial:
     the distance-2 product sum of the level sizes (roots included) plus the
     same parent-rank shortfall."""
-    sizes = forest.level_sizes()
-    base = sigma_statistic(sizes[1:], include_root=sizes[0])
-    rank_tables = [ranking.ranks(l) for l in forest.levels]
-    s = base
-    for v, p in forest.parent.items():
-        lvl = next(i for i, l in enumerate(forest.levels) if p in l)
-        s += rank_tables[lvl][p] - 1
-    return s
+    return _forest_statistic(forest, ranking, "reciprocal")
 
 
 def _poly_from_counts(counter: dict) -> UniPoly:
@@ -276,12 +265,6 @@ def _poly_from_counts(counter: dict) -> UniPoly:
     for s, c in counter.items():
         coeffs[s] = c
     return UniPoly(coeffs)
-
-
-# The level-size part of each variant's statistic; the parent-rank shortfall
-# is common to both.
-_LEVEL_PARTS = {"standard": lambda sizes: sum(comb(u, 2) for u in sizes[1:]),
-                "reciprocal": sigma_statistic}
 
 
 def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
@@ -395,11 +378,7 @@ def reciprocal_explicit_check(n_max: int) -> CheckReport:
             expected = reciprocal(n, r, table)
             acc1 = zero
             acc2 = zero
-            for u in compositions(m):
-                w = qbracket(r) ** u[0]
-                for i in range(1, len(u)):
-                    w = w * qbracket(u[i - 1]) ** u[i]
-                count = multinomial(m, u)
+            for u, w, count in composition_terms(m, r):
                 acc1 = acc1 + w * UniPoly.monomial(
                     sigma_statistic(u) + r * (m - u[0]), count)
                 acc2 = acc2 + w * UniPoly.monomial(
@@ -416,18 +395,18 @@ def reciprocal_explicit_check(n_max: int) -> CheckReport:
 # the oracle battery
 
 
-def oracle_suite_report(n_max: int, seed: int = 0, cap: int = DEFAULT_CAP,
-                        table: JTable | None = None) -> CheckReport:
+def oracle_suite_report(n_max: int, seed: int = 0,
+                        cap: int = DEFAULT_CAP) -> CheckReport:
     """Forest and parking enumerators against the closed-form table.
 
     Every (n, r) with 1 <= r < n <= n_max whose candidate count fits the cap
     is enumerated; rankings are the increasing, the decreasing, and three
     seeded ones (seeds seed, seed+1, seed+2).  Root sets are varied with n
-    to exercise label independence.
+    to exercise label independence.  An (n, r) whose candidate count
+    exceeds the cap is recorded as skipped, not passed.
     """
     report = CheckReport()
-    if table is None or table.n_max < n_max:
-        table = build_jtable(max(n_max, 2))
+    table = build_jtable(max(n_max, 2))
     seeds = [seed, seed + 1, seed + 2]
     rankings = [IncreasingRanking(), DecreasingRanking()] + \
         [SeededRanking(s) for s in seeds]
@@ -437,23 +416,20 @@ def oracle_suite_report(n_max: int, seed: int = 0, cap: int = DEFAULT_CAP,
     for n in range(2, n_max + 1):
         for r in range(1, n):
             if n ** (n - r) > cap:
-                report.add_pass("forest-oracle-skipped-by-cap", n=n, r=r)
+                report.add_skip("forest-oracle-skipped-by-cap", n=n, r=r)
                 continue
             # rotate the root labels so independence from the label choice
             # is exercised across the suite
             roots = tuple(((r + i + n - 2) % n) + 1 for i in range(r))
-            expected = table.entry(n, r)
-            expected_rec = reciprocal(n, r, table)
             std, rec = _forest_enumerators(n, roots, rankings,
                                            ("standard", "reciprocal"), cap)
-            for name, poly in zip(ranking_names, std):
-                report.check("forest-level-enumerator", poly == expected,
-                             detail=f"got={poly} expected={expected}",
-                             n=n, r=r, ranking=name)
-            for name, poly in zip(ranking_names, rec):
-                report.check("forest-reciprocal-enumerator", poly == expected_rec,
-                             detail=f"got={poly} expected={expected_rec}",
-                             n=n, r=r, ranking=name)
+            for identity, polys, expected in (
+                    ("forest-level-enumerator", std, table.entry(n, r)),
+                    ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
+                for name, poly in zip(ranking_names, polys):
+                    report.check(identity, poly == expected,
+                                 detail=f"got={poly} expected={expected}",
+                                 n=n, r=r, ranking=name)
             count = std[0].evaluate(1)
             report.check("forest-count", count == r * n ** (n - r - 1),
                          detail=f"got={count}", n=n, r=r)
@@ -462,7 +438,7 @@ def oracle_suite_report(n_max: int, seed: int = 0, cap: int = DEFAULT_CAP,
         for r in range(1, n + 1):
             m = n - r
             if parking_candidates(m, r) > cap:
-                report.add_pass("parking-oracle-skipped-by-cap", n=n, r=r)
+                report.add_skip("parking-oracle-skipped-by-cap", n=n, r=r)
                 continue
             got = parking_enumerator_poly(m, r, cap)
             expected = reciprocal(n, r, table)
@@ -473,10 +449,17 @@ def oracle_suite_report(n_max: int, seed: int = 0, cap: int = DEFAULT_CAP,
     return report
 
 
+def forest_records(n: int, roots, ranking: Ranking,
+                   variant: str = "standard", cap: int = DEFAULT_CAP):
+    """(statistic, JSON object) per accepted forest, the object carrying
+    the statistic too."""
+    for forest in enumerate_forests(n, roots, cap):
+        stat = _forest_statistic(forest, ranking, variant)
+        yield stat, json.dumps(forest.to_json_dict(stat), separators=(",", ":"))
+
+
 def forests_json_lines(n: int, roots, ranking: Ranking,
                        variant: str = "standard", cap: int = DEFAULT_CAP):
     """One JSON object per accepted forest, with its statistic."""
-    stat = level_statistic if variant == "standard" else reciprocal_level_statistic
-    for forest in enumerate_forests(n, roots, cap):
-        yield json.dumps(forest.to_json_dict(stat(forest, ranking)),
-                         separators=(",", ":"))
+    for _stat, line in forest_records(n, roots, ranking, variant, cap):
+        yield line

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
+from math import comb
 
 from .exactpoly import BiPoly, TruncSeries, UniPoly, one, zero
 
@@ -65,35 +66,37 @@ def qbinomial(n: int, k: int) -> UniPoly:
     return next(islice(triangle_rows(UniPoly.monomial, k), n, None))[k]
 
 
+def alternating_binomial_sum(f, n: int, k: int, nil):
+    """sum over l = k..n of (-1)^(l-k) C(n, l) f(l, k), starting from the
+    ring's zero nil."""
+    acc = nil
+    for l in range(k, n + 1):
+        term = comb(n, l) * f(l, k)
+        acc = acc + (term if (l - k) % 2 == 0 else -term)
+    return acc
+
+
 def qbracket_power_base(n: int, r: int) -> UniPoly:
     """[n] with q replaced by q^r."""
     return qbracket(n).compose_power(r)
 
 
-def qfactorial_power_base(n: int, r: int) -> UniPoly:
-    return qfactorial(n).compose_power(r)
-
-
-def qbinomial_power_base(n: int, k: int, r: int) -> UniPoly:
-    p = qbinomial(n, k)
-    return p.compose_power(r) if not p.is_zero() else p
-
-
-def q_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
-    """Apply the q-derivative r times to a truncated series.
-
-    The coefficient of t^(n-r) in the result is [r]! * [n choose r]_q times
-    the coefficient of t^n in f; the order drops by r.
-    """
+def _derivative(f: TruncSeries, r: int, factorial, binomial) -> TruncSeries:
+    """The coefficient of t^(n-r) is factorial(r) * binomial(n, r) times the
+    coefficient of t^n in f; the order drops by r."""
     if r < 1:
         raise ValueError("derivative order must be >= 1")
     if r > f.order:
         raise ValueError("derivative order exceeds the series order")
-    fr = qfactorial(r)
-    out = []
-    for m in range(f.order - r + 1):
-        out.append(fr * qbinomial(m + r, r) * f.coeff(m + r))
-    return TruncSeries(out)
+    fr = factorial(r)
+    return TruncSeries(fr * binomial(m + r, r) * f.coeff(m + r)
+                       for m in range(f.order - r + 1))
+
+
+def q_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
+    """Apply the q-derivative r times to a truncated series: t^n goes to
+    [r]! * [n choose r]_q t^(n-r)."""
+    return _derivative(f, r, qfactorial, qbinomial)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +136,4 @@ def pq_binomial(n: int, k: int) -> BiPoly:
 
 def pq_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
     """(p,q)-derivative applied r times to a series with BiPoly coefficients."""
-    if r < 1:
-        raise ValueError("derivative order must be >= 1")
-    if r > f.order:
-        raise ValueError("derivative order exceeds the series order")
-    fr = pq_factorial(r)
-    out = []
-    for m in range(f.order - r + 1):
-        out.append(fr * pq_binomial(m + r, r) * f.coeff(m + r))
-    return TruncSeries(out)
+    return _derivative(f, r, pq_factorial, pq_binomial)

@@ -14,9 +14,12 @@ from functools import lru_cache
 from itertools import islice
 from math import comb
 
-from .exactpoly import UniPoly, json_coeff_list, one, q, zero
-from .qcalc import qbracket, triangle_rows
+from .exactpoly import UniPoly, json_coeff_list, one, powers, q, zero
+from .qcalc import alternating_binomial_sum, qbracket, triangle_rows
 from .report import CheckReport
+
+# Largest size of the scaled-triangle inverse check in the suite.
+CONJUGATION_N_MAX = 8
 
 
 def _second_kind_rows(n_max: int):
@@ -72,31 +75,12 @@ def qstirling1_triangle(n_max: int) -> StirlingTriangle:
             for j in range(k, n):
                 acc = acc + second[j] * s[j - 1][k - 1]
             s[n - 1][k - 1] = -acc
-    rows = tuple(tuple(s[n - 1][k - 1] for k in range(1, n + 1))
-                 for n in range(1, n_max + 1))
+    rows = tuple(tuple(row[:n]) for n, row in enumerate(s, 1))
     return StirlingTriangle("first", n_max, rows)
 
 
-def qstirling1(n: int, k: int, triangle: StirlingTriangle | None = None) -> UniPoly:
-    if triangle is None or triangle.n_max < n:
-        triangle = qstirling1_triangle(max(n, 1))
-    return triangle.entry(n, k)
-
-
-def _qminus1_powers(n: int):
-    pw = [one]
-    base = q - one
-    for _ in range(n):
-        pw.append(pw[-1] * base)
-    return pw
-
-
-def _oneminusq_powers(n: int):
-    pw = [one]
-    base = one - q
-    for _ in range(n):
-        pw.append(pw[-1] * base)
-    return pw
+def qstirling1(n: int, k: int) -> UniPoly:
+    return qstirling1_triangle(max(n, 1)).entry(n, k)
 
 
 def verify_carlitz_identities(n_max: int) -> CheckReport:
@@ -110,8 +94,8 @@ def verify_carlitz_identities(n_max: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     report = CheckReport()
-    qm1 = _qminus1_powers(n_max)
-    omq = _oneminusq_powers(n_max)
+    qm1 = powers(q - one, n_max)
+    omq = powers(one - q, n_max)
     # rows 0..n_max of both triangles in one pass each, not entry by entry
     binom = list(islice(triangle_rows(UniPoly.monomial, n_max), n_max + 1))
     stirling = list(islice(triangle_rows(qbracket, n_max), n_max + 1))
@@ -125,10 +109,7 @@ def verify_carlitz_identities(n_max: int) -> CheckReport:
                          detail=f"lhs={lhs} rhs={rhs}", n=n, k=k)
 
             lhs2 = omq[n - k] * stirling[n][k]
-            rhs2 = zero
-            for l in range(k, n + 1):
-                term = comb(n, l) * binom[l][k]
-                rhs2 = rhs2 + (term if (l - k) % 2 == 0 else -term)
+            rhs2 = alternating_binomial_sum(lambda l, j: binom[l][j], n, k, zero)
             report.check("carlitz-inverse-expansion", lhs2 == rhs2,
                          detail=f"lhs={lhs2} rhs={rhs2}", n=n, k=k)
     return report
@@ -144,17 +125,24 @@ def _is_identity(m, size) -> bool:
                for i in range(size) for j in range(size))
 
 
-def verify_triangle_inverse(n_max: int) -> CheckReport:
-    """Check that the two triangles are exact matrix inverses, size by size."""
+def _scaled_inverse_check(identity: str, n_max: int, scale) -> CheckReport:
+    """Check, size by size, that the triangles with entries scale[i-j] times
+    the second- resp. first-kind numbers are inverse matrices."""
     report = CheckReport()
     second = qstirling2_triangle(n_max)
     first = qstirling1_triangle(n_max)
     for n in range(1, n_max + 1):
-        S = [[second.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        s = [[first.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        report.check("stirling-triangle-inverse", _is_identity(_matmul(S, s, n), n),
-                     n=n)
+        A, B = ([[scale[i - j] * t.entry(i, j) if i >= j else zero
+                  for j in range(1, n + 1)] for i in range(1, n + 1)]
+                for t in (second, first))
+        report.check(identity, _is_identity(_matmul(A, B, n), n), n=n)
     return report
+
+
+def verify_triangle_inverse(n_max: int) -> CheckReport:
+    """Check that the two triangles are exact matrix inverses, size by size."""
+    return _scaled_inverse_check("stirling-triangle-inverse", n_max,
+                                 [one] * n_max)
 
 
 def verify_conjugated_inverse(n_max: int) -> CheckReport:
@@ -164,23 +152,14 @@ def verify_conjugated_inverse(n_max: int) -> CheckReport:
     A is the conjugate of the second-kind triangle by diag((1-q)^(i-1)), so
     this is the matrix form of the transfer identities.
     """
-    report = CheckReport()
-    omq = _oneminusq_powers(n_max)
-    second = qstirling2_triangle(n_max)
-    first = qstirling1_triangle(n_max)
-    for n in range(1, n_max + 1):
-        A = [[omq[i - j] * second.entry(i, j) if i >= j else zero
-              for j in range(1, n + 1)] for i in range(1, n + 1)]
-        B = [[omq[i - j] * first.entry(i, j) if i >= j else zero
-              for j in range(1, n + 1)] for i in range(1, n + 1)]
-        report.check("scaled-triangle-inverse", _is_identity(_matmul(A, B, n), n),
-                     n=n)
-    return report
+    return _scaled_inverse_check("scaled-triangle-inverse", n_max,
+                                 powers(one - q, n_max))
 
 
-def stirling_suite_report(n_max: int, conjugation_n_max: int | None = None) -> CheckReport:
-    """The full q-Stirling verification battery."""
+def stirling_suite_report(n_max: int) -> CheckReport:
+    """The full q-Stirling verification battery; the conjugated-inverse check
+    stops at CONJUGATION_N_MAX."""
     report = verify_carlitz_identities(n_max)
     report.merge(verify_triangle_inverse(n_max))
-    report.merge(verify_conjugated_inverse(conjugation_n_max or min(n_max, 8)))
+    report.merge(verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))
     return report

@@ -1,7 +1,8 @@
 """Pass/fail records produced by the identity-verification operations.
 
-A report is a flat list of records, one per checked instance.  Failure is
-data, not an exception: callers inspect .passed and .first_failure.
+A report is a flat list of records, one per checked or skipped instance.
+Failure is data, not an exception: callers inspect .passed and
+.first_failure.  A skipped instance is neither a pass nor a failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 @dataclass(frozen=True)
 class CheckRecord:
     identity: str
-    status: str                 # "pass" or "fail"
+    status: str                 # "pass", "fail" or "skip"
     params: dict = field(default_factory=dict)
     detail: str = ""
 
@@ -38,6 +39,9 @@ class CheckReport:
     def add_fail(self, identity: str, detail: str = "", **params):
         self.records.append(CheckRecord(identity, "fail", params, detail))
 
+    def add_skip(self, identity: str, **params):
+        self.records.append(CheckRecord(identity, "skip", params))
+
     def check(self, identity: str, ok: bool, detail: str = "", **params):
         if ok:
             self.add_pass(identity, **params)
@@ -51,36 +55,33 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
+        return all(r.status != "fail" for r in self.records)
 
     @property
     def first_failure(self):
         for r in self.records:
-            if r.status != "pass":
+            if r.status == "fail":
                 return r
         return None
 
-    def to_json_records(self):
-        return [r.to_json_dict() for r in self.records]
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_records(), separators=(",", ":"))
+        return json.dumps([r.to_json_dict() for r in self.records],
+                          separators=(",", ":"))
 
     def summary_lines(self):
-        """One line per identity: ok/FAIL, the identity, instance count."""
-        order, by_identity = [], {}
+        """One line per identity: ok/FAIL/skip, the identity, and passed out of
+        all instances; skip marks an identity whose instances all were."""
+        by_identity = {}
         for r in self.records:
-            if r.identity not in by_identity:
-                order.append(r.identity)
-                by_identity[r.identity] = []
-            by_identity[r.identity].append(r)
+            by_identity.setdefault(r.identity, []).append(r)
         lines = []
-        for name in order:
-            recs = by_identity[name]
-            bad = [r for r in recs if r.status != "pass"]
-            mark = "ok  " if not bad else "FAIL"
-            lines.append(f"{mark} {name} ({len(recs) - len(bad)}/{len(recs)} instances)")
+        for name, recs in by_identity.items():
+            passes = sum(r.status == "pass" for r in recs)
+            if any(r.status == "fail" for r in recs):
+                mark = "FAIL"
+            elif all(r.status == "skip" for r in recs):
+                mark = "skip"
+            else:
+                mark = "ok  "
+            lines.append(f"{mark} {name} ({passes}/{len(recs)} instances)")
         return lines
-
-    def __len__(self):
-        return len(self.records)

@@ -22,11 +22,16 @@ from fractions import Fraction
 from math import comb
 
 from .exactpoly import (BiPoly, TruncSeries, UniPoly, det_cofactor,
-                        det_fraction_free, one, q, zero)
-from .qcalc import (pq_binomial, qbinomial, qbinomial_power_base, qbracket,
+                        det_fraction_free, one, powers, q, zero)
+from .qcalc import (alternating_binomial_sum, pq_binomial, qbinomial, qbracket,
                     qbracket_power_base, qfactorial)
-from .qstirling import qstirling1_triangle, qstirling2
+from .qstirling import qstirling1_triangle, qstirling2_triangle
 from .report import CheckReport
+
+# Largest sizes of the r = 1 determinant and two-parameter batteries in the
+# suite; both run to these sizes whatever the suite's own size.
+DETERMINANT_N_MAX = 5
+PQ_N_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -157,25 +162,23 @@ def complete_from_elementary(e, order: int):
 
 @dataclass(frozen=True)
 class SymSeriesBundle:
-    """An alphabet (or raw elementary sequence) with matching e and h rows."""
+    """Matching rows e_0..e_order and h_0..h_order, of an alphabet or of a
+    raw elementary sequence."""
 
-    alphabet: SymAlphabet | None
     order: int
     e: tuple
     h: tuple
 
     @classmethod
     def from_alphabet(cls, alphabet: SymAlphabet, order: int) -> "SymSeriesBundle":
-        e = elementary_sequence(alphabet, order)
-        h = complete_from_elementary(e, order)
-        return cls(alphabet, order, tuple(e), tuple(h))
+        return cls.from_elementary(elementary_sequence(alphabet, order))
 
     @classmethod
     def from_elementary(cls, e) -> "SymSeriesBundle":
         e = [c if isinstance(c, UniPoly) else UniPoly.constant(c) for c in e]
         order = len(e) - 1
         h = complete_from_elementary(e, order)
-        return cls(None, order, tuple(e), tuple(h))
+        return cls(order, tuple(e), tuple(h))
 
     def e_series(self) -> TruncSeries:
         return TruncSeries(self.e)
@@ -233,7 +236,7 @@ def qp_nr_direct(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
 
 def p_nr_series(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     """Classical p_n^(r) by the same convolution with ordinary binomials."""
-    return _convolution(bundle, n, r, lambda a, b: UniPoly.constant(comb(a, b)))
+    return _convolution(bundle, n, r, comb)
 
 
 def _hessenberg_matrix(e, n: int, r: int, first_col):
@@ -241,8 +244,10 @@ def _hessenberg_matrix(e, n: int, r: int, first_col):
 
     Size (n-r+1); first column holds first_col(i) for rows i = 0..n-r, the
     rest is the shifted lower-triangular band of e's with ones on the
-    superdiagonal.
+    superdiagonal.  The entries live in the ring of e, whose one is e[0].
     """
+    unit = e[0]
+    nil = unit - unit
     size = n - r + 1
     m = []
     for i in range(size):
@@ -250,37 +255,32 @@ def _hessenberg_matrix(e, n: int, r: int, first_col):
         for j in range(1, size):
             k = i - j + 1
             if k < 0:
-                row.append(zero)
+                row.append(nil)
             elif k == 0:
-                row.append(one)
+                row.append(unit)
             else:
-                row.append(e[k] if k < len(e) else zero)
+                row.append(e[k] if k < len(e) else nil)
         m.append(row)
     return m
 
 
-def qp_nr_determinant(bundle: SymSeriesBundle, n: int, r: int,
-                      power_base: int = 1) -> UniPoly:
-    """The q-analog of p_n^(r) as a Hessenberg determinant.
-
-    power_base = s computes the variant whose q-binomials live in base q^s.
-    """
+def _determinant(bundle: SymSeriesBundle, n: int, r: int, binom) -> UniPoly:
+    """The Hessenberg determinant with first column binom(r+i, r) e_(r+i)."""
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
     e = bundle.e
-    m = _hessenberg_matrix(
-        e, n, r,
-        lambda i: qbinomial_power_base(r + i, r, power_base) * e[r + i])
-    return det_fraction_free(m)
+    return det_fraction_free(
+        _hessenberg_matrix(e, n, r, lambda i: binom(r + i, r) * e[r + i]))
+
+
+def qp_nr_determinant(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
+    """The q-analog of p_n^(r) as a Hessenberg determinant."""
+    return _determinant(bundle, n, r, qbinomial)
 
 
 def p_nr_determinant(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     """Classical p_n^(r) as the same determinant with ordinary binomials."""
-    if not (n >= r >= 1):
-        raise ValueError("need n >= r >= 1")
-    e = bundle.e
-    m = _hessenberg_matrix(e, n, r, lambda i: comb(r + i, r) * e[r + i])
-    return det_fraction_free(m)
+    return _determinant(bundle, n, r, comb)
 
 
 def pn_bracket_determinant(e, n: int, power_base: int = 1) -> UniPoly:
@@ -295,7 +295,7 @@ def pn_bracket_determinant(e, n: int, power_base: int = 1) -> UniPoly:
     return det_fraction_free(m)
 
 
-def en_factorial_determinant(p_list, n: int, power_base: int = 1) -> UniPoly:
+def en_factorial_determinant(p_list, n: int) -> UniPoly:
     """[n]! e_n as a determinant in the r = 1 q-analogs p_list[k] = [p_k].
 
     Row i carries [p_(i+1)], earlier [p]'s shifted along the band, and the
@@ -310,7 +310,7 @@ def en_factorial_determinant(p_list, n: int, power_base: int = 1) -> UniPoly:
             if j <= i:
                 row.append(p_list[i - j + 1])
             elif j == i + 1:
-                row.append(qbracket_power_base(i + 1, power_base))
+                row.append(qbracket(i + 1))
             else:
                 row.append(zero)
         m.append(row)
@@ -329,13 +329,6 @@ def qp_lambda(bundle: SymSeriesBundle, parts) -> UniPoly:
 # verification reports
 
 
-def _oneminusq_powers(n: int):
-    pw = [one]
-    for _ in range(n):
-        pw.append(pw[-1] * (one - q))
-    return pw
-
-
 def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
     """Exactly verify the q-Stirling transfer between the q-analog and the
     classical p_n^(r), in all four printed forms.
@@ -351,29 +344,24 @@ def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
     bundle = SymSeriesBundle.from_alphabet(alphabet, n)
     classical = {j: p_nr_monomial(alphabet, n, j) for j in range(1, n + 1)}
     qanalog = {j: qp_nr_direct(bundle, n, j) for j in range(1, n + 1)}
+    second_kind = qstirling2_triangle(n)
     first_kind = qstirling1_triangle(n)
-    omq = _oneminusq_powers(n)
+    omq = powers(one - q, n)
 
     for r in range(1, n + 1):
-        rhs = zero
-        for j in range(r, n + 1):
-            rhs = rhs + omq[j - r] * qstirling2(j, r) * classical[j]
-        report.check("transfer-second-kind", qanalog[r] == rhs,
-                     detail=f"lhs={qanalog[r]} rhs={rhs}", n=n, r=r)
-
-        inv = zero
-        for j in range(r, n + 1):
-            inv = inv + omq[j - r] * first_kind.entry(j, r) * qanalog[j]
-        report.check("transfer-first-kind", classical[r] == inv,
-                     detail=f"lhs={classical[r]} rhs={inv}", n=n, r=r)
+        # (i) and (ii): sum over j of (1-q)^(j-r) T[j, r] x_j
+        for identity, lhs, triangle, x in (
+                ("transfer-second-kind", qanalog[r], second_kind, classical),
+                ("transfer-first-kind", classical[r], first_kind, qanalog)):
+            rhs = zero
+            for j in range(r, n + 1):
+                rhs = rhs + omq[j - r] * triangle.entry(j, r) * x[j]
+            report.check(identity, lhs == rhs, detail=f"lhs={lhs} rhs={rhs}",
+                         n=n, r=r)
 
         dbl = zero
         for j in range(r, n + 1):
-            inner = zero
-            for l in range(r, j + 1):
-                term = comb(j, l) * qbinomial(l, r)
-                inner = inner + (term if (l - r) % 2 == 0 else -term)
-            dbl = dbl + classical[j] * inner
+            dbl = dbl + classical[j] * alternating_binomial_sum(qbinomial, j, r, zero)
         report.check("transfer-double-sum", qanalog[r] == dbl,
                      detail=f"lhs={qanalog[r]} rhs={dbl}", n=n, r=r)
 
@@ -443,28 +431,13 @@ def pq_transfer_check(alphabet: SymAlphabet, n: int) -> CheckReport:
     classical = {j: p_nr_monomial(alphabet, n, j) for j in range(1, n + 1)}
 
     for r in range(1, n + 1):
-        size = n - r + 1
-        m = []
-        for i in range(size):
-            row = [pq_binomial(r + i, r) * e_bi[r + i]]
-            for j in range(1, size):
-                k = i - j + 1
-                if k < 0:
-                    row.append(BiPoly())
-                elif k == 0:
-                    row.append(BiPoly.constant(1))
-                else:
-                    row.append(e_bi[k])
-            m.append(row)
-        det = det_cofactor(m)
+        det = det_cofactor(_hessenberg_matrix(
+            e_bi, n, r, lambda i: pq_binomial(r + i, r) * e_bi[r + i]))
 
         dbl = BiPoly()
         for j in range(r, n + 1):
-            inner = BiPoly()
-            for l in range(r, j + 1):
-                term = comb(j, l) * pq_binomial(l, r)
-                inner = inner + (term if (l - r) % 2 == 0 else -term)
-            dbl = dbl + BiPoly.from_unipoly(classical[j]) * inner
+            dbl = dbl + (BiPoly.from_unipoly(classical[j])
+                         * alternating_binomial_sum(pq_binomial, j, r, BiPoly()))
         report.check("pq-double-sum-vs-determinant", det == dbl,
                      detail=f"det={det!r} sum={dbl!r}", n=n, r=r)
 
@@ -482,8 +455,7 @@ def default_alphabets(n: int):
             SymAlphabet.half_odds(n))
 
 
-def symfunc_suite_report(n_max: int, pq_n_max: int = 4,
-                         determinant_n_max: int = 5) -> CheckReport:
+def symfunc_suite_report(n_max: int) -> CheckReport:
     """Transfer, determinant, and two-parameter batteries on the default
     alphabets."""
     report = CheckReport()
@@ -491,10 +463,10 @@ def symfunc_suite_report(n_max: int, pq_n_max: int = 4,
         for alphabet in default_alphabets(n):
             report.merge(transfer_theorem_check(alphabet, n))
             report.merge(determinant_vs_convolution_check(alphabet, n))
-    for n in range(1, determinant_n_max + 1):
+    for n in range(1, DETERMINANT_N_MAX + 1):
         for alphabet in default_alphabets(n):
             report.merge(classical_pn_determinants_check(alphabet, n))
-    for n in range(1, pq_n_max + 1):
+    for n in range(1, PQ_N_MAX + 1):
         alphabet = SymAlphabet.primes(max(n, 3))
         report.merge(pq_transfer_check(alphabet, n))
     return report

@@ -244,3 +244,46 @@ def test_usage_error_on_unknown_command():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "jtable", "--n-max", "3", "-o", "{tmp}/missing/x.csv"),
+    ("export", "stirling", "--n-max", "3", "-o", "{tmp}/missing/x.csv"),
+    ("export", "jtable", "--n-max", "3", "-o", "{tmp}"),      # a directory
+    ("query", "jpoly", "--n", "2", "--r", "5"),
+    ("jtable", "--n-max", "0"),
+    ("verify", "jpoly", "--n-max", "0"),
+], ids=["missing-dir", "missing-dir-stirling", "is-a-directory",
+        "range-violation", "jtable-n-max", "verify-n-max"])
+def test_usage_faults_exit_two(argv, tmp_path, capsys):
+    code, text = run(*(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_capped_checks_are_skips_not_passes():
+    argv = ("verify", "oracles", "--n-max", "5", "--cap", "100")
+    code, text = run(*argv)
+    assert code == 0
+    lines = text.splitlines()
+    assert "skip forest-oracle-skipped-by-cap (0/2 instances)" in lines
+    assert "skip parking-oracle-skipped-by-cap (0/1 instances)" in lines
+    assert not any(l.startswith("ok") and "skipped" in l for l in lines)
+    code, text = run(*argv, "--format", "json")
+    assert code == 0
+    records = json.loads(text)
+    skipped = [r for r in records if r["identity"].endswith("-skipped-by-cap")]
+    assert skipped and all(r["status"] == "skip" for r in skipped)
+    assert {r["status"] for r in records} == {"pass", "skip"}
+
+
+def test_skips_do_not_decide_the_verdict():
+    report = CheckReport()
+    report.add_skip("skipped", n=1)
+    report.add_pass("fine", n=1)
+    assert report.passed and report.first_failure is None
+    report.add_fail("broken", n=2)
+    assert not report.passed and report.first_failure.identity == "broken"
+    assert report.summary_lines() == ["skip skipped (0/1 instances)",
+                                      "ok   fine (1/1 instances)",
+                                      "FAIL broken (0/1 instances)"]
