@@ -9,7 +9,7 @@ combinatorial oracles certify every closed formula at desk scale.
 """
 
 from .exactpoly import (BiPoly, InexactDivisionError, TruncSeries, UniPoly,
-                        det_cofactor, det_fraction_free, exact_div, poly_text)
+                        det_cofactor, det_hessenberg, exact_div, poly_text)
 from .qcalc import (pq_binomial, pq_bracket, pq_derivative, pq_factorial,
                     q_derivative, qbinomial, qbracket, qbracket_power_base,
                     qfactorial)

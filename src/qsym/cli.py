@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Commands: jtable (print the triangle), verify (run an identity battery),
-query (one exact object), export (CSV / LaTeX dumps).  Exit codes are a
-stable contract: 0 success, 1 a mathematical identity failed, 2 usage
-error (a bad argument, or an output file that cannot be written), 3
-enumeration cap exceeded.  Output is byte-deterministic for fixed flags and
-seed.
+query (one exact object), export (CSV / LaTeX dumps).  Each command accepts
+only the options it reads.  Exit codes are a stable contract: 0 success, 1 a
+mathematical identity failed, 2 usage error (a bad argument, or an output
+file that cannot be written), 3 enumeration cap exceeded, 141 the reader
+closed stdout early (128 + SIGPIPE, what a shell reports for other writers
+cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output
+is byte-deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from itertools import groupby
 from operator import itemgetter
@@ -33,17 +36,21 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_BROKEN_PIPE = 141
+
+ALL_FORMATS = ["plain", "json", "csv", "latex"]
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=["plain", "json", "csv", "latex"],
-                        default="plain")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="enumeration candidate cap")
+def _add_ascii(parser):
     parser.add_argument("--ascii", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="render powers as q^2; --no-ascii uses superscripts")
+
+
+def _add_enumeration(parser):
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help="enumeration candidate cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,13 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_jtable = sub.add_parser("jtable", help="print the J triangle")
     p_jtable.add_argument("--n-max", type=int, required=True)
     p_jtable.add_argument("--reciprocal", action="store_true")
-    _add_common(p_jtable)
+    p_jtable.add_argument("--format", choices=ALL_FORMATS, default="plain")
+    _add_ascii(p_jtable)
 
     p_verify = sub.add_parser("verify", help="run an identity battery")
     p_verify.add_argument("suite",
                           choices=["qstirling", "symfunc", "jpoly", "oracles", "all"])
     p_verify.add_argument("--n-max", type=int, default=7)
-    _add_common(p_verify)
+    p_verify.add_argument("--format", choices=["plain", "json"], default="plain")
+    _add_enumeration(p_verify)
 
     p_query = sub.add_parser("query", help="print one exact object")
     p_query.add_argument("kind",
@@ -82,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default="standard")
     p_query.add_argument("--dump-forests", action="store_true",
                          help="stream accepted forests as JSON lines")
-    _add_common(p_query)
+    p_query.add_argument("--format", choices=ALL_FORMATS, default="plain")
+    _add_enumeration(p_query)
+    _add_ascii(p_query)
 
     p_export = sub.add_parser("export", help="dump tables to CSV or LaTeX")
     p_export.add_argument("what", choices=["jtable", "stirling"])
@@ -92,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--reciprocal", action="store_true")
     p_export.add_argument("-o", "--output", default="-",
                           help="output file, - for stdout")
-    _add_common(p_export)
+    p_export.add_argument("--format", choices=["csv", "latex"], default="csv")
 
     return parser
 
@@ -222,6 +233,8 @@ def _cmd_export(args, out) -> int:
     buf = io.StringIO()
     if args.what == "jtable":
         _write_jtable_export(build_jtable(args.n_max), args, buf)
+    elif args.format != "csv":
+        raise ValueError("export stirling writes CSV only")
     else:
         triangle = (qstirling2_triangle(args.n_max) if args.kind == "second"
                     else qstirling1_triangle(args.n_max))
@@ -239,6 +252,10 @@ def _cmd_export(args, out) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"jtable": _cmd_jtable, "verify": _cmd_verify, "query": _cmd_query,
+            "export": _cmd_export}
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
@@ -246,13 +263,17 @@ def main(argv=None, out=None) -> int:
     try:
         if getattr(args, "n_max", 1) < 1:      # jtable, verify and export
             raise ValueError("--n-max must be >= 1")
-        if args.command == "jtable":
-            return _cmd_jtable(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "query":
-            return _cmd_query(args, out)
-        return _cmd_export(args, out)
+        code = COMMANDS[args.command](args, out)
+        out.flush()          # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # Send what is still buffered to devnull, so the flush at
+            # interpreter exit does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -587,8 +587,8 @@ def det_cofactor(m):
     """Determinant by first-row cofactor expansion.
 
     Works over any coefficient ring (UniPoly, BiPoly); exponential in the
-    size, so only for small matrices and as an oracle for the fraction-free
-    path.
+    size, so only for small matrices and as the reference that
+    det_hessenberg is tested against.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -605,36 +605,32 @@ def det_cofactor(m):
     return acc
 
 
-def det_fraction_free(m):
-    """Exact determinant over the polynomials in q, by Bareiss elimination.
+def det_hessenberg(first_col, band, superdiag):
+    """Determinant of the banded lower Hessenberg matrix whose row i is
 
-    Each interior division is exact in the polynomial ring; a nonzero
-    remainder would mean corrupted arithmetic and raises rather than
-    rounding.
+        first_col[i], band[i], band[i-1], ..., band[1], superdiag[i], 0, ...
+
+    The size is len(first_col); band[0] and the last superdiagonal entry lie
+    outside the matrix and are never read.  Counting rows and columns from 1,
+    expanding the leading k x k minor along its last row gives
+
+        D_k = sum_j (-1)^(k-j) h[k][j] h[j][j+1] ... h[k-1][k] D_(j-1),
+
+    which needs only ring sums and products, so it serves UniPoly and BiPoly
+    alike with no division (Cahill, D'Errico, Narayan & Narayan, "Fibonacci
+    determinants", College Math. J. 2002).
     """
-    n = len(m)
+    n = len(first_col)
     if n == 0:
         raise ValueError("empty matrix")
-    a = []
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        a.append([c if isinstance(c, UniPoly) else UniPoly((c,)) for c in row])
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = exact_div(pivot * a[i][j] - a[i][k] * a[k][j], prev)
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    d = [1]                                     # D_0, the empty minor
+    for k in range(n):
+        acc, chain = 0, 1
+        for j in range(k, -1, -1):
+            entry = band[k - j + 1] if j else first_col[k]
+            term = entry * chain * d[j]
+            acc = acc - term if (k - j) % 2 else acc + term
+            if j:
+                chain = chain * superdiag[j - 1]
+        d.append(acc)
+    return d[n]

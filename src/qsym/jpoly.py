@@ -18,8 +18,8 @@ from itertools import groupby
 from math import comb, factorial
 from operator import itemgetter
 
-from .exactpoly import (TruncSeries, UniPoly, exact_div, json_coeff_list,
-                        latex_poly, one, powers, q, zero)
+from .exactpoly import (InexactDivisionError, TruncSeries, UniPoly, exact_div,
+                        json_coeff_list, latex_poly, one, powers, q, zero)
 from .qcalc import qbracket
 from .report import CheckReport
 from .symfunc import SymSeriesBundle, p_nr_series, pn_bracket_determinant
@@ -350,8 +350,11 @@ def jpoly_suite_report(n_max: int) -> CheckReport:
                              j_explicit_composition(n, r) == expected, n=n, r=r)
             report.check("table-vs-sequence-formula",
                          j_explicit_sequences(n, r) == expected, n=n, r=r)
-            report.check("table-vs-specialization",
-                         j_from_specialized_symfunc(n, r) == expected, n=n, r=r)
+            try:
+                ok, detail = j_from_specialized_symfunc(n, r) == expected, ""
+            except InexactDivisionError as exc:     # the claimed divisibility fails
+                ok, detail = False, str(exc)
+            report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
     report.merge(reciprocal_recurrence_check(n_max))
     report.merge(kung_yan_check(n_max))
     report.merge(exp_shift_check(max(n_max, 2), min(max(n_max, 2), 8)))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactpoly import (BiPoly, TruncSeries, UniPoly, det_cofactor,
-                        det_fraction_free, one, powers, q, zero)
+from .exactpoly import (BiPoly, TruncSeries, UniPoly, det_hessenberg, one,
+                        powers, q, zero)
 from .qcalc import (alternating_binomial_sum, pq_binomial, qbinomial, qbracket,
                     qbracket_power_base, qfactorial)
 from .qstirling import qstirling1_triangle, qstirling2_triangle
@@ -239,48 +239,25 @@ def p_nr_series(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     return _convolution(bundle, n, r, comb)
 
 
-def _hessenberg_matrix(e, n: int, r: int, first_col):
-    """Matrix whose determinant gives p-type sums from the e's.
-
-    Size (n-r+1); first column holds first_col(i) for rows i = 0..n-r, the
-    rest is the shifted lower-triangular band of e's with ones on the
-    superdiagonal.  The entries live in the ring of e, whose one is e[0].
-    """
-    unit = e[0]
-    nil = unit - unit
-    size = n - r + 1
-    m = []
-    for i in range(size):
-        row = [first_col(i)]
-        for j in range(1, size):
-            k = i - j + 1
-            if k < 0:
-                row.append(nil)
-            elif k == 0:
-                row.append(unit)
-            else:
-                row.append(e[k] if k < len(e) else nil)
-        m.append(row)
-    return m
-
-
-def _determinant(bundle: SymSeriesBundle, n: int, r: int, binom) -> UniPoly:
-    """The Hessenberg determinant with first column binom(r+i, r) e_(r+i)."""
+def _determinant(e, n: int, r: int, binom):
+    """The Hessenberg determinant of size n-r+1 with first column
+    binom(r+i, r) e_(r+i), the e's down the band and ones on the
+    superdiagonal; e may hold UniPoly or BiPoly values."""
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
-    e = bundle.e
-    return det_fraction_free(
-        _hessenberg_matrix(e, n, r, lambda i: binom(r + i, r) * e[r + i]))
+    size = n - r + 1
+    return det_hessenberg([binom(r + i, r) * e[r + i] for i in range(size)],
+                          e, [1] * size)
 
 
 def qp_nr_determinant(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     """The q-analog of p_n^(r) as a Hessenberg determinant."""
-    return _determinant(bundle, n, r, qbinomial)
+    return _determinant(bundle.e, n, r, qbinomial)
 
 
 def p_nr_determinant(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     """Classical p_n^(r) as the same determinant with ordinary binomials."""
-    return _determinant(bundle, n, r, comb)
+    return _determinant(bundle.e, n, r, comb)
 
 
 def pn_bracket_determinant(e, n: int, power_base: int = 1) -> UniPoly:
@@ -288,11 +265,7 @@ def pn_bracket_determinant(e, n: int, power_base: int = 1) -> UniPoly:
 
     With power_base = s the brackets are [k] in base q^s.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    m = _hessenberg_matrix(
-        e, n, 1, lambda i: qbracket_power_base(i + 1, power_base) * e[i + 1])
-    return det_fraction_free(m)
+    return _determinant(e, n, 1, lambda k, _r: qbracket_power_base(k, power_base))
 
 
 def en_factorial_determinant(p_list, n: int) -> UniPoly:
@@ -303,18 +276,8 @@ def en_factorial_determinant(p_list, n: int) -> UniPoly:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    m = []
-    for i in range(n):
-        row = [p_list[i + 1]]
-        for j in range(1, n):
-            if j <= i:
-                row.append(p_list[i - j + 1])
-            elif j == i + 1:
-                row.append(qbracket(i + 1))
-            else:
-                row.append(zero)
-        m.append(row)
-    return det_fraction_free(m)
+    return det_hessenberg(p_list[1:n + 1], p_list,
+                          [qbracket(i + 1) for i in range(n)])
 
 
 def qp_lambda(bundle: SymSeriesBundle, parts) -> UniPoly:
@@ -431,8 +394,7 @@ def pq_transfer_check(alphabet: SymAlphabet, n: int) -> CheckReport:
     classical = {j: p_nr_monomial(alphabet, n, j) for j in range(1, n + 1)}
 
     for r in range(1, n + 1):
-        det = det_cofactor(_hessenberg_matrix(
-            e_bi, n, r, lambda i: pq_binomial(r + i, r) * e_bi[r + i]))
+        det = _determinant(e_bi, n, r, pq_binomial)
 
         dbl = BiPoly()
         for j in range(r, n + 1):

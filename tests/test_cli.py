@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qsym.cli as cli
-from qsym.exactpoly import UniPoly, parse_poly_text
+import qsym.jpoly as jpoly
+from qsym.exactpoly import InexactDivisionError, UniPoly, parse_poly_text
 from qsym.report import CheckReport
 
 
@@ -253,12 +258,67 @@ def test_usage_error_on_unknown_command():
     ("query", "jpoly", "--n", "2", "--r", "5"),
     ("jtable", "--n-max", "0"),
     ("verify", "jpoly", "--n-max", "0"),
+    # options a command does not read are rejected, not ignored
+    ("export", "stirling", "--n-max", "3", "--format", "latex"),
+    ("export", "jtable", "--n-max", "3", "--format", "plain"),
+    ("export", "jtable", "--n-max", "3", "--format", "json"),
+    ("export", "jtable", "--n-max", "3", "--seed", "5"),
+    ("export", "jtable", "--n-max", "3", "--no-ascii"),
+    ("verify", "qstirling", "--n-max", "2", "--format", "latex"),
+    ("verify", "qstirling", "--n-max", "2", "--format", "csv"),
+    ("verify", "qstirling", "--n-max", "2", "--no-ascii"),
+    ("jtable", "--n-max", "3", "--seed", "5"),
+    ("jtable", "--n-max", "3", "--cap", "1"),
 ], ids=["missing-dir", "missing-dir-stirling", "is-a-directory",
-        "range-violation", "jtable-n-max", "verify-n-max"])
+        "range-violation", "jtable-n-max", "verify-n-max",
+        "export-stirling-latex", "export-plain", "export-json", "export-seed",
+        "export-ascii", "verify-latex", "verify-csv", "verify-ascii",
+        "jtable-seed", "jtable-cap"])
 def test_usage_faults_exit_two(argv, tmp_path, capsys):
-    code, text = run(*(a.format(tmp=tmp_path) for a in argv))
+    try:
+        code, text = run(*(a.format(tmp=tmp_path) for a in argv))
+    except SystemExit as exc:           # argparse rejected the option itself
+        code, text = exc.code, ""
     assert code == 2 and text == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(("error: ", f"qsym {argv[0]}: error: ", "qsym: error: "))
+
+
+class ClosedPipe:
+    """An output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_141(capsys):
+    assert cli.main(["jtable", "--n-max", "3"], out=ClosedPipe()) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_exits_141_in_a_process():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)   # keep output buffered until exit
+    proc = subprocess.Popen([sys.executable, "-m", "qsym.cli", "jtable", "--n-max", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()                 # no reader is left before the first write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141 and err == b""
+
+
+def test_inexact_division_is_a_fail_record(monkeypatch):
+    def inexact(n, r):
+        raise InexactDivisionError(f"J({n}, {r}) left a remainder")
+
+    monkeypatch.setattr(jpoly, "j_from_specialized_symfunc", inexact)
+    code, text = run("verify", "jpoly", "--n-max", "3")
+    assert code == 1
+    lines = text.splitlines()
+    assert "FAIL table-vs-specialization (0/6 instances)" in lines
+    assert lines[-1] == ('first counterexample: {"identity":"table-vs-specialization",'
+                         '"n":1,"r":1,"status":"fail","detail":"J(1, 1) left a remainder"}')
 
 
 def test_capped_checks_are_skips_not_passes():

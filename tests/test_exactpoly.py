@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qsym.exactpoly import (BiPoly, InexactDivisionError, TruncSeries,
-                            UniPoly, det_cofactor, det_fraction_free,
+                            UniPoly, det_cofactor, det_hessenberg,
                             divmod_poly, exact_div, json_coeff_list, one,
                             parse_poly_text, poly_text, q, zero)
 
@@ -176,30 +176,59 @@ def test_division_of_int_polys_is_exact_rational():
 
 # -- determinants ------------------------------------------------------------
 
+def hessenberg(first_col, band, superdiag):
+    """The full matrix det_hessenberg reads from its three sequences."""
+    n = len(first_col)
+    return [[first_col[i] if j == 0 else band[i - j + 1] if j <= i
+             else superdiag[i] if j == i + 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
 def test_det_trivial_cases():
-    assert det_fraction_free([[P(5, 2)]]) == P(5, 2)
-    eye = [[one if i == j else zero for j in range(4)] for i in range(4)]
-    assert det_fraction_free(eye) == one
-    assert det_fraction_free([[P(1, 1), one], [q, one]]) == one
+    assert det_hessenberg([P(5, 2)], [], []) == P(5, 2)
+    eye = ([one, zero, zero, zero], [zero, one, zero, zero], [zero] * 4)
+    assert hessenberg(*eye) == [[one if i == j else zero for j in range(4)]
+                                for i in range(4)]
+    assert det_hessenberg(*eye) == one
+    m = ([P(1, 1), q], [zero, one], [one, zero])
+    assert hessenberg(*m) == [[P(1, 1), one], [q, one]]
+    assert det_hessenberg(*m) == one
 
 
 def test_det_zero_column():
-    m = [[zero, one], [zero, P(1, 1)]]
-    assert det_fraction_free(m) == zero
+    m = ([zero, zero], [zero, P(1, 1)], [one, zero])
+    assert hessenberg(*m) == [[zero, one], [zero, P(1, 1)]]
+    assert det_hessenberg(*m) == zero
 
 
 def test_det_pivoting():
-    m = [[zero, one], [one, zero]]
-    assert det_fraction_free(m) == -one
+    # Elimination would need a row swap here; the recurrence needs none.
+    m = ([zero, one], [zero, zero], [one, zero])
+    assert hessenberg(*m) == [[zero, one], [one, zero]]
+    assert det_hessenberg(*m) == -one
+
+
+def test_det_empty_matrix_rejected():
+    with pytest.raises(ValueError):
+        det_hessenberg([], [], [])
 
 
 def test_det_matches_cofactor_on_random_matrices():
     rng = random.Random(99)
-    for size in (2, 3, 4):
-        for _ in range(25):
-            m = [[UniPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
-                  for _ in range(size)] for _ in range(size)]
-            assert det_fraction_free(m) == det_cofactor(m)
+
+    def uni():
+        return UniPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(rng.randint(0, 3))])
+
+    def bi():
+        return BiPoly([[rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+                       for _ in range(rng.randint(0, 2))])
+
+    for entry, sizes in ((uni, range(1, 7)), (bi, range(1, 5))):
+        for size in sizes:
+            for _ in range(25):
+                m = [[entry() for _ in range(size)] for _ in range(3)]
+                assert det_hessenberg(*m) == det_cofactor(hessenberg(*m))
 
 
 # -- truncated series ---------------------------------------------------------
