@@ -26,8 +26,8 @@ from .qcalc import qbinomial
 from .qstirling import (qstirling1, qstirling1_triangle, qstirling2,
                         qstirling2_triangle, stirling_suite_report)
 from .symfunc import symfunc_suite_report
-from .jpoly import (build_jtable, jpoly_suite_report, jtable_csv_rows,
-                    jtable_latex, reciprocal)
+from .jpoly import (JTableShapeError, build_jtable, jpoly_suite_report,
+                    jtable_csv_rows, jtable_latex, reciprocal)
 from .oracles import (DEFAULT_CAP, EnumerationCapExceeded, _poly_from_counts,
                       forest_enumerator_poly, forest_records, make_ranking,
                       oracle_suite_report, parking_enumerator_poly)
@@ -274,6 +274,9 @@ def main(argv=None, out=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except JTableShapeError as exc:       # a failed identity of the triangle
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IDENTITY_FAILURE
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -106,16 +106,20 @@ class JTable:
                              else self._rows[n][r])
 
 
+class JTableShapeError(ArithmeticError):
+    """A computed J(n, r) breaks a shape invariant of the triangle."""
+
+
 def _validate_entry(n: int, r: int, poly: UniPoly):
     expected_degree = j_degree(n, r)
     if poly.degree() != expected_degree:
-        raise AssertionError(f"J({n},{r}) degree {poly.degree()} != {expected_degree}")
+        raise JTableShapeError(f"J({n},{r}) degree {poly.degree()} != {expected_degree}")
     if not poly.is_monic():
-        raise AssertionError(f"J({n},{r}) is not monic")
+        raise JTableShapeError(f"J({n},{r}) is not monic")
     if poly.constant_term() != factorial(n - r):
-        raise AssertionError(f"J({n},{r}) constant term != ({n}-{r})!")
+        raise JTableShapeError(f"J({n},{r}) constant term != ({n}-{r})!")
     if not all(c.denominator == 1 and c > 0 for c in poly.coeffs):
-        raise AssertionError(f"J({n},{r}) has a non positive-integer coefficient")
+        raise JTableShapeError(f"J({n},{r}) has a non positive-integer coefficient")
 
 
 @lru_cache(maxsize=1)

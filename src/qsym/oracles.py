@@ -4,8 +4,13 @@ Nothing here reuses the recurrence or the explicit formulas: forests are
 generated as raw parent maps filtered by an acyclicity check (not built
 level by level, which would mirror the proof structure being certified),
 and parking functions as raw value tuples filtered by the sorted-prefix
-condition.  Agreement of these enumerators with the closed-form polynomials
-is the strongest correctness evidence the package produces.
+condition.  Both walks prune: a partial parent map is dropped at the first
+edge that closes a cycle, and a value prefix that no last value completes
+is dropped, its admissible last values being counted directly.  The cap
+still bounds the raw candidate spaces, n^(n-r) parent maps and
+(r+m-1)^m value tuples.  Agreement of these enumerators with the
+closed-form polynomials is the strongest correctness evidence the package
+produces.
 """
 
 from __future__ import annotations
@@ -145,58 +150,96 @@ def _check_roots(n: int, roots) -> tuple:
 def _raw_forests(n: int, roots: tuple):
     """Yield (parent_array, depth_array, levels) for each acyclic parent map.
 
-    parent_array and depth_array are indexed by vertex (slot 0 unused);
-    candidates where some parent chain never reaches a root are dropped.
-    The parent array is reused between iterations: consumers keep a copy of
+    The non-roots are given parents in ascending vertex order, each trying
+    parents 1..n in ascending order, so the maps come in the order of the
+    full product of parent choices, the last non-root varying fastest.  A
+    branch is dropped as soon as its newest edge closes a cycle, which is
+    when the parent chain from the new parent returns to the new child; no
+    extension of that branch is acyclic.  Depths are kept along the way:
+    when a vertex attaches below one whose depth is known, it and the
+    subtree already hanging under it get theirs, and backtracking clears
+    them again.
+
+    parent_array and depth_array are indexed by vertex (slot 0 unused).
+    Both arrays are reused between iterations: consumers keep a copy of
     anything they hold past the current step.
     """
     nonroots = [v for v in range(1, n + 1) if v not in roots]
-    base_depth = [-1] * (n + 1)
+    k = len(nonroots)
+    parent = [0] * (n + 1)          # 0 for a root or an unassigned non-root
+    depth = [-1] * (n + 1)
     for rt in roots:
-        base_depth[rt] = 0
-    parent = [0] * (n + 1)
-    for choice in itertools.product(range(1, n + 1), repeat=len(nonroots)):
-        for v, p in zip(nonroots, choice):
-            parent[v] = p
-        depth = base_depth[:]
-        ok = True
-        for v in nonroots:
-            if depth[v] >= 0:
-                continue
-            path = []
-            x = v
-            while depth[x] < 0:
-                path.append(x)
-                x = parent[x]
-                if len(path) > n:
-                    ok = False
-                    break
-            if not ok:
-                break
-            d = depth[x]
-            for u in reversed(path):
-                d += 1
-                depth[u] = d
-        if not ok:
+        depth[rt] = 0
+    children = [[] for _ in range(n + 1)]
+    placed = []         # the vertices given a depth, in the order they got it
+    marks = [0] * k     # len(placed) before the i-th non-root was assigned
+    next_parent = [1] * k
+    i = 0
+    while i >= 0:
+        if i == k:
+            levels = [[] for _ in range(max(depth) + 1)]
+            for v in range(1, n + 1):
+                levels[depth[v]].append(v)
+            yield parent, depth, tuple(map(tuple, levels))
+            i -= 1
             continue
-        height = max(depth)
-        levels = [[] for _ in range(height + 1)]
-        for v in range(1, n + 1):
-            levels[depth[v]].append(v)
-        yield parent, depth, tuple(tuple(l) for l in levels)
+        v = nonroots[i]
+        if parent[v]:                   # backtracking: undo v's last edge
+            children[parent[v]].pop()
+            parent[v] = 0
+            for u in placed[marks[i]:]:
+                depth[u] = -1
+            del placed[marks[i]:]
+        # A parent of unknown depth hangs, through its chain, below an
+        # unassigned non-root; the edge v -> p closes a cycle exactly when
+        # that non-root is v itself.
+        p = next_parent[i]
+        while p <= n and depth[p] < 0:
+            x = p
+            while parent[x]:
+                x = parent[x]
+            if x != v:
+                break
+            p += 1
+        if p > n:
+            next_parent[i] = 1
+            i -= 1
+            continue
+        next_parent[i] = p + 1
+        parent[v] = p
+        children[p].append(v)
+        marks[i] = j = len(placed)
+        if depth[p] >= 0:
+            depth[v] = depth[p] + 1
+            placed.append(v)
+            while j < len(placed):
+                u = placed[j]
+                du = depth[u] + 1
+                for c in children[u]:
+                    depth[c] = du
+                    placed.append(c)
+                j += 1
+        i += 1
 
 
 def projected_forest_candidates(n: int, roots) -> int:
+    """The n^(n-r) raw parent maps that --cap is measured against."""
+    return n ** (n - len(_check_roots(n, roots)))
+
+
+def _capped_roots(n: int, roots, cap: int) -> tuple:
+    """The checked root set; raises EnumerationCapExceeded when the raw
+    candidate space exceeds cap."""
     roots = _check_roots(n, roots)
-    return n ** (n - len(roots))
+    projected = projected_forest_candidates(n, roots)
+    if projected > cap:
+        raise EnumerationCapExceeded(projected, cap)
+    return roots
 
 
 def enumerate_forests(n: int, roots, cap: int = DEFAULT_CAP):
     """Stream every rooted forest on {1..n} with the given root set."""
-    roots = _check_roots(n, roots)
-    projected = n ** (n - len(roots))
-    if projected > cap:
-        raise EnumerationCapExceeded(projected, cap)
+    roots = _capped_roots(n, roots, cap)
     for parent, _depth, levels in _raw_forests(n, roots):
         pmap = {v: parent[v] for v in range(1, n + 1) if v not in roots}
         yield Forest(n, roots, pmap, levels)
@@ -276,10 +319,7 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     is read off the tally afterwards.  Returns one list of polynomials per
     variant, each indexed like rankings.
     """
-    roots = _check_roots(n, roots)
-    projected = n ** (n - len(roots))
-    if projected > cap:
-        raise EnumerationCapExceeded(projected, cap)
+    roots = _capped_roots(n, roots, cap)
     nonroots = [v for v in range(1, n + 1) if v not in roots]
     tallies = [{} for _ in rankings]
     for parent, depth, levels in _raw_forests(n, roots):
@@ -337,23 +377,36 @@ def is_parking_function(a, r: int) -> bool:
 def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
     """Sum of q^(a_1 + ... + a_m) over parking functions with offset r.
 
-    Exhaustively generates {0..r+m-2}^m and filters on the sorted condition;
-    the empty case m = 0 contributes the empty sum 1.
+    Runs through {0..r+m-2}^(m-1), the first m - 1 values, and drops a
+    prefix that no last value completes: one whose sorted values b break
+    b_j < r + j + 1 (0-based j).  A completable prefix is completed exactly
+    by the last values 0..t-1, where t = r + f for the first position f
+    with b_f = r + f, and t = r + m - 1 if there is none; lowering a value
+    never breaks the sorted condition, so they form an initial segment.
+    Each of those t tuples is tallied.  The cap counts the raw space
+    {0..r+m-2}^m, and the empty case m = 0 contributes the empty sum 1.
     """
     if m < 0 or r < 1:
         raise ValueError("need m >= 0 and r >= 1")
-    if m == 0:
-        return one
     projected = parking_candidates(m, r)
     if projected > cap:
         raise EnumerationCapExceeded(projected, cap)
-    counter = {}
-    for a in itertools.product(range(r + m - 1), repeat=m):
-        b = sorted(a)
-        if all(b[i] < r + i for i in range(m)):
-            s = sum(a)
-            counter[s] = counter.get(s, 0) + 1
-    return _poly_from_counts(counter)
+    if m == 0:
+        return one
+    full = r + m - 1
+    coeffs = [0] * (m * (full - 1) + 1)
+    for prefix in itertools.product(range(full), repeat=m - 1):
+        t = full
+        for bound, b in enumerate(sorted(prefix), r):
+            if b > bound:
+                break
+            if b == bound and t == full:
+                t = bound
+        else:
+            s = sum(prefix)
+            for x in range(t):
+                coeffs[s + x] += 1
+    return UniPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +468,15 @@ def oracle_suite_report(n_max: int, seed: int = 0,
 
     for n in range(2, n_max + 1):
         for r in range(1, n):
-            if n ** (n - r) > cap:
-                report.add_skip("forest-oracle-skipped-by-cap", n=n, r=r)
-                continue
             # rotate the root labels so independence from the label choice
             # is exercised across the suite
             roots = tuple(((r + i + n - 2) % n) + 1 for i in range(r))
-            std, rec = _forest_enumerators(n, roots, rankings,
-                                           ("standard", "reciprocal"), cap)
+            try:
+                std, rec = _forest_enumerators(n, roots, rankings,
+                                               ("standard", "reciprocal"), cap)
+            except EnumerationCapExceeded:
+                report.add_skip("forest-oracle-skipped-by-cap", n=n, r=r)
+                continue
             for identity, polys, expected in (
                     ("forest-level-enumerator", std, table.entry(n, r)),
                     ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
@@ -437,10 +491,11 @@ def oracle_suite_report(n_max: int, seed: int = 0,
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
             m = n - r
-            if parking_candidates(m, r) > cap:
+            try:
+                got = parking_enumerator_poly(m, r, cap)
+            except EnumerationCapExceeded:
                 report.add_skip("parking-oracle-skipped-by-cap", n=n, r=r)
                 continue
-            got = parking_enumerator_poly(m, r, cap)
             expected = reciprocal(n, r, table)
             report.check("parking-sum-enumerator", got == expected,
                          detail=f"got={got} expected={expected}", m=m, r=r)

@@ -9,10 +9,10 @@ to the one-parameter versions at p = 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from math import comb
 
-from .exactpoly import BiPoly, TruncSeries, UniPoly, one, zero
+from .exactpoly import (BiPoly, InexactDivisionError, TruncSeries, UniPoly,
+                        one, zero)
 
 
 def qbracket(n: int) -> UniPoly:
@@ -55,15 +55,29 @@ def triangle_rows(weight, k_max: int):
 def qbinomial(n: int, k: int) -> UniPoly:
     """Gaussian binomial coefficient, zero outside 0 <= k <= n.
 
-    Built by the triangular recurrence [n k] = [n-1 k-1] + q^k [n-1 k]
-    rather than by dividing factorials, so no rational intermediate values
-    appear; the band is the smaller of k and n - k, by symmetry.  Only final
-    answers are cached, and each is fully constructed before it is published.
+    The product prod_{i<k} (1 - q^(n-i)) / (1 - q^(i+1)), k being the
+    smaller of k and n - k by symmetry.  After i + 1 factors the partial
+    product is [n i+1], a polynomial with integer coefficients, so each
+    division by 1 - q^(i+1) is exact; both steps run on one int list in
+    O(degree), and a division that leaves a remainder raises
+    InexactDivisionError.  Only final answers are cached, and each is fully
+    constructed before it is published.
     """
     if k < 0 or n < 0 or k > n:
         return zero
-    k = min(k, n - k)
-    return next(islice(triangle_rows(UniPoly.monomial, k), n, None))[k]
+    c = [1]
+    for i in range(min(k, n - k)):
+        b = n - i                       # times 1 - q^b
+        c.extend([0] * b)
+        for j in range(len(c) - 1, b - 1, -1):
+            c[j] -= c[j - b]
+        a = i + 1                       # divided by 1 - q^a
+        for j in range(a, len(c)):
+            c[j] += c[j - a]
+        if any(c[-a:]):
+            raise InexactDivisionError(f"[{n} {a}] left a remainder")
+        del c[-a:]
+    return UniPoly(c)
 
 
 def alternating_binomial_sum(f, n: int, k: int, nil):

@@ -321,6 +321,20 @@ def test_inexact_division_is_a_fail_record(monkeypatch):
                          '"n":1,"r":1,"status":"fail","detail":"J(1, 1) left a remainder"}')
 
 
+def test_jtable_shape_failure_is_an_error_line(monkeypatch, capsys):
+    def long_bracket(n):                # one term too many: J(3,1) is too long
+        return UniPoly((1,) * (n + 1))
+
+    monkeypatch.setattr(jpoly, "qbracket", long_bracket)
+    jpoly.build_jtable.cache_clear()
+    try:
+        code, text = run("jtable", "--n-max", "4")
+    finally:
+        jpoly.build_jtable.cache_clear()
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == "error: J(2,1) degree 1 != 0\n"
+
+
 def test_capped_checks_are_skips_not_passes():
     argv = ("verify", "oracles", "--n-max", "5", "--cap", "100")
     code, text = run(*argv)

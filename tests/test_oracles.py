@@ -1,16 +1,19 @@
 """Brute-force forest and parking certifiers against the closed forms."""
 
+import io
+import itertools
 import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import qsym.cli as cli
 from qsym.exactpoly import UniPoly, one, zero
 from qsym.jpoly import build_jtable, q1_closed_forms, reciprocal
 from qsym.oracles import (DecreasingRanking,
-                          EnumerationCapExceeded, IncreasingRanking,
-                          SeededRanking, enumerate_forests,
+                          EnumerationCapExceeded, Forest, IncreasingRanking,
+                          SeededRanking, _raw_forests, enumerate_forests,
                           forest_enumerator_poly, forest_enumerator_polys,
                           forests_json_lines, is_parking_function,
                           level_statistic, make_ranking,
@@ -108,6 +111,74 @@ def test_bad_roots_rejected():
         list(enumerate_forests(3, ()))
     with pytest.raises(ValueError):
         list(enumerate_forests(3, (0, 1)))
+
+
+# -- the pruned walks against the literal product filters -------------------------
+
+def product_filter_forests(n, roots):
+    """(parent, depth, levels) for every parent map of the non-roots, in
+    product order, kept when every parent chain reaches a root."""
+    nonroots = [v for v in range(1, n + 1) if v not in roots]
+    for choice in itertools.product(range(1, n + 1), repeat=len(nonroots)):
+        parent = [0] * (n + 1)
+        for v, p in zip(nonroots, choice):
+            parent[v] = p
+        depth = [0 if v in roots else None for v in range(n + 1)]
+        for v in nonroots:
+            chain, x = [], v
+            while depth[x] is None and len(chain) <= n:
+                chain.append(x)
+                x = parent[x]
+            if depth[x] is None:                 # the chain went round a cycle
+                break
+            d = depth[x]
+            for u in reversed(chain):
+                d += 1
+                depth[u] = d
+        else:
+            levels = tuple(tuple(v for v in range(1, n + 1) if depth[v] == d)
+                           for d in range(max(depth[1:]) + 1))
+            yield parent, depth[1:], levels
+
+
+def test_pruned_forest_walk_matches_product_filter():
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for roots in itertools.combinations(range(1, n + 1), r):
+                got = [(list(parent), depth[1:], levels)
+                       for parent, depth, levels in _raw_forests(n, roots)]
+                assert got == list(product_filter_forests(n, roots)), roots
+
+
+@pytest.mark.parametrize("variant", ["standard", "reciprocal"])
+def test_dump_forests_matches_reference_rendering(variant):
+    n, roots, ranking = 5, (2, 4), SeededRanking(3)
+    statistic = {"standard": level_statistic,
+                 "reciprocal": reciprocal_level_statistic}[variant]
+    expected = []
+    for parent, _depth, levels in product_filter_forests(n, roots):
+        forest = Forest(n, roots, {v: parent[v] for v in range(1, n + 1)
+                                   if v not in roots}, levels)
+        obj = forest.to_json_dict(statistic(forest, ranking))
+        expected.append(json.dumps(obj, separators=(",", ":")))
+    out = io.StringIO()
+    code = cli.main(["query", "forest-stat", "--n", "5", "--roots", "2,4",
+                     "--ranking", "seeded", "--seed", "3", "--variant", variant,
+                     "--dump-forests"], out=out)
+    assert code == 0
+    assert out.getvalue().splitlines()[:-1] == expected
+
+
+def test_parking_walk_matches_literal_filter():
+    for m in range(7):
+        for r in range(1, 8 - m):
+            counts = {}
+            for a in itertools.product(range(r + m - 1), repeat=m):
+                if is_parking_function(a, r):
+                    counts[sum(a)] = counts.get(sum(a), 0) + 1
+            expected = UniPoly([counts.get(s, 0)
+                                for s in range(max(counts, default=0) + 1)])
+            assert parking_enumerator_poly(m, r) == expected, (m, r)
 
 
 # -- the level statistic ---------------------------------------------------------

@@ -55,6 +55,16 @@ def test_qbinomial_at_one_is_binomial():
             assert qbinomial(n, k).evaluate(Fraction(1)) == comb(n, k)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_qbinomial_at_large_n(k):
+    n = 100_000
+    poly = qbinomial(n, k)
+    assert poly.degree() == k * (n - k)
+    assert poly.evaluate(1) == comb(n, k)
+    assert poly.coeffs == poly.coeffs[::-1]          # palindromic
+    assert qbinomial(n, n - k) == poly
+
+
 def test_bracket_power_base():
     assert qbracket_power_base(2, 3) == P(1, 0, 0, 1)
     assert qbracket_power_base(0, 4) == zero
