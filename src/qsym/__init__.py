@@ -5,29 +5,44 @@ Gaussian binomials, Carlitz q-Stirling triangles with their transfer
 identities, q-analogs of the symmetric power-type sums p_n^(r) on finite
 alphabets, and the triangular family of tree-inversion enumerator
 polynomials together with their parking-function reciprocals.  Brute-force
-combinatorial oracles certify every closed formula at desk scale.
+combinatorial oracles certify every closed formula at desk scale.  Each
+public name loads its module on first access, and no earlier.
 """
 
-from .exactpoly import (BiPoly, InexactDivisionError, TruncSeries, UniPoly,
-                        det_cofactor, det_hessenberg, exact_div, poly_text)
-from .qcalc import (pq_binomial, pq_bracket, pq_derivative, pq_factorial,
-                    q_derivative, qbinomial, qbracket, qbracket_power_base,
-                    qfactorial)
-from .qstirling import (StirlingTriangle, qstirling1, qstirling1_triangle,
-                        qstirling2, qstirling2_triangle,
-                        verify_carlitz_identities)
-from .symfunc import (Partition, SymAlphabet, SymSeriesBundle,
-                      complete_from_elementary, elementary,
-                      elementary_sequence, p_nr_monomial, qp_nr_determinant,
-                      qp_nr_direct, transfer_theorem_check)
-from .jpoly import (JTable, build_jtable, j_explicit_composition,
-                    j_explicit_sequences, j_from_specialized_symfunc,
-                    kung_yan_check, q1_closed_forms, reciprocal,
-                    reciprocal_recurrence_check)
-from .oracles import (DecreasingRanking, EnumerationCapExceeded, Forest,
-                      IncreasingRanking, Ranking, SeededRanking,
-                      enumerate_forests, forest_enumerator_poly,
-                      level_statistic, parking_enumerator_poly,
-                      sigma_statistic)
+from importlib import import_module
 
+_EXPORTS = {
+    "exactpoly": ("BiPoly InexactDivisionError TruncSeries UniPoly "
+                  "det_cofactor det_hessenberg exact_div poly_text"),
+    "qcalc": ("pq_binomial pq_bracket pq_derivative pq_factorial q_derivative "
+              "qbinomial qbracket qbracket_power_base qfactorial"),
+    "qstirling": ("StirlingTriangle qstirling1 qstirling1_triangle qstirling2 "
+                  "qstirling2_triangle verify_carlitz_identities"),
+    "symfunc": ("Partition SymAlphabet SymSeriesBundle "
+                "complete_from_elementary elementary elementary_sequence "
+                "p_nr_monomial qp_nr_determinant qp_nr_direct "
+                "transfer_theorem_check"),
+    "jpoly": ("JTable build_jtable j_explicit_composition "
+              "j_explicit_sequences j_from_specialized_symfunc kung_yan_check "
+              "q1_closed_forms reciprocal reciprocal_recurrence_check"),
+    "oracles": ("DecreasingRanking EnumerationCapExceeded Forest "
+                "IncreasingRanking Ranking SeededRanking enumerate_forests "
+                "forest_enumerator_poly level_statistic "
+                "parking_enumerator_poly sigma_statistic"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

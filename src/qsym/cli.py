@@ -7,13 +7,13 @@ mathematical identity failed, 2 usage error (a bad argument, or an output
 file that cannot be written), 3 enumeration cap exceeded, 141 the reader
 closed stdout early (128 + SIGPIPE, what a shell reports for other writers
 cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output
-is byte-deterministic for fixed flags and seed.
+is byte-deterministic for fixed flags and seed.  Each command imports only
+the modules it uses, inside its handler, so a small query starts fast.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -21,16 +21,8 @@ import sys
 from itertools import groupby
 from operator import itemgetter
 
-from .exactpoly import UniPoly, json_coeff_list, latex_poly, poly_text
-from .qcalc import qbinomial
-from .qstirling import (qstirling1, qstirling1_triangle, qstirling2,
-                        qstirling2_triangle, stirling_suite_report)
-from .symfunc import symfunc_suite_report
-from .jpoly import (JTableShapeError, build_jtable, jpoly_suite_report,
-                    jtable_csv_rows, jtable_latex, reciprocal)
-from .oracles import (DEFAULT_CAP, EnumerationCapExceeded, _poly_from_counts,
-                      forest_enumerator_poly, forest_records, make_ranking,
-                      oracle_suite_report, parking_enumerator_poly)
+from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, JTableShapeError,
+                        UniPoly, json_coeff_list, latex_poly, poly_text)
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -121,6 +113,8 @@ def _render_poly(poly: UniPoly, args) -> str:
 
 def _write_jtable_export(table, args, out):
     """The LaTeX triangle for --format latex, else CSV rows n,r,degree,coeffs."""
+    import csv
+    from .jpoly import jtable_csv_rows, jtable_latex
     if args.format == "latex":
         out.write(jtable_latex(table, use_reciprocal=args.reciprocal) + "\n")
         return
@@ -130,6 +124,7 @@ def _write_jtable_export(table, args, out):
 
 
 def _cmd_jtable(args, out) -> int:
+    from .jpoly import build_jtable
     table = build_jtable(args.n_max)
     if args.format in ("csv", "latex"):
         _write_jtable_export(table, args, out)
@@ -147,18 +142,21 @@ def _cmd_jtable(args, out) -> int:
 
 
 def _verify_report(suite: str, n_max: int, seed: int, cap: int):
-    if suite == "qstirling":
-        return stirling_suite_report(n_max)
-    if suite == "symfunc":
-        return symfunc_suite_report(min(n_max, 6))
-    if suite == "jpoly":
-        return jpoly_suite_report(n_max)
-    if suite == "oracles":
-        return oracle_suite_report(n_max, seed=seed, cap=cap)
-    report = stirling_suite_report(n_max)
-    report.merge(symfunc_suite_report(min(n_max, 6)))
-    report.merge(jpoly_suite_report(n_max))
-    report.merge(oracle_suite_report(min(n_max, 7), seed=seed, cap=cap))
+    from .report import CheckReport
+    report = CheckReport()
+    if suite in ("qstirling", "all"):
+        from .qstirling import stirling_suite_report
+        report.merge(stirling_suite_report(n_max))
+    if suite in ("symfunc", "all"):
+        from .symfunc import symfunc_suite_report
+        report.merge(symfunc_suite_report(min(n_max, 6)))
+    if suite in ("jpoly", "all"):
+        from .jpoly import jpoly_suite_report
+        report.merge(jpoly_suite_report(n_max))
+    if suite in ("oracles", "all"):
+        from .oracles import oracle_suite_report
+        oracle_n_max = min(n_max, 7) if suite == "all" else n_max
+        report.merge(oracle_suite_report(oracle_n_max, seed=seed, cap=cap))
     return report
 
 
@@ -189,25 +187,32 @@ def _cmd_query(args, out) -> int:
         _require(args, "n", "r")
         if not (args.n >= args.r >= 1):
             raise ValueError("need n >= r >= 1")
+        from .jpoly import build_jtable, reciprocal
         table = build_jtable(args.n)
         poly = (reciprocal(args.n, args.r, table) if args.variant == "reciprocal"
                 else table.entry(args.n, args.r))
     elif kind == "qstirling2":
         _require(args, "n", "k")
+        from .qstirling import qstirling2
         poly = qstirling2(args.n, args.k)
     elif kind == "qstirling1":
         _require(args, "n", "k")
         if args.n < 1:
             raise ValueError("need n >= 1")
+        from .qstirling import qstirling1
         poly = qstirling1(args.n, args.k)
     elif kind == "qbinomial":
         _require(args, "n", "k")
+        from .qcalc import qbinomial
         poly = qbinomial(args.n, args.k)
     elif kind == "parking":
         _require(args, "m", "r")
+        from .oracles import parking_enumerator_poly
         poly = parking_enumerator_poly(args.m, args.r, cap=args.cap)
     else:  # forest-stat
         _require(args, "n")
+        from .oracles import (_poly_from_counts, forest_enumerator_poly,
+                              forest_records, make_ranking)
         if args.roots:
             roots = tuple(int(v) for v in args.roots.split(","))
         elif args.r:
@@ -232,10 +237,13 @@ def _cmd_query(args, out) -> int:
 def _cmd_export(args, out) -> int:
     buf = io.StringIO()
     if args.what == "jtable":
+        from .jpoly import build_jtable
         _write_jtable_export(build_jtable(args.n_max), args, buf)
     elif args.format != "csv":
         raise ValueError("export stirling writes CSV only")
     else:
+        import csv
+        from .qstirling import qstirling1_triangle, qstirling2_triangle
         triangle = (qstirling2_triangle(args.n_max) if args.kind == "second"
                     else qstirling1_triangle(args.n_max))
         writer = csv.writer(buf, lineterminator="\n")
@@ -263,6 +271,8 @@ def main(argv=None, out=None) -> int:
     try:
         if getattr(args, "n_max", 1) < 1:      # jtable, verify and export
             raise ValueError("--n-max must be >= 1")
+        if getattr(args, "cap", 0) < 0:        # verify and query
+            raise ValueError("--cap must be >= 0")
         code = COMMANDS[args.command](args, out)
         out.flush()          # a reader gone early shows here, not at exit
         return code

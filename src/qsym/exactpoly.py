@@ -12,6 +12,8 @@ silently.  Bivariate polynomials in (p, q) are stored as a minimal dense
 rectangle, row index = power of p, with coefficients of the same two types.
 
 All values are immutable after construction and all operations are pure.
+The errors that the command line reports with their own exit codes are
+defined here too, in the one module every command loads.
 """
 
 from __future__ import annotations
@@ -22,6 +24,23 @@ from fractions import Fraction
 
 class InexactDivisionError(ArithmeticError):
     """A division that must be exact left a nonzero remainder."""
+
+
+class JTableShapeError(ArithmeticError):
+    """A computed J(n, r) breaks a shape invariant of the triangle."""
+
+
+DEFAULT_CAP = 10_000_000
+
+
+class EnumerationCapExceeded(Exception):
+    """The candidate space is larger than the configured cap."""
+
+    def __init__(self, projected: int, cap: int):
+        super().__init__(f"enumeration would visit {projected} candidates "
+                         f"(cap {cap})")
+        self.projected = projected
+        self.cap = cap
 
 
 def _coerce(c):
@@ -301,34 +320,6 @@ def json_coeff_list(poly: UniPoly) -> str:
     """
     items = [int(c) if c.denominator == 1 else str(c) for c in poly.coeffs]
     return json.dumps(items, separators=(",", ":"))
-
-
-def parse_poly_text(s: str) -> UniPoly:
-    """Inverse of poly_text for the ascii form (used by the CLI tests)."""
-    s = s.strip().replace(" ", "")
-    if s == "0":
-        return UniPoly()
-    s = s.replace("-", "+-")
-    coeffs = {}
-    for term in s.split("+"):
-        if not term:
-            continue
-        if "q" in term:
-            head, _, tail = term.partition("q")
-            k = int(tail[1:]) if tail.startswith("^") else (int(tail) if tail else 1)
-            if tail and not tail.startswith("^"):
-                raise ValueError(f"malformed term {term!r}")
-            if head in ("", "-"):
-                c = Fraction(f"{head}1")
-            else:
-                c = Fraction(head)
-        else:
-            k, c = 0, Fraction(term)
-        coeffs[k] = coeffs.get(k, 0) + c
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return UniPoly(out)
 
 
 # ---------------------------------------------------------------------------

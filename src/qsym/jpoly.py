@@ -18,11 +18,11 @@ from itertools import groupby
 from math import comb, factorial
 from operator import itemgetter
 
-from .exactpoly import (InexactDivisionError, TruncSeries, UniPoly, exact_div,
-                        json_coeff_list, latex_poly, one, powers, q, zero)
+from .exactpoly import (InexactDivisionError, JTableShapeError, TruncSeries,
+                        UniPoly, exact_div, json_coeff_list, latex_poly, one,
+                        powers, q, zero)
 from .qcalc import qbracket
 from .report import CheckReport
-from .symfunc import SymSeriesBundle, p_nr_series, pn_bracket_determinant
 
 
 def multinomial(total: int, parts) -> int:
@@ -104,10 +104,6 @@ class JTable:
             for r in range(1, n + 1):
                 yield n, r, (reciprocal(n, r, self) if use_reciprocal
                              else self._rows[n][r])
-
-
-class JTableShapeError(ArithmeticError):
-    """A computed J(n, r) breaks a shape invariant of the triangle."""
 
 
 def _validate_entry(n: int, r: int, poly: UniPoly):
@@ -285,7 +281,8 @@ def exp_shift_check(order: int, r_max: int) -> CheckReport:
 
 
 @lru_cache(maxsize=None)
-def _exp_bundle(order: int) -> SymSeriesBundle:
+def _exp_bundle(order: int):
+    from .symfunc import SymSeriesBundle
     return SymSeriesBundle.from_elementary(exp_elementary(order))
 
 
@@ -297,6 +294,7 @@ def j_from_specialized_symfunc(n: int, r: int) -> UniPoly:
     both divisions are exact polynomial divisions and a nonzero remainder
     raises, which is itself a check of the claimed divisibility.
     """
+    from .symfunc import p_nr_series
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
     p = p_nr_series(_exp_bundle(n), n, r)
@@ -310,6 +308,7 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
     r = 1 analog in bracket base q^r:
     p_n^(r) = (1 - q^r) / r! * q^C(r,2) * [p_(n-r)] with brackets in base q^r.
     """
+    from .symfunc import p_nr_series, pn_bracket_determinant
     report = CheckReport()
     for n in range(2, n_max + 1):
         bundle = _exp_bundle(n)
@@ -349,11 +348,13 @@ def jpoly_suite_report(n_max: int) -> CheckReport:
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
             expected = table.entry(n, r)
-            if n > r:
-                report.check("table-vs-composition-formula",
-                             j_explicit_composition(n, r) == expected, n=n, r=r)
-            report.check("table-vs-sequence-formula",
-                         j_explicit_sequences(n, r) == expected, n=n, r=r)
+            if n > r:   # past its conventions the sequence formula is this sum
+                ok = j_explicit_composition(n, r) == expected
+                report.check("table-vs-composition-formula", ok, n=n, r=r)
+            else:       # its conventions J(n, n) = 1 and J(n, 0) = 0
+                ok = (j_explicit_sequences(n, n) == expected
+                      and j_explicit_sequences(n, 0) == table.entry(n, 0))
+            report.check("table-vs-sequence-formula", ok, n=n, r=r)
             try:
                 ok, detail = j_from_specialized_symfunc(n, r) == expected, ""
             except InexactDivisionError as exc:     # the claimed divisibility fails

@@ -17,24 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from math import comb
 
-from .exactpoly import UniPoly, one, zero
-from .jpoly import build_jtable, composition_terms, reciprocal
-from .report import CheckReport
-
-DEFAULT_CAP = 10_000_000
-
-
-class EnumerationCapExceeded(Exception):
-    """The candidate space is larger than the configured cap."""
-
-    def __init__(self, projected: int, cap: int):
-        super().__init__(f"enumeration would visit {projected} candidates "
-                         f"(cap {cap})")
-        self.projected = projected
-        self.cap = cap
+from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, UniPoly, one,
+                        zero)
+from .report import CheckReport, Frozen, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +105,7 @@ def make_ranking(kind: str, seed: int = 0) -> Ranking:
 # forests
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Frozen):
     """Labeled rooted forest on {1..n} with root set roots.
 
     parent maps every non-root to its parent; levels[i] is the ascending
@@ -127,10 +113,13 @@ class Forest:
     roots themselves.
     """
 
-    n: int
-    roots: tuple
-    parent: dict
-    levels: tuple
+    __slots__ = ("n", "roots", "parent", "levels")
+
+    def __init__(self, n: int, roots: tuple, parent: dict, levels: tuple):
+        set_field(self, "n", n)
+        set_field(self, "roots", roots)
+        set_field(self, "parent", parent)
+        set_field(self, "levels", levels)
 
     def level_sizes(self) -> tuple:
         return tuple(len(l) for l in self.levels)
@@ -421,6 +410,7 @@ def reciprocal_explicit_check(n_max: int) -> CheckReport:
     form two prepends the root count and uses q^sigma(u with root), which
     shifts the same exponent bookkeeping into the sequence itself.
     """
+    from .jpoly import build_jtable, composition_terms, reciprocal
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     report = CheckReport()
@@ -458,6 +448,7 @@ def oracle_suite_report(n_max: int, seed: int = 0,
     to exercise label independence.  An (n, r) whose candidate count
     exceeds the cap is recorded as skipped, not passed.
     """
+    from .jpoly import build_jtable, reciprocal
     report = CheckReport()
     table = build_jtable(max(n_max, 2))
     seeds = [seed, seed + 1, seed + 2]

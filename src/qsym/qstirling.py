@@ -9,14 +9,13 @@ should check sign conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import comb
 
 from .exactpoly import UniPoly, json_coeff_list, one, powers, q, zero
 from .qcalc import alternating_binomial_sum, qbracket, triangle_rows
-from .report import CheckReport
+from .report import CheckReport, Frozen, set_field
 
 # Largest size of the scaled-triangle inverse check in the suite.
 CONJUGATION_N_MAX = 8
@@ -38,11 +37,14 @@ def qstirling2(n: int, k: int) -> UniPoly:
     return next(islice(triangle_rows(qbracket, k), n, None))[k]
 
 
-@dataclass(frozen=True)
-class StirlingTriangle:
-    kind: str                   # "first" or "second"
-    n_max: int
-    entries: tuple              # entries[n-1][k-1] for 1 <= k <= n <= n_max
+class StirlingTriangle(Frozen):
+    # kind is "first" or "second"; entries[n-1][k-1] for 1 <= k <= n <= n_max
+    __slots__ = ("kind", "n_max", "entries")
+
+    def __init__(self, kind: str, n_max: int, entries: tuple):
+        set_field(self, "kind", kind)
+        set_field(self, "n_max", n_max)
+        set_field(self, "entries", entries)
 
     def entry(self, n: int, k: int) -> UniPoly:
         if 1 <= k <= n <= self.n_max:

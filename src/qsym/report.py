@@ -8,15 +8,50 @@ Failure is data, not an exception: callers inspect .passed and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+# Sets a field of a Frozen instance; only the class's __init__ calls it.
+set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    identity: str
-    status: str                 # "pass", "fail" or "skip"
-    params: dict = field(default_factory=dict)
-    detail: str = ""
+class Frozen:
+    """Base of the immutable value classes: a subclass names its fields in
+    __slots__ and sets them in __init__ with set_field.  Instances compare,
+    hash and print by their fields in order, and refuse assignment."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CheckRecord(Frozen):
+    # status is "pass", "fail" or "skip"
+    __slots__ = ("identity", "status", "params", "detail")
+
+    def __init__(self, identity: str, status: str, params: dict = None,
+                 detail: str = ""):
+        set_field(self, "identity", identity)
+        set_field(self, "status", status)
+        set_field(self, "params", {} if params is None else params)
+        set_field(self, "detail", detail)
 
     def to_json_dict(self) -> dict:
         d = {"identity": self.identity}

@@ -17,7 +17,6 @@ the q-Stirling triangles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -25,8 +24,7 @@ from .exactpoly import (BiPoly, TruncSeries, UniPoly, det_hessenberg, one,
                         powers, q, zero)
 from .qcalc import (alternating_binomial_sum, pq_binomial, qbinomial, qbracket,
                     qbracket_power_base, qfactorial)
-from .qstirling import qstirling1_triangle, qstirling2_triangle
-from .report import CheckReport
+from .report import CheckReport, Frozen, set_field
 
 # Largest sizes of the r = 1 determinant and two-parameter batteries in the
 # suite; both run to these sizes whatever the suite's own size.
@@ -34,17 +32,17 @@ DETERMINANT_N_MAX = 5
 PQ_N_MAX = 4
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Weakly decreasing sequence of positive integers."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(a <= 0 for a in self.parts):
+    def __init__(self, parts: tuple):
+        if any(a <= 0 for a in parts):
             raise ValueError("partition parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
+        set_field(self, "parts", parts)
 
     @property
     def size(self) -> int:
@@ -85,19 +83,19 @@ def partitions_with_length(n: int, r: int):
     yield from rec(n, r, n)
 
 
-@dataclass(frozen=True)
-class SymAlphabet:
+class SymAlphabet(Frozen):
     """Finite list of exact variable values x_1..x_N.
 
     Identities of total degree d are exact only when N >= d; callers pick
     alphabets large enough for the degrees they check.
     """
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple):
+        if not values:
             raise ValueError("alphabet needs at least one variable")
+        set_field(self, "values", values)
 
     @property
     def size(self) -> int:
@@ -160,14 +158,16 @@ def complete_from_elementary(e, order: int):
     return list(TruncSeries(alternating).invert().coeffs)
 
 
-@dataclass(frozen=True)
-class SymSeriesBundle:
+class SymSeriesBundle(Frozen):
     """Matching rows e_0..e_order and h_0..h_order, of an alphabet or of a
     raw elementary sequence."""
 
-    order: int
-    e: tuple
-    h: tuple
+    __slots__ = ("order", "e", "h")
+
+    def __init__(self, order: int, e: tuple, h: tuple):
+        set_field(self, "order", order)
+        set_field(self, "e", e)
+        set_field(self, "h", h)
 
     @classmethod
     def from_alphabet(cls, alphabet: SymAlphabet, order: int) -> "SymSeriesBundle":
@@ -301,6 +301,7 @@ def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
     (iii) the r = 1 case with bare (1-q) powers,
     (iv)  the intermediate double sum over binomials times q-binomials.
     """
+    from .qstirling import qstirling1_triangle, qstirling2_triangle
     if alphabet.size < n:
         raise ValueError("alphabet must have at least n variables")
     report = CheckReport()

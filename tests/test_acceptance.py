@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from qsym import cli
-from qsym.exactpoly import UniPoly, parse_poly_text
+from qsym.exactpoly import UniPoly
 from qsym.jpoly import (build_jtable, exp_shift_check, j_explicit_composition,
                         j_explicit_sequences, j_from_specialized_symfunc,
                         kung_yan_check, reciprocal, reciprocal_recurrence_check,
@@ -24,6 +24,8 @@ from qsym.qstirling import (verify_carlitz_identities,
 from qsym.symfunc import (SymAlphabet, classical_pn_determinants_check,
                           default_alphabets, determinant_vs_convolution_check,
                           pq_transfer_check, transfer_theorem_check)
+
+from polytext import parse_poly_text
 
 CAP = 10_000_000
 

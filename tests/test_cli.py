@@ -11,8 +11,10 @@ import pytest
 
 import qsym.cli as cli
 import qsym.jpoly as jpoly
-from qsym.exactpoly import InexactDivisionError, UniPoly, parse_poly_text
+from qsym.exactpoly import InexactDivisionError, UniPoly
 from qsym.report import CheckReport
+
+from polytext import parse_poly_text
 
 
 def run(*argv):
@@ -170,6 +172,13 @@ def test_cap_exit_code():
     assert code == 3
 
 
+def test_cap_zero_enumerates_nothing():
+    code, text = run("verify", "oracles", "--n-max", "3", "--cap", "0")
+    assert code == 0
+    assert "skip forest-oracle-skipped-by-cap (0/3 instances)" in text.splitlines()
+    assert run("query", "parking", "--m", "1", "--r", "1", "--cap", "0")[0] == 3
+
+
 def test_verify_small_suites():
     code, text = run("verify", "qstirling", "--n-max", "1")
     assert code == 0
@@ -269,11 +278,15 @@ def test_usage_error_on_unknown_command():
     ("verify", "qstirling", "--n-max", "2", "--no-ascii"),
     ("jtable", "--n-max", "3", "--seed", "5"),
     ("jtable", "--n-max", "3", "--cap", "1"),
+    ("verify", "oracles", "--n-max", "3", "--cap", "-1"),
+    ("query", "parking", "--m", "2", "--r", "1", "--cap", "-1"),
+    ("query", "forest-stat", "--n", "3", "--r", "1", "--cap", "-1"),
 ], ids=["missing-dir", "missing-dir-stirling", "is-a-directory",
         "range-violation", "jtable-n-max", "verify-n-max",
         "export-stirling-latex", "export-plain", "export-json", "export-seed",
         "export-ascii", "verify-latex", "verify-csv", "verify-ascii",
-        "jtable-seed", "jtable-cap"])
+        "jtable-seed", "jtable-cap", "verify-negative-cap",
+        "parking-negative-cap", "forest-negative-cap"])
 def test_usage_faults_exit_two(argv, tmp_path, capsys):
     try:
         code, text = run(*(a.format(tmp=tmp_path) for a in argv))

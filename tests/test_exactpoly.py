@@ -9,7 +9,9 @@ import pytest
 from qsym.exactpoly import (BiPoly, InexactDivisionError, TruncSeries,
                             UniPoly, det_cofactor, det_hessenberg,
                             divmod_poly, exact_div, json_coeff_list, one,
-                            parse_poly_text, poly_text, q, zero)
+                            poly_text, q, zero)
+
+from polytext import parse_poly_text
 
 
 def P(*coeffs):

@@ -1,0 +1,163 @@
+"""Start-up footprint and the lazily loaded public API.
+
+Each command imports only the modules it uses, no module imports
+``dataclasses`` (and with it ``inspect``), and ``import qsym`` still offers
+every public name of the package, resolved on first access.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qsym
+from qsym.oracles import Forest
+from qsym.qstirling import StirlingTriangle
+from qsym.report import CheckRecord
+from qsym.symfunc import Partition, SymAlphabet, SymSeriesBundle
+
+SRC = str(Path(qsym.__file__).resolve().parent.parent)
+
+# Run one command through cli.main, then print the names of the loaded modules.
+PROBE = ("import io, json, sys\n"
+         "from qsym.cli import main\n"
+         "main(sys.argv[1:], out=io.StringIO())\n"
+         "print(json.dumps(sorted(sys.modules)))\n")
+
+BASE = {"qsym", "qsym.cli", "qsym.exactpoly"}
+STIRLING = BASE | {"qsym.qcalc", "qsym.qstirling", "qsym.report"}
+
+
+def loaded_modules(*argv) -> set:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"}),
+    (("query", "qstirling2", "--n", "6", "--k", "3"), STIRLING),
+    (("query", "jpoly", "--n", "6", "--r", "2"),
+     BASE | {"qsym.qcalc", "qsym.jpoly", "qsym.report"}),
+    (("query", "parking", "--m", "3", "--r", "2"),
+     BASE | {"qsym.oracles", "qsym.report"}),
+    (("export", "stirling", "--n-max", "5"), STIRLING),
+    (("verify", "qstirling", "--n-max", "3"), STIRLING),
+], ids=["query-qbinomial", "query-qstirling2", "query-jpoly", "query-parking",
+        "export-stirling", "verify-qstirling"])
+def test_each_command_loads_only_its_modules(argv, expected):
+    modules = loaded_modules(*argv)
+    assert "dataclasses" not in modules and "inspect" not in modules
+    assert {m for m in modules if m.split(".")[0] == "qsym"} == expected
+
+
+# The public names of the package, by defining module.
+PUBLIC = {
+    "exactpoly": ["BiPoly", "InexactDivisionError", "TruncSeries", "UniPoly",
+                  "det_cofactor", "det_hessenberg", "exact_div", "poly_text"],
+    "qcalc": ["pq_binomial", "pq_bracket", "pq_derivative", "pq_factorial",
+              "q_derivative", "qbinomial", "qbracket", "qbracket_power_base",
+              "qfactorial"],
+    "qstirling": ["StirlingTriangle", "qstirling1", "qstirling1_triangle",
+                  "qstirling2", "qstirling2_triangle",
+                  "verify_carlitz_identities"],
+    "symfunc": ["Partition", "SymAlphabet", "SymSeriesBundle",
+                "complete_from_elementary", "elementary", "elementary_sequence",
+                "p_nr_monomial", "qp_nr_determinant", "qp_nr_direct",
+                "transfer_theorem_check"],
+    "jpoly": ["JTable", "build_jtable", "j_explicit_composition",
+              "j_explicit_sequences", "j_from_specialized_symfunc",
+              "kung_yan_check", "q1_closed_forms", "reciprocal",
+              "reciprocal_recurrence_check"],
+    "oracles": ["DecreasingRanking", "EnumerationCapExceeded", "Forest",
+                "IncreasingRanking", "Ranking", "SeededRanking",
+                "enumerate_forests", "forest_enumerator_poly", "level_statistic",
+                "parking_enumerator_poly", "sigma_statistic"],
+}
+PUBLIC_NAMES = [name for names in PUBLIC.values() for name in names]
+
+
+def test_public_names_are_the_module_objects():
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"qsym.{module}")
+        for name in names:
+            assert getattr(qsym, name) is getattr(mod, name), name
+
+
+def test_public_names_are_listed_and_star_importable():
+    assert sorted(qsym.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(qsym))
+    namespace = {}
+    exec("from qsym import *", namespace)
+    assert all(namespace[name] is getattr(qsym, name) for name in PUBLIC_NAMES)
+    assert qsym.__version__ == "0.1.0"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qsym.no_such_name
+    with pytest.raises(ImportError):
+        exec("from qsym import no_such_name", {})
+
+
+def test_moved_errors_keep_their_old_names():
+    import qsym.exactpoly as exactpoly
+    import qsym.jpoly as jpoly
+    import qsym.oracles as oracles
+    assert jpoly.JTableShapeError is exactpoly.JTableShapeError
+    assert oracles.EnumerationCapExceeded is exactpoly.EnumerationCapExceeded
+    assert oracles.DEFAULT_CAP == exactpoly.DEFAULT_CAP == 10_000_000
+
+
+def test_value_classes_compare_and_hash_by_fields():
+    assert Partition((2, 1)) == Partition((2, 1)) != Partition((1, 1))
+    assert Partition((2, 1)) != (2, 1)
+    assert len({Partition((2, 1)), Partition((2, 1)), Partition(())}) == 2
+    alphabet = SymAlphabet.integers(3)
+    assert alphabet == SymAlphabet.integers(3) != SymAlphabet.primes(3)
+    assert hash(alphabet) == hash(SymAlphabet.integers(3))
+    bundle = SymSeriesBundle.from_alphabet(alphabet, 3)
+    assert bundle == SymSeriesBundle.from_alphabet(alphabet, 3)
+    assert hash(bundle) == hash(SymSeriesBundle.from_alphabet(alphabet, 3))
+    triangle = StirlingTriangle("second", 1, ((1,),))
+    assert triangle == StirlingTriangle("second", 1, ((1,),))
+    assert triangle != StirlingTriangle("first", 1, ((1,),))
+    assert hash(triangle) == hash(StirlingTriangle("second", 1, ((1,),)))
+    # dict fields: equal by value, and unhashable as the dict is
+    record = CheckRecord("x", "pass")
+    assert record.params == {} and record.detail == ""
+    assert record == CheckRecord("x", "pass", {}, "")
+    assert record != CheckRecord("x", "pass", {"n": 1})
+    assert CheckRecord("x", "pass").params is not record.params
+    forest = Forest(2, (1,), {2: 1}, ((1,), (2,)))
+    assert forest == Forest(2, (1,), {2: 1}, ((1,), (2,)))
+    for unhashable in (record, forest):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+def test_value_classes_validate_and_refuse_assignment():
+    with pytest.raises(ValueError, match="positive"):
+        Partition((2, 0))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition((1, 2))
+    with pytest.raises(ValueError, match="at least one variable"):
+        SymAlphabet(())
+    values = [(Partition((2, 1)), "parts"), (SymAlphabet.primes(2), "values"),
+              (StirlingTriangle("second", 1, ((1,),)), "entries"),
+              (CheckRecord("x", "pass"), "status"),
+              (Forest(1, (1,), {}, ((1,),)), "parent")]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
