@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from itertools import groupby
@@ -129,6 +128,7 @@ def _cmd_jtable(args, out) -> int:
     if args.format in ("csv", "latex"):
         _write_jtable_export(table, args, out)
     elif args.format == "json":
+        import json
         records = [{"n": n, "r": r, "degree": table.degree(n, r),
                     "poly": poly.to_json_dict()}
                    for n, r, poly in table.entries(args.reciprocal)]
@@ -168,6 +168,7 @@ def _cmd_verify(args, out) -> int:
         for line in report.summary_lines():
             out.write(line + "\n")
         if not report.passed:
+            import json
             bad = report.first_failure
             out.write("first counterexample: "
                       + json.dumps(bad.to_json_dict(), separators=(",", ":"))

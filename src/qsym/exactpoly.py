@@ -18,7 +18,6 @@ defined here too, in the one module every command loads.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 
@@ -263,6 +262,7 @@ class UniPoly:
         return {"var": "q", "coeffs": [str(c) for c in self.coeffs]}
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
@@ -273,6 +273,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, s: str) -> "UniPoly":
+        import json
         return cls.from_json_dict(json.loads(s))
 
 
@@ -318,6 +319,7 @@ def json_coeff_list(poly: UniPoly) -> str:
     Integer coefficients appear as JSON numbers; non-integer rationals as
     reduced "a/b" strings.
     """
+    import json
     items = [int(c) if c.denominator == 1 else str(c) for c in poly.coeffs]
     return json.dumps(items, separators=(",", ":"))
 

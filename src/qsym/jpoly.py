@@ -206,7 +206,7 @@ def reciprocal_recurrence_check(n_max: int) -> CheckReport:
                              * bpow * reciprocal(m, j, table))
             lhs = reciprocal(n, r, table)
             report.check("reciprocal-row-recurrence", lhs == acc,
-                         detail=f"lhs={lhs} rhs={acc}", n=n, r=r)
+                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
     return report
 
 
@@ -227,7 +227,7 @@ def kung_yan_check(n_max: int) -> CheckReport:
                 rhs = rhs - (UniPoly.monomial(l * (n - l), comb(n - r, l - r))
                              * omq[l - r] * reciprocal(l, r, table))
             report.check("reciprocal-column-recurrence", lhs == rhs,
-                         detail=f"lhs={lhs} rhs={rhs}", n=n, r=r)
+                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
     return report
 
 
@@ -276,7 +276,7 @@ def exp_shift_check(order: int, r_max: int) -> CheckReport:
                              Fraction(1, factorial(m)))
             for m in range(order - r + 1)))
         report.check("exp-derivative-shift", lhs == rhs, r=r,
-                     detail=f"order={order}")
+                     detail=lambda: f"order={order}")
     return report
 
 
@@ -318,7 +318,7 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
             rhs = (bracket_pn * (one - UniPoly.monomial(r))
                    * UniPoly.monomial(comb(r, 2), Fraction(1, factorial(r))))
             report.check("specialization-bracket-shift", lhs == rhs,
-                         detail=f"lhs={lhs} rhs={rhs}", n=n, r=r)
+                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
     return report
 
 
@@ -337,7 +337,7 @@ def extended_recurrence_check(n_max: int) -> CheckReport:
                              * coeff * table.entry(m, j))
             lhs = table.entry(n, r)
             report.check("extended-row-recurrence", lhs == acc,
-                         detail=f"lhs={lhs} rhs={acc}", n=n, r=r)
+                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
     return report
 
 

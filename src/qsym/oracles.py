@@ -8,15 +8,23 @@ condition.  Both walks prune: a partial parent map is dropped at the first
 edge that closes a cycle, and a value prefix that no last value completes
 is dropped, its admissible last values being counted directly.  The cap
 still bounds the raw candidate spaces, n^(n-r) parent maps and
-(r+m-1)^m value tuples.  Agreement of these enumerators with the
-closed-form polynomials is the strongest correctness evidence the package
-produces.
+(r+m-1)^m value tuples.
+
+Each forest is still scored on its own, but once for every ranking and
+with no Python loop over its vertices: the walk keeps one bitmask per
+level, and a table built before the walk maps (vertex, level mask) to the
+vertex's rank - 1 under every ranking, packed into lanes of one int, so
+the parent-rank shortfalls of a forest are one sum of table lookups.
+level_statistic and reciprocal_level_statistic remain the literal
+per-forest scorers, used for --dump-forests.
+
+Agreement of these enumerators with the closed-form polynomials is the
+strongest correctness evidence the package produces.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from math import comb
 
 from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, UniPoly, one,
@@ -137,7 +145,8 @@ def _check_roots(n: int, roots) -> tuple:
 
 
 def _raw_forests(n: int, roots: tuple):
-    """Yield (parent_array, depth_array, levels) for each acyclic parent map.
+    """Yield (parent_array, depth_array, level_masks) for each acyclic
+    parent map.
 
     The non-roots are given parents in ascending vertex order, each trying
     parents 1..n in ascending order, so the maps come in the order of the
@@ -147,18 +156,23 @@ def _raw_forests(n: int, roots: tuple):
     extension of that branch is acyclic.  Depths are kept along the way:
     when a vertex attaches below one whose depth is known, it and the
     subtree already hanging under it get theirs, and backtracking clears
-    them again.
+    them again.  level_masks[d] is kept with them: the bitmask, bit v for
+    vertex v, of the vertices at depth d (0 past the deepest level).
 
-    parent_array and depth_array are indexed by vertex (slot 0 unused).
-    Both arrays are reused between iterations: consumers keep a copy of
+    parent_array and depth_array are indexed by vertex; slot 0 stands for
+    the missing parent of a root, with parent 0 and depth 0.  All three
+    arrays are reused between iterations: consumers keep a copy of
     anything they hold past the current step.
     """
     nonroots = [v for v in range(1, n + 1) if v not in roots]
     k = len(nonroots)
     parent = [0] * (n + 1)          # 0 for a root or an unassigned non-root
     depth = [-1] * (n + 1)
+    depth[0] = 0
+    lvl = [0] * (k + 1)             # a forest is at most k levels deep
     for rt in roots:
         depth[rt] = 0
+        lvl[0] |= 1 << rt
     children = [[] for _ in range(n + 1)]
     placed = []         # the vertices given a depth, in the order they got it
     marks = [0] * k     # len(placed) before the i-th non-root was assigned
@@ -166,10 +180,7 @@ def _raw_forests(n: int, roots: tuple):
     i = 0
     while i >= 0:
         if i == k:
-            levels = [[] for _ in range(max(depth) + 1)]
-            for v in range(1, n + 1):
-                levels[depth[v]].append(v)
-            yield parent, depth, tuple(map(tuple, levels))
+            yield parent, depth, lvl
             i -= 1
             continue
         v = nonroots[i]
@@ -177,6 +188,7 @@ def _raw_forests(n: int, roots: tuple):
             children[parent[v]].pop()
             parent[v] = 0
             for u in placed[marks[i]:]:
+                lvl[depth[u]] ^= 1 << u
                 depth[u] = -1
             del placed[marks[i]:]
         # A parent of unknown depth hangs, through its chain, below an
@@ -199,13 +211,15 @@ def _raw_forests(n: int, roots: tuple):
         children[p].append(v)
         marks[i] = j = len(placed)
         if depth[p] >= 0:
-            depth[v] = depth[p] + 1
+            depth[v] = dv = depth[p] + 1
+            lvl[dv] |= 1 << v
             placed.append(v)
             while j < len(placed):
                 u = placed[j]
                 du = depth[u] + 1
                 for c in children[u]:
                     depth[c] = du
+                    lvl[du] |= 1 << c
                     placed.append(c)
                 j += 1
         i += 1
@@ -229,18 +243,12 @@ def _capped_roots(n: int, roots, cap: int) -> tuple:
 def enumerate_forests(n: int, roots, cap: int = DEFAULT_CAP):
     """Stream every rooted forest on {1..n} with the given root set."""
     roots = _capped_roots(n, roots, cap)
-    for parent, _depth, levels in _raw_forests(n, roots):
+    for parent, depth, _lvl in _raw_forests(n, roots):
         pmap = {v: parent[v] for v in range(1, n + 1) if v not in roots}
-        yield Forest(n, roots, pmap, levels)
-
-
-def _weight_shortfall(parent, depth, nonroots, rank_tables) -> int:
-    """sum over non-roots of (parent's rank within its level - 1)."""
-    s = 0
-    for v in nonroots:
-        p = parent[v]
-        s += rank_tables[depth[p]][p] - 1
-    return s
+        levels = [[] for _ in range(max(depth) + 1)]
+        for v in range(1, n + 1):
+            levels[depth[v]].append(v)
+        yield Forest(n, roots, pmap, tuple(map(tuple, levels)))
 
 
 def sigma_statistic(u, include_root=None) -> int:
@@ -264,10 +272,12 @@ _LEVEL_PARTS = {"standard": lambda sizes: sum(comb(u, 2) for u in sizes[1:]),
 
 
 def _forest_statistic(forest: Forest, ranking: Ranking, variant: str) -> int:
+    """The level part of the variant plus the parent-rank shortfall: the sum
+    over non-roots of (parent's rank within its level - 1)."""
     depth = {v: i for i, level in enumerate(forest.levels) for v in level}
     rank_tables = [ranking.ranks(l) for l in forest.levels]
-    return (_LEVEL_PARTS[variant](forest.level_sizes())
-            + _weight_shortfall(forest.parent, depth, forest.parent, rank_tables))
+    shortfall = sum(rank_tables[depth[p]][p] - 1 for p in forest.parent.values())
+    return _LEVEL_PARTS[variant](forest.level_sizes()) + shortfall
 
 
 def level_statistic(forest: Forest, ranking: Ranking) -> int:
@@ -299,35 +309,96 @@ def _poly_from_counts(counter: dict) -> UniPoly:
     return UniPoly(coeffs)
 
 
+# The (level sizes, packed shortfalls) tally is folded into the per-ranking
+# counts whenever it holds this many keys, so its size stays bounded.
+_TALLY_KEYS = 1024
+
+
+def _packed_weights(n: int, roots: tuple, rankings):
+    """(width, weight): weight[p][mask] packs, for every ranking, the rank
+    of vertex p within the level with bitmask mask, less 1.
+
+    Ranking j owns the bits from j * width up.  A forest's shortfall under
+    one ranking is below n^2, so the sum of its vertices' weights never
+    carries from one lane into the next.  The levels are the root set and
+    every nonempty subset of the non-roots; slot 0, the parent of a root,
+    maps the root set to 0.
+    """
+    width = (n * n).bit_length() + 1
+    nonroots = [v for v in range(1, n + 1) if v not in roots]
+    weight = [{} for _ in range(n + 1)]
+    levels = [roots] + [level for size in range(1, len(nonroots) + 1)
+                        for level in itertools.combinations(nonroots, size)]
+    for level in levels:
+        mask = sum(1 << v for v in level)
+        tables = [ranking.ranks(level) for ranking in rankings]
+        for p in level:
+            weight[p][mask] = sum((table[p] - 1) << (j * width)
+                                  for j, table in enumerate(tables))
+    weight[0][sum(1 << v for v in roots)] = 0
+    return width, weight
+
+
 def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     """Sum q^statistic over all forests for every variant and ranking, in one
     walk of the candidate space.
 
-    Forests are tallied by (level sizes, parent-rank shortfall), once per
-    ranking; every variant's statistic is a function of that pair, so each
-    is read off the tally afterwards.  Returns one list of polynomials per
-    variant, each indexed like rankings.
+    Each forest is scored once for all rankings, by C-level maps with no
+    Python loop over its vertices: the weights of the vertices' parents,
+    each looked up by the mask of the parent's level, sum to every
+    ranking's parent-rank shortfall at once, one per lane.  Forests are
+    tallied by (level sizes, packed shortfalls), both packed into one int,
+    and the tally is folded into per-ranking shortfall counts for each
+    level-size sequence whenever it reaches _TALLY_KEYS keys.  Every
+    variant's statistic is its level part plus one lane, so the polynomials
+    are read off those counts at the end.  Returns one list of polynomials
+    per variant, each indexed like rankings.
     """
     roots = _capped_roots(n, roots, cap)
-    nonroots = [v for v in range(1, n + 1) if v not in roots]
-    tallies = [{} for _ in rankings]
-    for parent, depth, levels in _raw_forests(n, roots):
-        sizes = tuple(map(len, levels))
-        for ranking, tally in zip(rankings, tallies):
-            rank_tables = [ranking.ranks(l) for l in levels]
-            key = (sizes, _weight_shortfall(parent, depth, nonroots, rank_tables))
-            tally[key] = tally.get(key, 0) + 1
+    width, weight = _packed_weights(n, roots, rankings)
+    lane = (1 << width) - 1
+    # A key holds the shortfall lanes in its low bits and, above them, the
+    # sizes of levels 1, 2, ..., size_bits bits each: unit[d] counts one
+    # vertex at depth d >= 1, and the roots and slot 0 count for nothing.
+    low = width * len(rankings)
+    k = n - len(roots)              # the non-roots fill at most k levels
+    size_bits = n.bit_length()
+    size_mask = (1 << size_bits) - 1
+    unit = [0] + [1 << (low + d * size_bits) for d in range(k)]
+    shortfalls = {}     # key >> low -> per ranking, {shortfall: count}
+
+    def fold(tally):
+        for key, count in tally.items():
+            lanes = shortfalls.get(key >> low)
+            if lanes is None:
+                lanes = shortfalls[key >> low] = [{} for _ in rankings]
+            for counter in lanes:
+                s = key & lane
+                counter[s] = counter.get(s, 0) + count
+                key >>= width
+        tally.clear()
+
+    tally = {}
+    lookup = dict.__getitem__
+    for parent, depth, lvl in _raw_forests(n, roots):
+        key = (sum(map(lookup, map(weight.__getitem__, parent),
+                       map(lvl.__getitem__, map(depth.__getitem__, parent))))
+               + sum(map(unit.__getitem__, depth)))
+        tally[key] = tally.get(key, 0) + 1
+        if len(tally) == _TALLY_KEYS:
+            fold(tally)
+    fold(tally)
     polys = []
     for variant in variants:
-        level_part = _LEVEL_PARTS[variant]
-        variant_polys = []
-        for tally in tallies:
-            counter = {}
-            for (sizes, shortfall), count in tally.items():
-                s = level_part(sizes) + shortfall
-                counter[s] = counter.get(s, 0) + count
-            variant_polys.append(_poly_from_counts(counter))
-        polys.append(variant_polys)
+        counts = [{} for _ in rankings]
+        for code, lanes in shortfalls.items():
+            sizes = [len(roots)] + [code >> (d * size_bits) & size_mask
+                                    for d in range(k)]
+            part = _LEVEL_PARTS[variant](sizes)
+            for counter, lane_counts in zip(counts, lanes):
+                for s, count in lane_counts.items():
+                    counter[part + s] = counter.get(part + s, 0) + count
+        polys.append([_poly_from_counts(counter) for counter in counts])
     return polys
 
 
@@ -427,10 +498,12 @@ def reciprocal_explicit_check(n_max: int) -> CheckReport:
                 acc2 = acc2 + w * UniPoly.monomial(
                     sigma_statistic(u, include_root=r), count)
             report.check("reciprocal-composition-formula", acc1 == expected,
-                         detail=f"lhs={acc1} expected={expected}", n=n, r=r)
+                         detail=lambda: f"lhs={acc1} expected={expected}",
+                         n=n, r=r)
             report.check("reciprocal-rooted-composition-formula",
                          acc2 == expected,
-                         detail=f"lhs={acc2} expected={expected}", n=n, r=r)
+                         detail=lambda: f"lhs={acc2} expected={expected}",
+                         n=n, r=r)
     return report
 
 
@@ -473,11 +546,11 @@ def oracle_suite_report(n_max: int, seed: int = 0,
                     ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
                 for name, poly in zip(ranking_names, polys):
                     report.check(identity, poly == expected,
-                                 detail=f"got={poly} expected={expected}",
+                                 detail=lambda: f"got={poly} expected={expected}",
                                  n=n, r=r, ranking=name)
             count = std[0].evaluate(1)
             report.check("forest-count", count == r * n ** (n - r - 1),
-                         detail=f"got={count}", n=n, r=r)
+                         detail=lambda: f"got={count}", n=n, r=r)
 
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
@@ -489,7 +562,8 @@ def oracle_suite_report(n_max: int, seed: int = 0,
                 continue
             expected = reciprocal(n, r, table)
             report.check("parking-sum-enumerator", got == expected,
-                         detail=f"got={got} expected={expected}", m=m, r=r)
+                         detail=lambda: f"got={got} expected={expected}",
+                         m=m, r=r)
 
     report.merge(reciprocal_explicit_check(max(n_max, 2)))
     return report
@@ -499,6 +573,7 @@ def forest_records(n: int, roots, ranking: Ranking,
                    variant: str = "standard", cap: int = DEFAULT_CAP):
     """(statistic, JSON object) per accepted forest, the object carrying
     the statistic too."""
+    import json
     for forest in enumerate_forests(n, roots, cap):
         stat = _forest_statistic(forest, ranking, variant)
         yield stat, json.dumps(forest.to_json_dict(stat), separators=(",", ":"))

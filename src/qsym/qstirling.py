@@ -108,12 +108,12 @@ def verify_carlitz_identities(n_max: int) -> CheckReport:
             for j in range(k, n + 1):
                 rhs = rhs + comb(n, j) * qm1[j - k] * stirling[j][k]
             report.check("carlitz-qbinomial-expansion", lhs == rhs,
-                         detail=f"lhs={lhs} rhs={rhs}", n=n, k=k)
+                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, k=k)
 
             lhs2 = omq[n - k] * stirling[n][k]
             rhs2 = alternating_binomial_sum(lambda l, j: binom[l][j], n, k, zero)
             report.check("carlitz-inverse-expansion", lhs2 == rhs2,
-                         detail=f"lhs={lhs2} rhs={rhs2}", n=n, k=k)
+                         detail=lambda: f"lhs={lhs2} rhs={rhs2}", n=n, k=k)
     return report
 
 

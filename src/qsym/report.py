@@ -7,8 +7,6 @@ Failure is data, not an exception: callers inspect .passed and
 
 from __future__ import annotations
 
-import json
-
 # Sets a field of a Frozen instance; only the class's __init__ calls it.
 set_field = object.__setattr__
 
@@ -77,11 +75,15 @@ class CheckReport:
     def add_skip(self, identity: str, **params):
         self.records.append(CheckRecord(identity, "skip", params))
 
-    def check(self, identity: str, ok: bool, detail: str = "", **params):
+    def check(self, identity: str, ok: bool, detail="", **params):
+        """Record a pass or a fail.  detail is a string or a function that
+        returns one; a function is called only on failure, so a passing
+        check never renders its operands."""
         if ok:
             self.add_pass(identity, **params)
         else:
-            self.add_fail(identity, detail, **params)
+            self.add_fail(identity, detail() if callable(detail) else detail,
+                          **params)
         return ok
 
     def merge(self, other: "CheckReport") -> "CheckReport":
@@ -100,6 +102,7 @@ class CheckReport:
         return None
 
     def to_json(self) -> str:
+        import json
         return json.dumps([r.to_json_dict() for r in self.records],
                           separators=(",", ":"))
 

@@ -320,20 +320,20 @@ def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
             rhs = zero
             for j in range(r, n + 1):
                 rhs = rhs + omq[j - r] * triangle.entry(j, r) * x[j]
-            report.check(identity, lhs == rhs, detail=f"lhs={lhs} rhs={rhs}",
-                         n=n, r=r)
+            report.check(identity, lhs == rhs,
+                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
 
         dbl = zero
         for j in range(r, n + 1):
             dbl = dbl + classical[j] * alternating_binomial_sum(qbinomial, j, r, zero)
         report.check("transfer-double-sum", qanalog[r] == dbl,
-                     detail=f"lhs={qanalog[r]} rhs={dbl}", n=n, r=r)
+                     detail=lambda: f"lhs={qanalog[r]} rhs={dbl}", n=n, r=r)
 
     r1 = zero
     for j in range(1, n + 1):
         r1 = r1 + omq[j - 1] * classical[j]
     report.check("transfer-r1", qanalog[1] == r1,
-                 detail=f"lhs={qanalog[1]} rhs={r1}", n=n, r=1)
+                 detail=lambda: f"lhs={qanalog[1]} rhs={r1}", n=n, r=1)
     return report
 
 
@@ -345,7 +345,7 @@ def determinant_vs_convolution_check(alphabet: SymAlphabet, n: int) -> CheckRepo
         d = qp_nr_determinant(bundle, n, r)
         c = qp_nr_direct(bundle, n, r)
         report.check("determinant-vs-convolution", d == c,
-                     detail=f"det={d} conv={c}", n=n, r=r)
+                     detail=lambda: f"det={d} conv={c}", n=n, r=r)
     return report
 
 
@@ -365,12 +365,12 @@ def classical_pn_determinants_check(alphabet: SymAlphabet, n: int) -> CheckRepor
     for m in range(1, n + 1):
         det = pn_bracket_determinant(e, m)
         report.check("p-bracket-determinant", det == p_list[m],
-                     detail=f"det={det} conv={p_list[m]}", n=m, r=1)
+                     detail=lambda: f"det={det} conv={p_list[m]}", n=m, r=1)
 
         lhs = en_factorial_determinant(p_list, m)
         rhs = qfactorial(m) * e[m]
         report.check("e-factorial-determinant", lhs == rhs,
-                     detail=f"det={lhs} expected={rhs}", n=m, r=1)
+                     detail=lambda: f"det={lhs} expected={rhs}", n=m, r=1)
 
         sys_lhs = zero
         for k in range(1, m + 1):
@@ -378,7 +378,7 @@ def classical_pn_determinants_check(alphabet: SymAlphabet, n: int) -> CheckRepor
             sys_lhs = sys_lhs + (term if (k - 1) % 2 == 0 else -term)
         sys_rhs = qbracket(m) * e[m]
         report.check("e-p-linear-system", sys_lhs == sys_rhs,
-                     detail=f"lhs={sys_lhs} rhs={sys_rhs}", n=m, r=1)
+                     detail=lambda: f"lhs={sys_lhs} rhs={sys_rhs}", n=m, r=1)
     return report
 
 
@@ -402,12 +402,12 @@ def pq_transfer_check(alphabet: SymAlphabet, n: int) -> CheckReport:
             dbl = dbl + (BiPoly.from_unipoly(classical[j])
                          * alternating_binomial_sum(pq_binomial, j, r, BiPoly()))
         report.check("pq-double-sum-vs-determinant", det == dbl,
-                     detail=f"det={det!r} sum={dbl!r}", n=n, r=r)
+                     detail=lambda: f"det={det!r} sum={dbl!r}", n=n, r=r)
 
         slice_q = det.at_p_one()
         direct = qp_nr_direct(bundle, n, r)
         report.check("pq-degenerates-to-q", slice_q == direct,
-                     detail=f"slice={slice_q} direct={direct}", n=n, r=r)
+                     detail=lambda: f"slice={slice_q} direct={direct}", n=n, r=r)
     return report
 
 

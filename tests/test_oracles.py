@@ -11,10 +11,11 @@ import pytest
 import qsym.cli as cli
 from qsym.exactpoly import UniPoly, one, zero
 from qsym.jpoly import build_jtable, q1_closed_forms, reciprocal
-from qsym.oracles import (DecreasingRanking,
+from qsym.oracles import (_TALLY_KEYS, DecreasingRanking,
                           EnumerationCapExceeded, Forest, IncreasingRanking,
-                          SeededRanking, _raw_forests, enumerate_forests,
-                          forest_enumerator_poly, forest_enumerator_polys,
+                          SeededRanking, _forest_enumerators, _raw_forests,
+                          enumerate_forests, forest_enumerator_poly,
+                          forest_enumerator_polys,
                           forests_json_lines, is_parking_function,
                           level_statistic, make_ranking,
                           parking_enumerator_poly, projected_forest_candidates,
@@ -141,12 +142,23 @@ def product_filter_forests(n, roots):
             yield parent, depth[1:], levels
 
 
+def levels_of(lvl, n):
+    """The levels read off the walk's level masks (bit v for vertex v): the
+    masks are nonzero down to the deepest level, 0 past it, and together
+    cover exactly the vertices 1..n."""
+    deepest = sum(1 for mask in lvl if mask)
+    assert not any(lvl[deepest:])
+    assert sum(lvl) == (1 << (n + 1)) - 2
+    return tuple(tuple(v for v in range(1, n + 1) if mask >> v & 1)
+                 for mask in lvl[:deepest])
+
+
 def test_pruned_forest_walk_matches_product_filter():
     for n in range(1, 7):
         for r in range(1, n + 1):
             for roots in itertools.combinations(range(1, n + 1), r):
-                got = [(list(parent), depth[1:], levels)
-                       for parent, depth, levels in _raw_forests(n, roots)]
+                got = [(list(parent), depth[1:], levels_of(lvl, n))
+                       for parent, depth, lvl in _raw_forests(n, roots)]
                 assert got == list(product_filter_forests(n, roots)), roots
 
 
@@ -208,6 +220,74 @@ def test_statistic_range_bounds_attained():
             bound = comb(n - 1, 2) - comb(r - 1, 2)
             assert poly.degree() == bound          # maximum attained
             assert poly.constant_term() > 0        # minimum 0 attained
+
+
+# -- packed scoring against the literal per-forest statistics --------------------
+
+def suite_rankings():
+    """The increasing, the decreasing and three seeded rankings, as the
+    oracle suite uses them."""
+    return [IncreasingRanking(), DecreasingRanking(),
+            SeededRanking(5), SeededRanking(6), SeededRanking(7)]
+
+
+def literal_enumerators(n, roots, rankings):
+    """Per variant (standard, reciprocal) and ranking, sum q^statistic over
+    enumerate_forests by the literal per-forest scorers."""
+    counters = [[{} for _ in rankings] for _ in range(2)]
+    for forest in enumerate_forests(n, roots):
+        for statistic, row in zip((level_statistic, reciprocal_level_statistic),
+                                  counters):
+            for ranking, counter in zip(rankings, row):
+                s = statistic(forest, ranking)
+                counter[s] = counter.get(s, 0) + 1
+    return [[UniPoly([c.get(s, 0) for s in range(max(c) + 1)]) for c in row]
+            for row in counters]
+
+
+def test_packed_scoring_matches_the_literal_statistics():
+    rankings = suite_rankings()
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for roots in itertools.combinations(range(1, n + 1), r):
+                got = _forest_enumerators(n, roots, rankings,
+                                          ("standard", "reciprocal"), 10 ** 7)
+                assert got == literal_enumerators(n, roots, rankings), roots
+
+
+def test_adjacent_lanes_at_the_largest_shortfall():
+    # With r roots, all n - r non-roots under the root of rank r give the
+    # largest shortfall, (n - r)(r - 1); r = 4 makes it largest at n = 7.
+    # Both rankings attain it in the low lane, and the lane above must come
+    # out as it does alone.
+    n, roots = 7, (2, 3, 5, 7)
+    increasing, decreasing = IncreasingRanking(), DecreasingRanking()
+    alone = [forest_enumerator_poly(n, roots, ranking)
+             for ranking in (increasing, decreasing)]
+    for ranking in (increasing, decreasing):
+        assert max(level_statistic(f, ranking)
+                   - sum(comb(u, 2) for u in f.level_sizes()[1:])
+                   for f in enumerate_forests(n, roots)) == 3 * 3
+    assert forest_enumerator_polys(n, roots, [increasing, decreasing]) == alone
+    assert (forest_enumerator_polys(n, roots, [decreasing, increasing])
+            == alone[::-1])
+    assert alone[0] == alone[1] == build_jtable(n).entry(n, len(roots))
+
+
+def test_folded_tally_gives_the_per_ranking_polynomials():
+    n, roots = 7, (1,)
+    rankings = suite_rankings()
+    # a forest's tally key is its level sizes and its shortfall under every
+    # ranking, which the level statistics determine
+    keys = {(f.level_sizes(), tuple(level_statistic(f, ranking)
+                                    for ranking in rankings))
+            for f in enumerate_forests(n, roots)}
+    assert len(keys) > 2 * _TALLY_KEYS            # folded during the walk
+    got = _forest_enumerators(n, roots, rankings, ("standard", "reciprocal"),
+                              10 ** 7)
+    for variant, polys in zip(("standard", "reciprocal"), got):
+        assert polys == [forest_enumerator_poly(n, roots, ranking, variant)
+                         for ranking in rankings]
 
 
 # -- enumerator versus the table --------------------------------------------------

@@ -1,8 +1,9 @@
 """Start-up footprint and the lazily loaded public API.
 
 Each command imports only the modules it uses, no module imports
-``dataclasses`` (and with it ``inspect``), and ``import qsym`` still offers
-every public name of the package, resolved on first access.
+``dataclasses`` (and with it ``inspect``), a command whose output holds no
+JSON does not load ``json``, and ``import qsym`` still offers every public
+name of the package, resolved on first access.
 """
 
 import importlib
@@ -22,11 +23,14 @@ from qsym.symfunc import Partition, SymAlphabet, SymSeriesBundle
 
 SRC = str(Path(qsym.__file__).resolve().parent.parent)
 
-# Run one command through cli.main, then print the names of the loaded modules.
-PROBE = ("import io, json, sys\n"
+# Run one command through cli.main, then print the names of the modules it
+# loaded; json is imported only after they are listed.
+PROBE = ("import io, sys\n"
          "from qsym.cli import main\n"
          "main(sys.argv[1:], out=io.StringIO())\n"
-         "print(json.dumps(sorted(sys.modules)))\n")
+         "loaded = sorted(sys.modules)\n"
+         "import json\n"
+         "print(json.dumps(loaded))\n")
 
 BASE = {"qsym", "qsym.cli", "qsym.exactpoly"}
 STIRLING = BASE | {"qsym.qcalc", "qsym.qstirling", "qsym.report"}
@@ -40,21 +44,26 @@ def loaded_modules(*argv) -> set:
     return set(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"}),
-    (("query", "qstirling2", "--n", "6", "--k", "3"), STIRLING),
+# writes_json: the output holds JSON (export's CSV cells are JSON arrays), so
+# the command may load json; plain output must not.
+@pytest.mark.parametrize("argv, expected, writes_json", [
+    (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
+     False),
+    (("query", "qstirling2", "--n", "6", "--k", "3"), STIRLING, False),
     (("query", "jpoly", "--n", "6", "--r", "2"),
-     BASE | {"qsym.qcalc", "qsym.jpoly", "qsym.report"}),
+     BASE | {"qsym.qcalc", "qsym.jpoly", "qsym.report"}, False),
     (("query", "parking", "--m", "3", "--r", "2"),
-     BASE | {"qsym.oracles", "qsym.report"}),
-    (("export", "stirling", "--n-max", "5"), STIRLING),
-    (("verify", "qstirling", "--n-max", "3"), STIRLING),
+     BASE | {"qsym.oracles", "qsym.report"}, False),
+    (("export", "stirling", "--n-max", "5"), STIRLING, True),
+    (("verify", "qstirling", "--n-max", "3"), STIRLING, False),
 ], ids=["query-qbinomial", "query-qstirling2", "query-jpoly", "query-parking",
         "export-stirling", "verify-qstirling"])
-def test_each_command_loads_only_its_modules(argv, expected):
+def test_each_command_loads_only_its_modules(argv, expected, writes_json):
     modules = loaded_modules(*argv)
     assert "dataclasses" not in modules and "inspect" not in modules
     assert {m for m in modules if m.split(".")[0] == "qsym"} == expected
+    if not writes_json:
+        assert "json" not in modules
 
 
 # The public names of the package, by defining module.
