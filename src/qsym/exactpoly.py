@@ -19,6 +19,8 @@ defined here too, in the one module every command loads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 
 class InexactDivisionError(ArithmeticError):
@@ -62,6 +64,23 @@ def _add(a, b) -> list:
     for i, c in enumerate(b):
         out[i] += c
     return out
+
+
+def bracket_mul(c, a: int, shift: int = 0, sign: int = 1, plus=()) -> list:
+    """plus + sign q^shift [a] c, sign 1 or -1, on ascending coefficient lists.
+
+    Coefficient i of [a] c = (1 + q + ... + q^(a-1)) c is the window sum
+    c[i-a+1] + ... + c[i], the window before it plus c[i] less c[i-a]: a
+    running sum, O(len(c) + a) additions against O(len(c) a) for _convolve.
+    """
+    if not c or a <= 0:
+        return list(plus)
+    c = list(c)
+    enters, leaves = c + [0] * (a - 1), [0] * a + c[:-1]
+    diffs = map(sub, enters, leaves) if sign > 0 else map(sub, leaves, enters)
+    out = [0] * shift
+    out += accumulate(diffs)
+    return _add(out, plus) if plus else out
 
 
 def _convolve(a, b, zero) -> list:
@@ -221,8 +240,7 @@ class UniPoly:
         if not self.coeffs:
             return self
         out = [0] * ((len(self.coeffs) - 1) * r + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * r] = c
+        out[::r] = self.coeffs
         return UniPoly(out)
 
     def reversed_to(self, target_degree: int) -> "UniPoly":
@@ -232,10 +250,8 @@ class UniPoly:
         if d is not None and target_degree < d:
             raise ValueError(
                 f"reversal window {target_degree} is below the degree {d}")
-        window = [0] * (target_degree + 1)
-        for i, c in enumerate(self.coeffs):
-            window[target_degree - i] = c
-        return UniPoly(window)
+        return UniPoly((0,) * (target_degree + 1 - len(self.coeffs))
+                       + self.coeffs[::-1])
 
     def inverse(self) -> "UniPoly":
         """Multiplicative inverse; only nonzero constants are units here."""
@@ -317,11 +333,13 @@ def json_coeff_list(poly: UniPoly) -> str:
     """Coefficients as a compact JSON array, ascending degree.
 
     Integer coefficients appear as JSON numbers; non-integer rationals as
-    reduced "a/b" strings.
+    reduced "a/b" strings, which need no escaping.
     """
-    import json
-    items = [int(c) if c.denominator == 1 else str(c) for c in poly.coeffs]
-    return json.dumps(items, separators=(",", ":"))
+    text = ",".join(map(str, poly.coeffs))
+    if "/" in text:
+        text = ",".join(str(c) if c.denominator == 1 else f'"{c}"'
+                        for c in poly.coeffs)
+    return f"[{text}]"
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +376,7 @@ class BiPoly:
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
         """c * p**i * q**j"""
-        rows = [[0] * (j + 1) for _ in range(i + 1)]
-        rows[i][j] = c
-        return cls(rows)
+        return cls([[]] * i + [[0] * j + [c]])
 
     @classmethod
     def from_unipoly(cls, u: UniPoly) -> "BiPoly":

@@ -16,11 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .exactpoly import (InexactDivisionError, JTableShapeError, TruncSeries,
-                        UniPoly, exact_div, json_coeff_list, latex_poly, one,
-                        powers, q, zero)
+                        UniPoly, bracket_mul, exact_div, json_coeff_list,
+                        latex_poly, one, powers, q, zero)
 from .qcalc import qbracket
 from .report import CheckReport
 
@@ -44,15 +44,8 @@ def compositions(total: int):
         yield ()
         return
     for mask in range(1 << (total - 1)):
-        parts, run = [], 1
-        for i in range(total - 1):
-            if (mask >> i) & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        yield tuple(parts)
+        cuts = [i for i in range(1, total) if mask >> (i - 1) & 1]
+        yield tuple(map(sub, cuts + [total], [0] + cuts))
 
 
 def column_binomial_sum(u) -> int:
@@ -123,11 +116,13 @@ def build_jtable(n_max: int) -> JTable:
     """Fill the triangle from the row recurrence.
 
     J(n, r) = sum_j [r]^j q^C(j,2) C(n-r, j) J(n-r, j) for n > r, with
-    J(r, r) = 1; row n only reads the earlier row n-r, so rows are built in
-    increasing n.  Every entry is checked against the shape invariants
-    (monic, positive integer coefficients, degree, constant term).  The
-    last table built is cached: the batteries of one verify run all ask for
-    the same size.
+    J(r, r) = 1; row n only reads the earlier row m = n-r, so rows are built
+    in increasing n.  The sum is taken in Horner form, f_m = J(m, m),
+    f_j = C(m, j) J(m, j) + q^j [r] f_(j+1) and J(n, r) = [r] f_1, so every
+    bracket product is one bracket_mul window sum on int coefficient lists.
+    Every entry is checked against the shape invariants (monic, positive
+    integer coefficients, degree, constant term).  The last table built is
+    cached: the batteries of one verify run all ask for the same size.
     """
     if n_max < 1:
         raise ValueError("table size must be >= 1")
@@ -136,14 +131,14 @@ def build_jtable(n_max: int) -> JTable:
         rows[n] = {n: one}
         for r in range(1, n):
             m = n - r
-            br = qbracket(r)
-            acc = zero
-            bpow = one
-            for j in range(1, m + 1):
-                bpow = bpow * br
-                acc = acc + UniPoly.monomial(comb(j, 2), comb(m, j)) * bpow * rows[m][j]
-            _validate_entry(n, r, acc)
-            rows[n][r] = acc
+            prev = rows[m]
+            f = prev[m].coeffs
+            for j in range(m - 1, 0, -1):
+                cm = comb(m, j)
+                f = bracket_mul(f, r, j, plus=[cm * c for c in prev[j].coeffs])
+            entry = UniPoly(bracket_mul(f, r))
+            _validate_entry(n, r, entry)
+            rows[n][r] = entry
     return JTable(n_max, rows)
 
 
@@ -155,10 +150,8 @@ def j_explicit_composition(n: int, r: int) -> UniPoly:
     """
     if not (n - 1 >= r >= 1):
         raise ValueError("need n - 1 >= r >= 1")
-    acc = zero
-    for u, w, count in composition_terms(n - r, r):
-        acc = acc + w * UniPoly.monomial(column_binomial_sum(u), count)
-    return acc
+    return sum((w * UniPoly.monomial(column_binomial_sum(u), count)
+                for u, w, count in composition_terms(n - r, r)), zero)
 
 
 def j_explicit_sequences(n: int, r: int) -> UniPoly:
@@ -222,10 +215,9 @@ def kung_yan_check(n_max: int) -> CheckReport:
     for n in range(2, n_max + 1):
         for r in range(1, n):
             lhs = omq[n - r] * reciprocal(n, r, table)
-            rhs = one
-            for l in range(r, n):
-                rhs = rhs - (UniPoly.monomial(l * (n - l), comb(n - r, l - r))
-                             * omq[l - r] * reciprocal(l, r, table))
+            rhs = one - sum((UniPoly.monomial(l * (n - l), comb(n - r, l - r))
+                             * omq[l - r] * reciprocal(l, r, table)
+                             for l in range(r, n)), zero)
             report.check("reciprocal-column-recurrence", lhs == rhs,
                          detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
     return report
@@ -330,11 +322,8 @@ def extended_recurrence_check(n_max: int) -> CheckReport:
     for n in range(0, n_max + 1):
         for r in range(0, n + 1):
             m = n - r
-            acc = zero
-            for j in range(0, m + 1):
-                coeff = qbracket(r) ** j
-                acc = acc + (UniPoly.monomial(comb(j, 2), comb(m, j))
-                             * coeff * table.entry(m, j))
+            acc = sum((UniPoly.monomial(comb(j, 2), comb(m, j)) * qbracket(r) ** j
+                       * table.entry(m, j) for j in range(m + 1)), zero)
             lhs = table.entry(n, r)
             report.check("extended-row-recurrence", lhs == acc,
                          detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)

@@ -9,10 +9,12 @@ to the one-parameter versions at p = 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 from .exactpoly import (BiPoly, InexactDivisionError, TruncSeries, UniPoly,
-                        one, zero)
+                        bracket_mul, one, zero)
 
 
 def qbracket(n: int) -> UniPoly:
@@ -33,19 +35,21 @@ def qfactorial(n: int) -> UniPoly:
 
 
 def triangle_rows(weight, k_max: int):
-    """Rows n = 0, 1, 2, ... of the triangle T[n,k] = T[n-1,k-1] + w(k) T[n-1,k],
+    """Rows n = 0, 1, 2, ... of the triangle T[n,k] = T[n-1,k-1] + w T[n-1,k],
     T[0,0] = 1, each cut to the band 0 <= k <= min(n, k_max).
 
-    w(k) = weight(k) is computed once per column.  Rows are built bottom-up
-    and only the previous one is kept, so an entry far down the triangle
-    needs no recursion and memory for one band-wide row.
+    w = sign q^s [a] with (a, s[, sign]) = weight(n, k), sign 1 if left out:
+    one bracket_mul window sum on ascending int coefficient lists.  Rows are
+    built bottom-up and only the previous one is kept, so an entry far down
+    the triangle needs no recursion and memory for one band-wide row.
     """
-    weights = [weight(k) for k in range(k_max + 1)]
-    row = (one,)
+    row, n = ([1],), 0
     while True:
         yield row
-        nxt = [weights[0] * row[0]]
-        nxt.extend(row[k - 1] + weights[k] * row[k] for k in range(1, len(row)))
+        n += 1
+        nxt = [bracket_mul(row[0], *weight(n, 0))]
+        nxt.extend(bracket_mul(row[k], *weight(n, k), plus=row[k - 1])
+                   for k in range(1, len(row)))
         if len(row) <= k_max:
             nxt.append(row[-1])          # T[n,n] = T[n-1,n-1]
         row = tuple(nxt)
@@ -67,13 +71,10 @@ def qbinomial(n: int, k: int) -> UniPoly:
         return zero
     c = [1]
     for i in range(min(k, n - k)):
-        b = n - i                       # times 1 - q^b
-        c.extend([0] * b)
-        for j in range(len(c) - 1, b - 1, -1):
-            c[j] -= c[j - b]
-        a = i + 1                       # divided by 1 - q^a
-        for j in range(a, len(c)):
-            c[j] += c[j - a]
+        b, a = n - i, i + 1             # times 1 - q^b, divided by 1 - q^a
+        c = list(map(sub, c + [0] * b, [0] * b + c))
+        for j in range(a):              # prefix sums along each residue mod a
+            c[j::a] = accumulate(c[j::a])
         if any(c[-a:]):
             raise InexactDivisionError(f"[{n} {a}] left a remainder")
         del c[-a:]
@@ -122,10 +123,7 @@ def pq_bracket(n: int) -> BiPoly:
     """[n]_{p,q} = p^(n-1) + p^(n-2) q + ... + q^(n-1); [0]_{p,q} = 0."""
     if n < 0:
         raise ValueError("bracket index must be >= 0")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[n - 1 - i][i] = 1
-    return BiPoly(rows)
+    return BiPoly([[0] * (n - 1 - i) + [1] for i in range(n)])
 
 
 @lru_cache(maxsize=None)

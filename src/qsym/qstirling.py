@@ -1,10 +1,10 @@
 """Carlitz q-Stirling numbers.
 
-Second kind by the triangular recurrence S[n,k] = S[n-1,k-1] + [k] S[n-1,k];
-first kind defined here as the inverse of the second-kind triangle (computed
-by forward substitution), which is the only property downstream results use.
-Users comparing against other first-kind normalizations in the literature
-should check sign conventions.
+Each kind by its own triangular recurrence, S[n,k] = S[n-1,k-1] + [k] S[n-1,k]
+and s[n,k] = s[n-1,k-1] - [n-1] s[n-1,k].  The two triangles are inverse
+matrices computed independently, so the inverse checks below compare two
+separate computations.  Users comparing against other first-kind
+normalizations in the literature should check sign conventions.
 """
 
 from __future__ import annotations
@@ -14,27 +14,37 @@ from itertools import islice
 from math import comb
 
 from .exactpoly import UniPoly, json_coeff_list, one, powers, q, zero
-from .qcalc import alternating_binomial_sum, qbracket, triangle_rows
+from .qcalc import alternating_binomial_sum, triangle_rows
 from .report import CheckReport, Frozen, set_field
 
 # Largest size of the scaled-triangle inverse check in the suite.
 CONJUGATION_N_MAX = 8
 
 
-def _second_kind_rows(n_max: int):
-    """Rows n = 1..n_max of the second-kind triangle, entries k = 0..n."""
-    return islice(triangle_rows(qbracket, n_max), 1, n_max + 1)
+# weight(n, k) = (a, s, sign) of w = sign q^s [a] in the triangle_rows
+# recurrence T[n,k] = T[n-1,k-1] + w T[n-1,k].
+_WEIGHTS = {"second": lambda n, k: (k, 0, 1), "first": lambda n, k: (n - 1, 0, -1)}
+
+
+def _band_entry(kind: str, n: int, k: int) -> UniPoly:
+    """Row n built bottom-up in the band of columns 0..k."""
+    return UniPoly(next(islice(triangle_rows(_WEIGHTS[kind], k), n, None))[k])
 
 
 @lru_cache(maxsize=None)
 def qstirling2(n: int, k: int) -> UniPoly:
     """Second-kind q-Stirling number S[n,k]; S[n,0] = [n == 0], 0 for k > n.
-
-    Rows are built bottom-up in the band of columns 0..k; only final answers
-    are cached."""
+    Only final answers are cached."""
     if n < 0 or k < 0 or k > n:
         return zero
-    return next(islice(triangle_rows(qbracket, k), n, None))[k]
+    return _band_entry("second", n, k)
+
+
+def qstirling1(n: int, k: int) -> UniPoly:
+    """First-kind q-Stirling number s[n,k] for 1 <= k <= n, else 0."""
+    if n < 1 or k < 0 or k > n:
+        return zero
+    return _band_entry("first", n, k)
 
 
 class StirlingTriangle(Frozen):
@@ -58,31 +68,21 @@ class StirlingTriangle(Frozen):
                 yield n, k, json_coeff_list(self.entry(n, k))
 
 
-def qstirling2_triangle(n_max: int) -> StirlingTriangle:
+def _triangle(kind: str, n_max: int) -> StirlingTriangle:
     if n_max < 1:
         raise ValueError("triangle size must be >= 1")
-    rows = tuple(row[1:] for row in _second_kind_rows(n_max))
-    return StirlingTriangle("second", n_max, rows)
+    rows = islice(triangle_rows(_WEIGHTS[kind], n_max), 1, n_max + 1)
+    return StirlingTriangle(kind, n_max,
+                            tuple(tuple(map(UniPoly, row[1:])) for row in rows))
+
+
+def qstirling2_triangle(n_max: int) -> StirlingTriangle:
+    return _triangle("second", n_max)
 
 
 def qstirling1_triangle(n_max: int) -> StirlingTriangle:
-    """First-kind triangle: the lower-triangular inverse of the second kind."""
-    if n_max < 1:
-        raise ValueError("triangle size must be >= 1")
-    s = [[zero] * n_max for _ in range(n_max)]
-    for n, second in enumerate(_second_kind_rows(n_max), 1):
-        s[n - 1][n - 1] = one
-        for k in range(n - 1, 0, -1):
-            acc = zero
-            for j in range(k, n):
-                acc = acc + second[j] * s[j - 1][k - 1]
-            s[n - 1][k - 1] = -acc
-    rows = tuple(tuple(row[:n]) for n, row in enumerate(s, 1))
-    return StirlingTriangle("first", n_max, rows)
-
-
-def qstirling1(n: int, k: int) -> UniPoly:
-    return qstirling1_triangle(max(n, 1)).entry(n, k)
+    """First-kind triangle by its own recurrence, not by inverting the second."""
+    return _triangle("first", n_max)
 
 
 def verify_carlitz_identities(n_max: int) -> CheckReport:
@@ -99,14 +99,14 @@ def verify_carlitz_identities(n_max: int) -> CheckReport:
     qm1 = powers(q - one, n_max)
     omq = powers(one - q, n_max)
     # rows 0..n_max of both triangles in one pass each, not entry by entry
-    binom = list(islice(triangle_rows(UniPoly.monomial, n_max), n_max + 1))
-    stirling = list(islice(triangle_rows(qbracket, n_max), n_max + 1))
+    binom, stirling = ([list(map(UniPoly, row))
+                        for row in islice(triangle_rows(weight, n_max), n_max + 1)]
+                       for weight in (lambda n, k: (1, k), _WEIGHTS["second"]))
     for n in range(n_max + 1):
         for k in range(n + 1):
             lhs = binom[n][k]
-            rhs = zero
-            for j in range(k, n + 1):
-                rhs = rhs + comb(n, j) * qm1[j - k] * stirling[j][k]
+            rhs = sum((comb(n, j) * qm1[j - k] * stirling[j][k]
+                       for j in range(k, n + 1)), zero)
             report.check("carlitz-qbinomial-expansion", lhs == rhs,
                          detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, k=k)
 
@@ -129,7 +129,9 @@ def _is_identity(m, size) -> bool:
 
 def _scaled_inverse_check(identity: str, n_max: int, scale) -> CheckReport:
     """Check, size by size, that the triangles with entries scale[i-j] times
-    the second- resp. first-kind numbers are inverse matrices."""
+    the second- resp. first-kind numbers are inverse matrices.  Each kind
+    comes from its own recurrence, so this compares two independent
+    computations."""
     report = CheckReport()
     second = qstirling2_triangle(n_max)
     first = qstirling1_triangle(n_max)

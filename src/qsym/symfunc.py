@@ -103,10 +103,8 @@ class SymAlphabet(Frozen):
 
     @classmethod
     def from_values(cls, values) -> "SymAlphabet":
-        out = []
-        for v in values:
-            out.append(v if isinstance(v, UniPoly) else UniPoly.constant(v))
-        return cls(tuple(out))
+        return cls(tuple(v if isinstance(v, UniPoly) else UniPoly.constant(v)
+                         for v in values))
 
     @classmethod
     def primes(cls, n: int) -> "SymAlphabet":
@@ -317,21 +315,17 @@ def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
         for identity, lhs, triangle, x in (
                 ("transfer-second-kind", qanalog[r], second_kind, classical),
                 ("transfer-first-kind", classical[r], first_kind, qanalog)):
-            rhs = zero
-            for j in range(r, n + 1):
-                rhs = rhs + omq[j - r] * triangle.entry(j, r) * x[j]
+            rhs = sum((omq[j - r] * triangle.entry(j, r) * x[j]
+                       for j in range(r, n + 1)), zero)
             report.check(identity, lhs == rhs,
                          detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
 
-        dbl = zero
-        for j in range(r, n + 1):
-            dbl = dbl + classical[j] * alternating_binomial_sum(qbinomial, j, r, zero)
+        dbl = sum((classical[j] * alternating_binomial_sum(qbinomial, j, r, zero)
+                   for j in range(r, n + 1)), zero)
         report.check("transfer-double-sum", qanalog[r] == dbl,
                      detail=lambda: f"lhs={qanalog[r]} rhs={dbl}", n=n, r=r)
 
-    r1 = zero
-    for j in range(1, n + 1):
-        r1 = r1 + omq[j - 1] * classical[j]
+    r1 = sum((omq[j - 1] * classical[j] for j in range(1, n + 1)), zero)
     report.check("transfer-r1", qanalog[1] == r1,
                  detail=lambda: f"lhs={qanalog[1]} rhs={r1}", n=n, r=1)
     return report

@@ -11,7 +11,7 @@ import pytest
 
 import qsym.cli as cli
 import qsym.jpoly as jpoly
-from qsym.exactpoly import InexactDivisionError, UniPoly
+from qsym.exactpoly import InexactDivisionError, UniPoly, bracket_mul
 from qsym.report import CheckReport
 
 from polytext import parse_poly_text
@@ -335,10 +335,10 @@ def test_inexact_division_is_a_fail_record(monkeypatch):
 
 
 def test_jtable_shape_failure_is_an_error_line(monkeypatch, capsys):
-    def long_bracket(n):                # one term too many: J(3,1) is too long
-        return UniPoly((1,) * (n + 1))
+    def long_bracket_mul(c, a, *args, **kwargs):    # [a] one term too long
+        return bracket_mul(c, a + 1, *args, **kwargs)
 
-    monkeypatch.setattr(jpoly, "qbracket", long_bracket)
+    monkeypatch.setattr(jpoly, "bracket_mul", long_bracket_mul)
     jpoly.build_jtable.cache_clear()
     try:
         code, text = run("jtable", "--n-max", "4")

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from qsym.exactpoly import (BiPoly, InexactDivisionError, TruncSeries,
-                            UniPoly, det_cofactor, det_hessenberg,
-                            divmod_poly, exact_div, json_coeff_list, one,
-                            poly_text, q, zero)
+                            UniPoly, bracket_mul, det_cofactor,
+                            det_hessenberg, divmod_poly, exact_div,
+                            json_coeff_list, one, poly_text, q, zero)
+from qsym.qcalc import qbracket
 
 from polytext import parse_poly_text
 
@@ -110,6 +111,40 @@ def test_ring_axioms_on_random_triples():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
+
+
+def test_bracket_mul_matches_the_dense_product():
+    rng = random.Random(8)
+
+    def rand_poly(fractions):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
+        if fractions:
+            coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+        return UniPoly(coeffs)
+
+    for trial in range(400):
+        fractions = trial % 2 == 1
+        p, plus = rand_poly(fractions), rand_poly(not fractions)
+        a, shift, sign = rng.randint(0, 7), rng.randint(0, 3), rng.choice((1, -1))
+        dense = UniPoly.monomial(shift, sign) * qbracket(a) * p
+        assert UniPoly(bracket_mul(p.coeffs, a, shift, sign)) == dense
+        assert (UniPoly(bracket_mul(p.coeffs, a, shift, sign, plus.coeffs))
+                == plus + dense)
+        if sign == 1:
+            assert UniPoly(bracket_mul(p.coeffs, a, shift)) == dense
+
+
+def test_bracket_mul_edge_cases():
+    p = (3, 0, -2)
+    assert bracket_mul(p, 0) == [] and bracket_mul(p, 0, 4, plus=(1, 2)) == [1, 2]
+    assert bracket_mul(p, 1) == [3, 0, -2]
+    assert bracket_mul(p, 1, 2) == [0, 0, 3, 0, -2]
+    assert bracket_mul(p, 2, 1) == [0, 3, 3, -2, -2]
+    assert bracket_mul(p, 2, 1, -1) == [0, -3, -3, 2, 2]
+    assert bracket_mul((), 5) == [] and bracket_mul((), 5, 2, plus=(7,)) == [7]
+    assert bracket_mul((Fraction(1, 2),), 3, 1) == [0, Fraction(1, 2),
+                                                    Fraction(1, 2), Fraction(1, 2)]
+    assert all(type(c) is int for c in bracket_mul((5, 1, 2), 4, 3, -1, (1, 1)))
 
 
 def test_evaluate():
@@ -302,6 +337,18 @@ def test_output_does_not_depend_on_coefficient_type():
     assert hash(from_ints) == hash(from_fractions)
     for render in (UniPoly.to_json, json_coeff_list, poly_text, str):
         assert render(from_ints) == render(from_fractions)
+
+
+def test_json_coeff_list_is_the_compact_json_array():
+    rng = random.Random(6)
+    for _ in range(200):
+        coeffs = [rng.choice((rng.randint(-10**30, 10**30),
+                              Fraction(rng.randint(-99, 99), rng.randint(1, 12))))
+                  for _ in range(rng.randint(0, 6))]
+        p = UniPoly(coeffs)
+        items = [int(c) if c.denominator == 1 else str(c) for c in p.coeffs]
+        assert json_coeff_list(p) == json.dumps(items, separators=(",", ":"))
+    assert json_coeff_list(zero) == "[]"
 
 
 def test_json_form():

@@ -14,6 +14,7 @@ from qsym.jpoly import (build_jtable, column_binomial_sum,
                         jtable_csv_rows, jtable_latex, kung_yan_check,
                         multinomial, q1_closed_forms, reciprocal,
                         reciprocal_recurrence_check)
+from routes import dense_jtable
 
 
 def P(*coeffs):
@@ -37,6 +38,13 @@ J62 = P(24, 60, 78, 80, 68, 52, 35, 20, 10, 4, 1)
 def test_table_matches_golden_rows():
     table = build_jtable(5)
     for (n, r), expected in GOLDEN.items():
+        assert table.entry(n, r) == expected, (n, r)
+
+
+def test_table_matches_the_dense_recurrence():
+    reference = dense_jtable(14)
+    table = build_jtable(14)
+    for (n, r), expected in reference.items():
         assert table.entry(n, r) == expected, (n, r)
 
 

@@ -9,6 +9,7 @@ from qsym.qcalc import qbracket
 from qsym.qstirling import (qstirling1, qstirling1_triangle, qstirling2,
                             qstirling2_triangle, verify_carlitz_identities,
                             verify_conjugated_inverse, verify_triangle_inverse)
+from routes import substituted_first_kind
 
 
 def P(*coeffs):
@@ -70,6 +71,37 @@ def test_first_kind_values():
     row3_at_one = [tri.entry(3, k).evaluate(Fraction(1)) for k in (1, 2, 3)]
     assert row3_at_one == [2, -3, 1]
     assert qstirling1(3, 2) == P(-2, -1)
+
+
+def classical_stirling1(n_max):
+    """Signed Stirling numbers of the first kind, s(n, k) for 0 <= k <= n <= n_max,
+    by s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
+    s = [[1]]
+    for n in range(1, n_max + 1):
+        prev = s[-1] + [0]
+        s.append([0] + [prev[k - 1] - (n - 1) * prev[k] for k in range(1, n + 1)])
+    return s
+
+
+def test_first_kind_at_one_is_classical():
+    classical = classical_stirling1(50)
+    tri = qstirling1_triangle(28)
+    for n in range(1, 29):
+        for k in range(1, n + 1):
+            assert tri.entry(n, k).evaluate(1) == classical[n][k]
+    for k in (1, 2):
+        assert qstirling1(50, k).evaluate(1) == classical[50][k]
+
+
+def test_first_kind_matches_forward_substitution():
+    reference = substituted_first_kind(20)
+    tri = qstirling1_triangle(20)
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            assert tri.entry(n, k) == reference[n - 1][k - 1]
+    for n in range(1, 13):
+        for k in range(-1, n + 2):
+            assert qstirling1(n, k) == tri.entry(n, k)
 
 
 def test_triangles_are_inverse():

@@ -44,8 +44,9 @@ def loaded_modules(*argv) -> set:
     return set(json.loads(proc.stdout))
 
 
-# writes_json: the output holds JSON (export's CSV cells are JSON arrays), so
-# the command may load json; plain output must not.
+# writes_json: the output holds JSON, so the command may load json; plain
+# output and CSV exports (their cells are compact JSON arrays, written
+# without the json module) must not.
 @pytest.mark.parametrize("argv, expected, writes_json", [
     (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
      False),
@@ -54,10 +55,12 @@ def loaded_modules(*argv) -> set:
      BASE | {"qsym.qcalc", "qsym.jpoly", "qsym.report"}, False),
     (("query", "parking", "--m", "3", "--r", "2"),
      BASE | {"qsym.oracles", "qsym.report"}, False),
-    (("export", "stirling", "--n-max", "5"), STIRLING, True),
+    (("export", "stirling", "--n-max", "5"), STIRLING, False),
+    (("export", "jtable", "--n-max", "5"),
+     BASE | {"qsym.qcalc", "qsym.jpoly", "qsym.report"}, False),
     (("verify", "qstirling", "--n-max", "3"), STIRLING, False),
 ], ids=["query-qbinomial", "query-qstirling2", "query-jpoly", "query-parking",
-        "export-stirling", "verify-qstirling"])
+        "export-stirling", "export-jtable", "verify-qstirling"])
 def test_each_command_loads_only_its_modules(argv, expected, writes_json):
     modules = loaded_modules(*argv)
     assert "dataclasses" not in modules and "inspect" not in modules
