@@ -12,19 +12,20 @@ public name loads its module on first access, and no earlier.
 from importlib import import_module
 
 _EXPORTS = {
-    "exactpoly": ("BiPoly InexactDivisionError TruncSeries UniPoly "
-                  "det_cofactor det_hessenberg exact_div poly_text"),
-    "qcalc": ("pq_binomial pq_bracket pq_derivative pq_factorial q_derivative "
-              "qbinomial qbracket qbracket_power_base qfactorial"),
+    "exactpoly": "InexactDivisionError UniPoly poly_text",
+    "pqalgebra": ("BiPoly TruncSeries det_cofactor det_hessenberg exact_div "
+                  "pq_binomial pq_bracket pq_derivative pq_factorial q_derivative"),
+    "qcalc": "qbinomial qbracket qbracket_power_base qfactorial",
     "qstirling": ("StirlingTriangle qstirling1 qstirling1_triangle qstirling2 "
-                  "qstirling2_triangle verify_carlitz_identities"),
+                  "qstirling2_triangle"),
     "symfunc": ("Partition SymAlphabet SymSeriesBundle "
                 "complete_from_elementary elementary elementary_sequence "
-                "p_nr_monomial qp_nr_determinant qp_nr_direct "
-                "transfer_theorem_check"),
+                "j_from_specialized_symfunc p_nr_monomial qp_nr_determinant "
+                "qp_nr_direct transfer_theorem_check"),
     "jpoly": ("JTable build_jtable j_explicit_composition "
-              "j_explicit_sequences j_from_specialized_symfunc kung_yan_check "
-              "q1_closed_forms reciprocal reciprocal_recurrence_check"),
+              "j_explicit_sequences q1_closed_forms reciprocal"),
+    "report": ("kung_yan_check reciprocal_recurrence_check "
+               "verify_carlitz_identities"),
     "oracles": ("DecreasingRanking EnumerationCapExceeded Forest "
                 "IncreasingRanking Ranking SeededRanking enumerate_forests "
                 "forest_enumerator_poly level_statistic "

@@ -8,7 +8,8 @@ file that cannot be written), 3 enumeration cap exceeded, 141 the reader
 closed stdout early (128 + SIGPIPE, what a shell reports for other writers
 cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output
 is byte-deterministic for fixed flags and seed.  Each command imports only
-the modules it uses, inside its handler, so a small query starts fast.
+the modules it uses, inside its handler, and the parser is filled in for
+that one command, so a small query starts fast.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ def _add_enumeration(parser):
                         help="enumeration candidate cap")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every command is registered, but only the one
+    argv names gets its arguments.  That is its first word not starting with
+    "-", since the top level takes no option with a value."""
     parser = argparse.ArgumentParser(
         prog="qsym",
         description="Exact q-analog toolkit: q-Stirling triangles, q-analogs "
@@ -52,50 +56,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "parking-function enumerator polynomials with brute-force "
                     "combinatorial certifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_jtable = sub.add_parser("jtable", help="print the J triangle")
-    p_jtable.add_argument("--n-max", type=int, required=True)
-    p_jtable.add_argument("--reciprocal", action="store_true")
-    p_jtable.add_argument("--format", choices=ALL_FORMATS, default="plain")
-    _add_ascii(p_jtable)
-
     p_verify = sub.add_parser("verify", help="run an identity battery")
-    p_verify.add_argument("suite",
-                          choices=["qstirling", "symfunc", "jpoly", "oracles", "all"])
-    p_verify.add_argument("--n-max", type=int, default=7)
-    p_verify.add_argument("--format", choices=["plain", "json"], default="plain")
-    _add_enumeration(p_verify)
-
     p_query = sub.add_parser("query", help="print one exact object")
-    p_query.add_argument("kind",
-                         choices=["jpoly", "qstirling2", "qstirling1",
-                                  "qbinomial", "parking", "forest-stat"])
-    p_query.add_argument("--n", type=int)
-    p_query.add_argument("--r", type=int)
-    p_query.add_argument("--k", type=int)
-    p_query.add_argument("--m", type=int)
-    p_query.add_argument("--roots", type=str,
-                         help="comma-separated root labels, e.g. 1,3")
-    p_query.add_argument("--ranking", default="increasing",
-                         help="increasing, decreasing, or seeded")
-    p_query.add_argument("--variant", choices=["standard", "reciprocal"],
-                         default="standard")
-    p_query.add_argument("--dump-forests", action="store_true",
-                         help="stream accepted forests as JSON lines")
-    p_query.add_argument("--format", choices=ALL_FORMATS, default="plain")
-    _add_enumeration(p_query)
-    _add_ascii(p_query)
-
     p_export = sub.add_parser("export", help="dump tables to CSV or LaTeX")
-    p_export.add_argument("what", choices=["jtable", "stirling"])
-    p_export.add_argument("--n-max", type=int, required=True)
-    p_export.add_argument("--kind", choices=["first", "second"], default="second",
-                          help="stirling triangle kind")
-    p_export.add_argument("--reciprocal", action="store_true")
-    p_export.add_argument("-o", "--output", default="-",
-                          help="output file, - for stdout")
-    p_export.add_argument("--format", choices=["csv", "latex"], default="csv")
-
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if command == "jtable":
+        p_jtable.add_argument("--n-max", type=int, required=True)
+        p_jtable.add_argument("--reciprocal", action="store_true")
+        p_jtable.add_argument("--format", choices=ALL_FORMATS, default="plain")
+        _add_ascii(p_jtable)
+    elif command == "verify":
+        p_verify.add_argument("suite", choices=["qstirling", "symfunc", "jpoly",
+                                                "oracles", "all"])
+        p_verify.add_argument("--n-max", type=int, default=7)
+        p_verify.add_argument("--format", choices=["plain", "json"], default="plain")
+        _add_enumeration(p_verify)
+    elif command == "query":
+        p_query.add_argument("kind",
+                             choices=["jpoly", "qstirling2", "qstirling1",
+                                      "qbinomial", "parking", "forest-stat"])
+        p_query.add_argument("--n", type=int)
+        p_query.add_argument("--r", type=int)
+        p_query.add_argument("--k", type=int)
+        p_query.add_argument("--m", type=int)
+        p_query.add_argument("--roots", type=str,
+                             help="comma-separated root labels, e.g. 1,3")
+        p_query.add_argument("--ranking", default="increasing",
+                             help="increasing, decreasing, or seeded")
+        p_query.add_argument("--variant", choices=["standard", "reciprocal"],
+                             default="standard")
+        p_query.add_argument("--dump-forests", action="store_true",
+                             help="stream accepted forests as JSON lines")
+        p_query.add_argument("--format", choices=ALL_FORMATS, default="plain")
+        _add_enumeration(p_query)
+        _add_ascii(p_query)
+    elif command == "export":
+        p_export.add_argument("what", choices=["jtable", "stirling"])
+        p_export.add_argument("--n-max", type=int, required=True)
+        p_export.add_argument("--kind", choices=["first", "second"],
+                              default="second", help="stirling triangle kind")
+        p_export.add_argument("--reciprocal", action="store_true")
+        p_export.add_argument("-o", "--output", default="-",
+                              help="output file, - for stdout")
+        p_export.add_argument("--format", choices=["csv", "latex"], default="csv")
     return parser
 
 
@@ -142,19 +146,17 @@ def _cmd_jtable(args, out) -> int:
 
 
 def _verify_report(suite: str, n_max: int, seed: int, cap: int):
-    from .report import CheckReport
+    from .report import (CheckReport, jpoly_suite_report, oracle_suite_report,
+                         stirling_suite_report)
     report = CheckReport()
     if suite in ("qstirling", "all"):
-        from .qstirling import stirling_suite_report
         report.merge(stirling_suite_report(n_max))
     if suite in ("symfunc", "all"):
         from .symfunc import symfunc_suite_report
         report.merge(symfunc_suite_report(min(n_max, 6)))
     if suite in ("jpoly", "all"):
-        from .jpoly import jpoly_suite_report
         report.merge(jpoly_suite_report(n_max))
     if suite in ("oracles", "all"):
-        from .oracles import oracle_suite_report
         oracle_n_max = min(n_max, 7) if suite == "all" else n_max
         report.merge(oracle_suite_report(oracle_n_max, seed=seed, cap=cap))
     return report
@@ -198,8 +200,6 @@ def _cmd_query(args, out) -> int:
         poly = qstirling2(args.n, args.k)
     elif kind == "qstirling1":
         _require(args, "n", "k")
-        if args.n < 1:
-            raise ValueError("need n >= 1")
         from .qstirling import qstirling1
         poly = qstirling1(args.n, args.k)
     elif kind == "qbinomial":
@@ -267,8 +267,8 @@ COMMANDS = {"jtable": _cmd_jtable, "verify": _cmd_verify, "query": _cmd_query,
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         if getattr(args, "n_max", 1) < 1:      # jtable, verify and export
             raise ValueError("--n-max must be >= 1")

@@ -1,26 +1,31 @@
-"""Exact arithmetic substrate: rationals, dense polynomials, truncated series.
+"""Exact arithmetic substrate: dense polynomials in q over the rationals.
 
-A univariate polynomial in q is a tuple of coefficients, index i holding
-the coefficient of q**i, with trailing zeros stripped.  Each coefficient is
-an ``int`` where integral and a reduced ``Fraction`` otherwise, so the integer
-polynomials that make up most of the package never pay for ``Fraction``
-arithmetic.  An ``int`` has ``numerator``/``denominator`` and compares and
-hashes equal to the same-valued ``Fraction``, so callers need not tell the
-two apart.  The zero polynomial is the empty tuple and its degree is None
-(not a number), so degree arithmetic on it fails loudly instead of
-silently.  Bivariate polynomials in (p, q) are stored as a minimal dense
-rectangle, row index = power of p, with coefficients of the same two types.
-
-All values are immutable after construction and all operations are pure.
-The errors that the command line reports with their own exit codes are
-defined here too, in the one module every command loads.
+A polynomial is a tuple of coefficients, index i holding that of q**i, with
+trailing zeros stripped; the zero polynomial is the empty tuple, of degree
+None.  A coefficient is an ``int`` where integral and a reduced ``Fraction``
+otherwise; both have a ``denominator``, by which this module tells an exact
+scalar without importing ``fractions``.  Every command compiles this module
+(there is no bytecode cache), so it holds only what queries and exports use:
+``UniPoly``, the bracket kernel, the renderers, the immutable value base and
+the errors with their own exit codes.  ``BiPoly``, ``TruncSeries``, exact
+division and the determinants live in ``pqalgebra`` and still resolve here.
+All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import sub
+
+_MOVED = ("BiPoly", "TruncSeries", "divmod_poly", "exact_div", "det_cofactor",
+          "det_hessenberg")
+
+
+def __getattr__(name):
+    if name in _MOVED:
+        from . import pqalgebra
+        return getattr(pqalgebra, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InexactDivisionError(ArithmeticError):
@@ -35,21 +40,54 @@ DEFAULT_CAP = 10_000_000
 
 
 class EnumerationCapExceeded(Exception):
-    """The candidate space is larger than the configured cap."""
+    """More objects would be enumerated than the configured cap."""
 
     def __init__(self, projected: int, cap: int):
-        super().__init__(f"enumeration would visit {projected} candidates "
+        super().__init__(f"enumeration would count {projected} objects "
                          f"(cap {cap})")
         self.projected = projected
         self.cap = cap
 
 
+# Sets a field of a Frozen instance; only the class's __init__ calls it.
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes: a subclass names its fields in
+    __slots__ and sets them in __init__ with set_field.  Instances compare,
+    hash and print by their fields in order, and refuse assignment."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _coerce(c):
     """The stored form of an exact coefficient: int if integral, else Fraction."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return int(c)
+    if hasattr(c, "denominator"):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
@@ -173,7 +211,7 @@ class UniPoly:
     def _lift(other):
         if isinstance(other, UniPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):       # an exact scalar
             return UniPoly((other,))
         return None
 
@@ -201,11 +239,11 @@ class UniPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, UniPoly):
+            return UniPoly(_convolve(self.coeffs, other.coeffs, 0))
+        if hasattr(other, "denominator"):
             return UniPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return UniPoly(_convolve(self.coeffs, other.coeffs, 0))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -258,6 +296,7 @@ class UniPoly:
         d = self.degree()
         if d is None or d > 0:
             raise ValueError("only nonzero constant polynomials are invertible")
+        from fractions import Fraction
         return UniPoly((Fraction(1) / self.coeffs[0],))
 
     def is_integral(self) -> bool:
@@ -285,6 +324,7 @@ class UniPoly:
     def from_json_dict(cls, d: dict) -> "UniPoly":
         if d.get("var") != "q":
             raise ValueError("expected a polynomial in q")
+        from fractions import Fraction
         return cls(Fraction(c) for c in d["coeffs"])
 
     @classmethod
@@ -340,306 +380,3 @@ def json_coeff_list(poly: UniPoly) -> str:
         text = ",".join(str(c) if c.denominator == 1 else f'"{c}"'
                         for c in poly.coeffs)
     return f"[{text}]"
-
-
-# ---------------------------------------------------------------------------
-# bivariate polynomials in (p, q)
-
-
-class BiPoly:
-    """Dense bivariate polynomial in (p, q); entry (i, j) multiplies p^i q^j.
-
-    The stored rectangle is minimal: no all-zero top row or right column
-    survives normalization, and the zero polynomial is the empty rectangle.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows=()):
-        grid = [[c if type(c) is int else _coerce(c) for c in row] for row in rows]
-        width = max((len(r) for r in grid), default=0)
-        for r in grid:
-            r.extend([0] * (width - len(r)))
-        while grid and not any(grid[-1]):
-            grid.pop()
-        if grid:
-            w = width
-            while w and not any(row[w - 1] for row in grid):
-                w -= 1
-            grid = [row[:w] for row in grid]
-        self.rows = tuple(tuple(r) for r in grid)
-
-    @classmethod
-    def constant(cls, c) -> "BiPoly":
-        return cls(((c,),))
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
-        """c * p**i * q**j"""
-        return cls([[]] * i + [[0] * j + [c]])
-
-    @classmethod
-    def from_unipoly(cls, u: UniPoly) -> "BiPoly":
-        """Embed a polynomial in q as a p-degree-0 rectangle."""
-        return cls((u.coeffs,)) if u.coeffs else cls()
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def coeff(self, i: int, j: int) -> int | Fraction:
-        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
-            return self.rows[i][j]
-        return 0
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiPoly(((other,),))
-        return None
-
-    def _row_polys(self) -> list:
-        """The rows as polynomials in q; arithmetic works on these."""
-        return [UniPoly(row) for row in self.rows]
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return BiPoly(p.coeffs for p in _add(self._row_polys(), other._row_polys()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly(tuple(tuple(-c for c in row) for row in self.rows))
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly(tuple(tuple(c * other for c in row) for row in self.rows))
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        rows = _convolve(self._row_polys(), other._row_polys(), zero)
-        return BiPoly(p.coeffs for p in rows)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return _power(self, n, BiPoly.constant(1))
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def inverse(self) -> "BiPoly":
-        if len(self.rows) == 1 and len(self.rows[0]) == 1:
-            return BiPoly(((Fraction(1) / self.rows[0][0],),))
-        raise ValueError("only nonzero constant polynomials are invertible")
-
-    def at_p_one(self) -> UniPoly:
-        """Specialize p = 1, collapsing rows into a polynomial in q."""
-        return sum(self._row_polys(), zero)
-
-    def __repr__(self):
-        terms = []
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c:
-                    terms.append(f"{c}*p^{i}q^{j}")
-        return "BiPoly(" + (" + ".join(terms) if terms else "0") + ")"
-
-    def to_json_dict(self) -> dict:
-        return {"vars": ["p", "q"],
-                "coeffs": [[str(c) for c in row] for row in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BiPoly":
-        if d.get("vars") != ["p", "q"]:
-            raise ValueError("expected a polynomial in (p, q)")
-        return cls([[Fraction(c) for c in row] for row in d["coeffs"]])
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-
-
-class TruncSeries:
-    """Power series in t truncated at a fixed order.
-
-    Coefficients live in any commutative ring implementing +, -, * and
-    inverse() for units (UniPoly or BiPoly here).  Arithmetic between two
-    series truncates to the smaller order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = tuple(coeffs)
-        if not cs:
-            raise ValueError("a truncated series needs at least its constant term")
-        self.coeffs = cs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, m: int):
-        return self.coeffs[m]
-
-    def _zero_elem(self):
-        c = self.coeffs[0]
-        return c - c
-
-    def truncated(self, new_order: int) -> "TruncSeries":
-        if new_order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: new_order + 1])
-
-    def __add__(self, other):
-        m = min(self.order, other.order)
-        return TruncSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(m + 1)))
-
-    def __sub__(self, other):
-        m = min(self.order, other.order)
-        return TruncSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(m + 1)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries(tuple(c * other for c in self.coeffs))
-        m = min(self.order, other.order)
-        product = _convolve(self.coeffs[:m + 1], other.coeffs[:m + 1],
-                            self._zero_elem())
-        return TruncSeries(product[:m + 1])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def invert(self) -> "TruncSeries":
-        """Formal reciprocal; the constant term must be a unit."""
-        c0 = self.coeffs[0]
-        if (hasattr(c0, "is_zero") and c0.is_zero()) or not c0:
-            raise ValueError("series with zero constant term has no reciprocal")
-        b0 = c0.inverse()
-        out = [b0]
-        for m in range(1, self.order + 1):
-            acc = self._zero_elem()
-            for k in range(1, m + 1):
-                acc = acc + self.coeffs[k] * out[m - k]
-            out.append(-(b0 * acc))
-        return TruncSeries(out)
-
-    def derivative(self) -> "TruncSeries":
-        """Ordinary derivative d/dt; the order drops by one."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate past the truncation order")
-        return TruncSeries(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
-
-    def __repr__(self):
-        return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
-
-
-# ---------------------------------------------------------------------------
-# exact division and determinants
-
-
-def divmod_poly(a: UniPoly, b: UniPoly):
-    """Quotient and remainder of a by b over the rationals."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db, lead = b.degree(), b.leading_coeff()
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        f = _coerce(Fraction(c) / lead)        # exact, even for two ints
-        quot[i - db] = f
-        for j, cb in enumerate(b.coeffs):
-            rem[i - db + j] -= f * cb
-    return UniPoly(quot), UniPoly(rem)
-
-
-def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Divide a by b, insisting the division is exact."""
-    quot, rem = divmod_poly(a, b)
-    if not rem.is_zero():
-        raise InexactDivisionError(f"({a}) is not divisible by ({b})")
-    return quot
-
-
-def det_cofactor(m):
-    """Determinant by first-row cofactor expansion.
-
-    Works over any coefficient ring (UniPoly, BiPoly); exponential in the
-    size, so only for small matrices and as the reference that
-    det_hessenberg is tested against.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def det_hessenberg(first_col, band, superdiag):
-    """Determinant of the banded lower Hessenberg matrix whose row i is
-
-        first_col[i], band[i], band[i-1], ..., band[1], superdiag[i], 0, ...
-
-    The size is len(first_col); band[0] and the last superdiagonal entry lie
-    outside the matrix and are never read.  Counting rows and columns from 1,
-    expanding the leading k x k minor along its last row gives
-
-        D_k = sum_j (-1)^(k-j) h[k][j] h[j][j+1] ... h[k-1][k] D_(j-1),
-
-    which needs only ring sums and products, so it serves UniPoly and BiPoly
-    alike with no division (Cahill, D'Errico, Narayan & Narayan, "Fibonacci
-    determinants", College Math. J. 2002).
-    """
-    n = len(first_col)
-    if n == 0:
-        raise ValueError("empty matrix")
-    d = [1]                                     # D_0, the empty minor
-    for k in range(n):
-        acc, chain = 0, 1
-        for j in range(k, -1, -1):
-            entry = band[k - j + 1] if j else first_col[k]
-            term = entry * chain * d[j]
-            acc = acc - term if (k - j) % 2 else acc + term
-            if j:
-                chain = chain * superdiag[j - 1]
-        d.append(acc)
-    return d[n]

@@ -5,24 +5,21 @@ parking functions.
 J(n, r) is monic with strictly positive integer coefficients, has constant
 term (n-r)! and degree C(n-1,2) - C(r-1,2), and J(r, r) = 1.  The whole
 triangle is generated row by row from a linear recurrence whose coefficients
-are bracket powers; an explicit composition sum, and a route through the
-symmetric-function machinery specialized at e_k = q^C(k,2) / k!, produce the
-same polynomials and are kept as mutually checking code paths.
+are bracket powers.  An explicit composition sum, and a route through the
+symmetric-function machinery specialized at e_k = q^C(k,2) / k! (in
+``symfunc``), produce the same polynomials as mutually checking code paths.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial
 from operator import itemgetter, sub
 
-from .exactpoly import (InexactDivisionError, JTableShapeError, TruncSeries,
-                        UniPoly, bracket_mul, exact_div, json_coeff_list,
-                        latex_poly, one, powers, q, zero)
+from .exactpoly import (JTableShapeError, UniPoly, bracket_mul, json_coeff_list,
+                        latex_poly, one, zero)
 from .qcalc import qbracket
-from .report import CheckReport
 
 
 def multinomial(total: int, parts) -> int:
@@ -180,49 +177,6 @@ def reciprocal(n: int, r: int, table: JTable) -> UniPoly:
     return table.entry(n, r).reversed_to(j_degree(n, r))
 
 
-def reciprocal_recurrence_check(n_max: int) -> CheckReport:
-    """The reciprocal satisfies the horizontal recurrence with coefficients
-    [r]^j q^(r (n-r-j)) C(n-r, j) against row n-r of the reciprocal table."""
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    report = CheckReport()
-    table = build_jtable(n_max)
-    for n in range(2, n_max + 1):
-        for r in range(1, n):
-            m = n - r
-            br = qbracket(r)
-            acc = zero
-            bpow = one
-            for j in range(1, m + 1):
-                bpow = bpow * br
-                acc = acc + (UniPoly.monomial(r * (m - j), comb(m, j))
-                             * bpow * reciprocal(m, j, table))
-            lhs = reciprocal(n, r, table)
-            report.check("reciprocal-row-recurrence", lhs == acc,
-                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
-    return report
-
-
-def kung_yan_check(n_max: int) -> CheckReport:
-    """The vertical recurrence down column r of the reciprocal table:
-    (1-q)^(n-r) Jbar(n, r) = 1 - sum over l < n of C(n-r, l-r) q^(l(n-l))
-    (1-q)^(l-r) Jbar(l, r); coefficients live in Z[q] with signs."""
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    report = CheckReport()
-    table = build_jtable(n_max)
-    omq = powers(one - q, n_max)
-    for n in range(2, n_max + 1):
-        for r in range(1, n):
-            lhs = omq[n - r] * reciprocal(n, r, table)
-            rhs = one - sum((UniPoly.monomial(l * (n - l), comb(n - r, l - r))
-                             * omq[l - r] * reciprocal(l, r, table)
-                             for l in range(r, n)), zero)
-            report.check("reciprocal-column-recurrence", lhs == rhs,
-                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
-    return report
-
-
 def q1_closed_forms(n: int, r: int):
     """(forest count, functional digraph count) at q = 1.
 
@@ -235,126 +189,6 @@ def q1_closed_forms(n: int, r: int):
         raise ValueError("need n >= r >= 1")
     count = 1 if r == n else r * n ** (n - r - 1)
     return count, factorial(r - 1) * count
-
-
-@lru_cache(maxsize=None)
-def exp_elementary(order: int):
-    """The elementary values of the deformed exponential: q^C(k,2) / k!."""
-    return tuple(UniPoly.monomial(comb(k, 2), Fraction(1, factorial(k)))
-                 for k in range(order + 1))
-
-
-def exp_series(order: int) -> TruncSeries:
-    """The q-deformed exponential sum q^C(k,2) t^k / k!, truncated."""
-    return TruncSeries(exp_elementary(order))
-
-
-def exp_shift_check(order: int, r_max: int) -> CheckReport:
-    """Ordinary r-th derivative of the deformed exponential equals
-    q^C(r,2) times the same series evaluated at q^r t, coefficientwise.
-
-    Equivalent to the exponent bookkeeping C(m+r,2) = C(m,2) + C(r,2) + mr.
-    """
-    if r_max > order:
-        raise ValueError("need order >= r_max")
-    report = CheckReport()
-    E = exp_series(order)
-    for r in range(1, r_max + 1):
-        lhs = E
-        for _ in range(r):
-            lhs = lhs.derivative()
-        rhs = TruncSeries(tuple(
-            UniPoly.monomial(comb(r, 2) + comb(m, 2) + m * r,
-                             Fraction(1, factorial(m)))
-            for m in range(order - r + 1)))
-        report.check("exp-derivative-shift", lhs == rhs, r=r,
-                     detail=lambda: f"order={order}")
-    return report
-
-
-@lru_cache(maxsize=None)
-def _exp_bundle(order: int):
-    from .symfunc import SymSeriesBundle
-    return SymSeriesBundle.from_elementary(exp_elementary(order))
-
-
-def j_from_specialized_symfunc(n: int, r: int) -> UniPoly:
-    """Extract J(n, r) from the classical p_n^(r) of the exponential
-    specialization.
-
-    p_n^(r) there equals (1-q)^(n-r) q^C(r,2) / (r! (n-r)!) times J(n, r);
-    both divisions are exact polynomial divisions and a nonzero remainder
-    raises, which is itself a check of the claimed divisibility.
-    """
-    from .symfunc import p_nr_series
-    if not (n >= r >= 1):
-        raise ValueError("need n >= r >= 1")
-    p = p_nr_series(_exp_bundle(n), n, r)
-    scaled = p * (factorial(r) * factorial(n - r))
-    no_shift = exact_div(scaled, UniPoly.monomial(comb(r, 2)))
-    return exact_div(no_shift, (one - q) ** (n - r))
-
-
-def specialization_bracket_shift_check(n_max: int) -> CheckReport:
-    """Under the exponential specialization, p_n^(r) collapses to a scaled
-    r = 1 analog in bracket base q^r:
-    p_n^(r) = (1 - q^r) / r! * q^C(r,2) * [p_(n-r)] with brackets in base q^r.
-    """
-    from .symfunc import p_nr_series, pn_bracket_determinant
-    report = CheckReport()
-    for n in range(2, n_max + 1):
-        bundle = _exp_bundle(n)
-        for r in range(1, n):
-            lhs = p_nr_series(bundle, n, r)
-            bracket_pn = pn_bracket_determinant(bundle.e, n - r, power_base=r)
-            rhs = (bracket_pn * (one - UniPoly.monomial(r))
-                   * UniPoly.monomial(comb(r, 2), Fraction(1, factorial(r))))
-            report.check("specialization-bracket-shift", lhs == rhs,
-                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
-    return report
-
-
-def extended_recurrence_check(n_max: int) -> CheckReport:
-    """The recurrence extended to n >= r >= 0 with J(n, 0) = [n == 0] and
-    the empty bracket power [0]^0 = 1."""
-    report = CheckReport()
-    table = build_jtable(max(n_max, 1))
-    for n in range(0, n_max + 1):
-        for r in range(0, n + 1):
-            m = n - r
-            acc = sum((UniPoly.monomial(comb(j, 2), comb(m, j)) * qbracket(r) ** j
-                       * table.entry(m, j) for j in range(m + 1)), zero)
-            lhs = table.entry(n, r)
-            report.check("extended-row-recurrence", lhs == acc,
-                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
-    return report
-
-
-def jpoly_suite_report(n_max: int) -> CheckReport:
-    """Cross-formula equivalence plus the recurrence and shift batteries."""
-    report = CheckReport()
-    table = build_jtable(n_max)
-    for n in range(1, n_max + 1):
-        for r in range(1, n + 1):
-            expected = table.entry(n, r)
-            if n > r:   # past its conventions the sequence formula is this sum
-                ok = j_explicit_composition(n, r) == expected
-                report.check("table-vs-composition-formula", ok, n=n, r=r)
-            else:       # its conventions J(n, n) = 1 and J(n, 0) = 0
-                ok = (j_explicit_sequences(n, n) == expected
-                      and j_explicit_sequences(n, 0) == table.entry(n, 0))
-            report.check("table-vs-sequence-formula", ok, n=n, r=r)
-            try:
-                ok, detail = j_from_specialized_symfunc(n, r) == expected, ""
-            except InexactDivisionError as exc:     # the claimed divisibility fails
-                ok, detail = False, str(exc)
-            report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
-    report.merge(reciprocal_recurrence_check(n_max))
-    report.merge(kung_yan_check(n_max))
-    report.merge(exp_shift_check(max(n_max, 2), min(max(n_max, 2), 8)))
-    report.merge(specialization_bracket_shift_check(min(n_max, 7)))
-    report.merge(extended_recurrence_check(min(n_max, 9)))
-    return report
 
 
 # ---------------------------------------------------------------------------

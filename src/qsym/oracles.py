@@ -7,16 +7,13 @@ and parking functions as raw value tuples filtered by the sorted-prefix
 condition.  Both walks prune: a partial parent map is dropped at the first
 edge that closes a cycle, and a value prefix that no last value completes
 is dropped, its admissible last values being counted directly.  The cap
-still bounds the raw candidate spaces, n^(n-r) parent maps and
-(r+m-1)^m value tuples.
+bounds what is enumerated, the r n^(n-r-1) forests and the r (r+m)^(m-1)
+parking functions, not the raw spaces the walks prune.
 
-Each forest is still scored on its own, but once for every ranking and
-with no Python loop over its vertices: the walk keeps one bitmask per
-level, and a table built before the walk maps (vertex, level mask) to the
-vertex's rank - 1 under every ranking, packed into lanes of one int, so
-the parent-rank shortfalls of a forest are one sum of table lookups.
-level_statistic and reciprocal_level_statistic remain the literal
-per-forest scorers, used for --dump-forests.
+Each forest is still scored on its own, once for every ranking, by one
+sum of packed table lookups (_forest_enumerators); level_statistic and
+reciprocal_level_statistic remain the literal per-forest scorers, used for
+--dump-forests.
 
 Agreement of these enumerators with the closed-form polynomials is the
 strongest correctness evidence the package produces.
@@ -27,9 +24,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, UniPoly, one,
-                        zero)
-from .report import CheckReport, Frozen, set_field
+from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, Frozen, UniPoly,
+                        one, set_field)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +221,13 @@ def _raw_forests(n: int, roots: tuple):
         i += 1
 
 
-def projected_forest_candidates(n: int, roots) -> int:
-    """The n^(n-r) raw parent maps that --cap is measured against."""
-    return n ** (n - len(_check_roots(n, roots)))
-
-
 def _capped_roots(n: int, roots, cap: int) -> tuple:
-    """The checked root set; raises EnumerationCapExceeded when the raw
-    candidate space exceeds cap."""
+    """The checked root set; raises EnumerationCapExceeded when its
+    r n^(n-r-1) forests (r n^(n-r) / n, which is 1 at r = n) exceed cap."""
     roots = _check_roots(n, roots)
-    projected = projected_forest_candidates(n, roots)
-    if projected > cap:
-        raise EnumerationCapExceeded(projected, cap)
+    count = len(roots) * n ** (n - len(roots)) // n
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
     return roots
 
 
@@ -425,13 +416,8 @@ def forest_enumerator_poly(n: int, roots, ranking: Ranking,
 
 
 def parking_candidates(m: int, r: int) -> int:
-    return (r + m - 1) ** m if m > 0 else 1
-
-
-def is_parking_function(a, r: int) -> bool:
-    """The i-th smallest value must be below r + i - 1 (1-based i)."""
-    b = sorted(a)
-    return all(b[i] < r + i for i in range(len(b)))
+    """The r (r+m)^(m-1) = r (r+m)^m / (r+m) parking functions --cap counts."""
+    return r * (r + m) ** m // (r + m)
 
 
 def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
@@ -443,8 +429,8 @@ def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
     by the last values 0..t-1, where t = r + f for the first position f
     with b_f = r + f, and t = r + m - 1 if there is none; lowering a value
     never breaks the sorted condition, so they form an initial segment.
-    Each of those t tuples is tallied.  The cap counts the raw space
-    {0..r+m-2}^m, and the empty case m = 0 contributes the empty sum 1.
+    Each of those t tuples is tallied.  The cap counts the parking
+    functions, and the empty case m = 0 contributes the empty sum 1.
     """
     if m < 0 or r < 1:
         raise ValueError("need m >= 0 and r >= 1")
@@ -469,106 +455,6 @@ def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
     return UniPoly(coeffs)
 
 
-# ---------------------------------------------------------------------------
-# composition-sum forms of the reciprocal
-
-
-def reciprocal_explicit_check(n_max: int) -> CheckReport:
-    """Both composition sums for the reciprocal polynomial, checked against
-    the reversed table entries.
-
-    Form one weights a composition u of n - r by q^(sigma(u) + r(n-r-u_1));
-    form two prepends the root count and uses q^sigma(u with root), which
-    shifts the same exponent bookkeeping into the sequence itself.
-    """
-    from .jpoly import build_jtable, composition_terms, reciprocal
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    report = CheckReport()
-    table = build_jtable(n_max)
-    for n in range(2, n_max + 1):
-        for r in range(1, n):
-            m = n - r
-            expected = reciprocal(n, r, table)
-            acc1 = zero
-            acc2 = zero
-            for u, w, count in composition_terms(m, r):
-                acc1 = acc1 + w * UniPoly.monomial(
-                    sigma_statistic(u) + r * (m - u[0]), count)
-                acc2 = acc2 + w * UniPoly.monomial(
-                    sigma_statistic(u, include_root=r), count)
-            report.check("reciprocal-composition-formula", acc1 == expected,
-                         detail=lambda: f"lhs={acc1} expected={expected}",
-                         n=n, r=r)
-            report.check("reciprocal-rooted-composition-formula",
-                         acc2 == expected,
-                         detail=lambda: f"lhs={acc2} expected={expected}",
-                         n=n, r=r)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# the oracle battery
-
-
-def oracle_suite_report(n_max: int, seed: int = 0,
-                        cap: int = DEFAULT_CAP) -> CheckReport:
-    """Forest and parking enumerators against the closed-form table.
-
-    Every (n, r) with 1 <= r < n <= n_max whose candidate count fits the cap
-    is enumerated; rankings are the increasing, the decreasing, and three
-    seeded ones (seeds seed, seed+1, seed+2).  Root sets are varied with n
-    to exercise label independence.  An (n, r) whose candidate count
-    exceeds the cap is recorded as skipped, not passed.
-    """
-    from .jpoly import build_jtable, reciprocal
-    report = CheckReport()
-    table = build_jtable(max(n_max, 2))
-    seeds = [seed, seed + 1, seed + 2]
-    rankings = [IncreasingRanking(), DecreasingRanking()] + \
-        [SeededRanking(s) for s in seeds]
-    ranking_names = ["increasing", "decreasing"] + [f"seeded:{s}" for s in seeds]
-    report.add_pass("ranking-seeds", seeds=",".join(str(s) for s in seeds))
-
-    for n in range(2, n_max + 1):
-        for r in range(1, n):
-            # rotate the root labels so independence from the label choice
-            # is exercised across the suite
-            roots = tuple(((r + i + n - 2) % n) + 1 for i in range(r))
-            try:
-                std, rec = _forest_enumerators(n, roots, rankings,
-                                               ("standard", "reciprocal"), cap)
-            except EnumerationCapExceeded:
-                report.add_skip("forest-oracle-skipped-by-cap", n=n, r=r)
-                continue
-            for identity, polys, expected in (
-                    ("forest-level-enumerator", std, table.entry(n, r)),
-                    ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
-                for name, poly in zip(ranking_names, polys):
-                    report.check(identity, poly == expected,
-                                 detail=lambda: f"got={poly} expected={expected}",
-                                 n=n, r=r, ranking=name)
-            count = std[0].evaluate(1)
-            report.check("forest-count", count == r * n ** (n - r - 1),
-                         detail=lambda: f"got={count}", n=n, r=r)
-
-    for n in range(1, n_max + 1):
-        for r in range(1, n + 1):
-            m = n - r
-            try:
-                got = parking_enumerator_poly(m, r, cap)
-            except EnumerationCapExceeded:
-                report.add_skip("parking-oracle-skipped-by-cap", n=n, r=r)
-                continue
-            expected = reciprocal(n, r, table)
-            report.check("parking-sum-enumerator", got == expected,
-                         detail=lambda: f"got={got} expected={expected}",
-                         m=m, r=r)
-
-    report.merge(reciprocal_explicit_check(max(n_max, 2)))
-    return report
-
-
 def forest_records(n: int, roots, ranking: Ranking,
                    variant: str = "standard", cap: int = DEFAULT_CAP):
     """(statistic, JSON object) per accepted forest, the object carrying
@@ -577,10 +463,3 @@ def forest_records(n: int, roots, ranking: Ranking,
     for forest in enumerate_forests(n, roots, cap):
         stat = _forest_statistic(forest, ranking, variant)
         yield stat, json.dumps(forest.to_json_dict(stat), separators=(",", ":"))
-
-
-def forests_json_lines(n: int, roots, ranking: Ranking,
-                       variant: str = "standard", cap: int = DEFAULT_CAP):
-    """One JSON object per accepted forest, with its statistic."""
-    for _stat, line in forest_records(n, roots, ranking, variant, cap):
-        yield line

@@ -1,9 +1,9 @@
-"""q-analog and (p,q)-analog primitives.
+"""q-analog primitives.
 
 Brackets [n] = 1 + q + ... + q^(n-1), factorials, Gaussian binomial
-coefficients, brackets in base q^r, and the q-derivative acting on
-truncated series.  The two-parameter versions live in (p, q) and collapse
-to the one-parameter versions at p = 1.
+coefficients, brackets in base q^r and the triangle generator behind the
+q-binomial and q-Stirling rows.  The q-derivative and the two-parameter
+(p, q) versions are in pqalgebra.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from itertools import accumulate
 from math import comb
 from operator import sub
 
-from .exactpoly import (BiPoly, InexactDivisionError, TruncSeries, UniPoly,
-                        bracket_mul, one, zero)
+from .exactpoly import InexactDivisionError, UniPoly, bracket_mul, one, zero
 
 
 def qbracket(n: int) -> UniPoly:
@@ -94,58 +93,3 @@ def alternating_binomial_sum(f, n: int, k: int, nil):
 def qbracket_power_base(n: int, r: int) -> UniPoly:
     """[n] with q replaced by q^r."""
     return qbracket(n).compose_power(r)
-
-
-def _derivative(f: TruncSeries, r: int, factorial, binomial) -> TruncSeries:
-    """The coefficient of t^(n-r) is factorial(r) * binomial(n, r) times the
-    coefficient of t^n in f; the order drops by r."""
-    if r < 1:
-        raise ValueError("derivative order must be >= 1")
-    if r > f.order:
-        raise ValueError("derivative order exceeds the series order")
-    fr = factorial(r)
-    return TruncSeries(fr * binomial(m + r, r) * f.coeff(m + r)
-                       for m in range(f.order - r + 1))
-
-
-def q_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
-    """Apply the q-derivative r times to a truncated series: t^n goes to
-    [r]! * [n choose r]_q t^(n-r)."""
-    return _derivative(f, r, qfactorial, qbinomial)
-
-
-# ---------------------------------------------------------------------------
-# two-parameter versions; stored as BiPoly even when the p-degree is zero,
-# so the one-parameter degeneration is a plain p = 1 specialization.
-
-
-def pq_bracket(n: int) -> BiPoly:
-    """[n]_{p,q} = p^(n-1) + p^(n-2) q + ... + q^(n-1); [0]_{p,q} = 0."""
-    if n < 0:
-        raise ValueError("bracket index must be >= 0")
-    return BiPoly([[0] * (n - 1 - i) + [1] for i in range(n)])
-
-
-@lru_cache(maxsize=None)
-def pq_factorial(n: int) -> BiPoly:
-    if n < 0:
-        raise ValueError("factorial index must be >= 0")
-    if n == 0:
-        return BiPoly.constant(1)
-    return pq_factorial(n - 1) * pq_bracket(n)
-
-
-@lru_cache(maxsize=None)
-def pq_binomial(n: int, k: int) -> BiPoly:
-    """Two-parameter Gaussian binomial, by the (p,q)-triangular recurrence."""
-    if k < 0 or n < 0 or k > n:
-        return BiPoly()
-    if k == 0 or k == n:
-        return BiPoly.constant(1)
-    return (BiPoly.monomial(k, 0) * pq_binomial(n - 1, k)
-            + BiPoly.monomial(0, n - k) * pq_binomial(n - 1, k - 1))
-
-
-def pq_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
-    """(p,q)-derivative applied r times to a series with BiPoly coefficients."""
-    return _derivative(f, r, pq_factorial, pq_binomial)

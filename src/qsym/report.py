@@ -1,43 +1,22 @@
-"""Pass/fail records produced by the identity-verification operations.
+"""The identity batteries and the pass/fail records they produce.
 
 A report is a flat list of records, one per checked or skipped instance.
 Failure is data, not an exception: callers inspect .passed and
 .first_failure.  A skipped instance is neither a pass nor a failure.
+The q-Stirling, J and oracle batteries live here, apart from the objects
+they check, so only verify compiles them; each imports its layers as it
+runs.  The symmetric-function batteries stay in symfunc.
 """
 
 from __future__ import annotations
 
-# Sets a field of a Frozen instance; only the class's __init__ calls it.
-set_field = object.__setattr__
+from itertools import islice
+from math import comb
 
-
-class Frozen:
-    """Base of the immutable value classes: a subclass names its fields in
-    __slots__ and sets them in __init__ with set_field.  Instances compare,
-    hash and print by their fields in order, and refuse assignment."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({args})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, Frozen,
+                        InexactDivisionError, UniPoly, one, powers, q,
+                        set_field, zero)
+from .qcalc import alternating_binomial_sum, qbracket, triangle_rows
 
 
 class CheckRecord(Frozen):
@@ -123,3 +102,274 @@ class CheckReport:
                 mark = "ok  "
             lines.append(f"{mark} {name} ({passes}/{len(recs)} instances)")
         return lines
+
+
+CONJUGATION_N_MAX = 8      # largest size of the scaled-triangle inverse check
+
+
+def verify_carlitz_identities(n_max: int) -> CheckReport:
+    """Exactly check the two expansions linking q-binomials to the triangle.
+
+    (i)  [n k] = sum_j C(n,j) (q-1)^(j-k) S[j,k]
+    (ii) (1-q)^(n-k) S[n,k] = sum_l (-1)^(l-k) C(n,l) [l k]
+    for every 0 <= k <= n <= n_max.  Failures are recorded with the first
+    counterexample, not raised.
+    """
+    from .qstirling import WEIGHTS
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    report = CheckReport()
+    qm1 = powers(q - one, n_max)
+    omq = powers(one - q, n_max)
+    # rows 0..n_max of both triangles in one pass each, not entry by entry
+    binom, stirling = ([list(map(UniPoly, row))
+                        for row in islice(triangle_rows(weight, n_max), n_max + 1)]
+                       for weight in (lambda n, k: (1, k), WEIGHTS["second"]))
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            lhs = binom[n][k]
+            rhs = sum((comb(n, j) * qm1[j - k] * stirling[j][k]
+                       for j in range(k, n + 1)), zero)
+            report.check("carlitz-qbinomial-expansion", lhs == rhs,
+                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, k=k)
+
+            lhs2 = omq[n - k] * stirling[n][k]
+            rhs2 = alternating_binomial_sum(lambda l, j: binom[l][j], n, k, zero)
+            report.check("carlitz-inverse-expansion", lhs2 == rhs2,
+                         detail=lambda: f"lhs={lhs2} rhs={rhs2}", n=n, k=k)
+    return report
+
+
+def _is_inverse(a, b, size) -> bool:
+    """The matrix product a b is the identity."""
+    return all(sum((a[i][l] * b[l][j] for l in range(size)), zero)
+               == (one if i == j else zero)
+               for i in range(size) for j in range(size))
+
+
+def _scaled_inverse_check(identity: str, n_max: int, scale) -> CheckReport:
+    """Check, size by size, that the triangles with entries scale[i-j] times
+    the second- resp. first-kind numbers are inverse matrices.  Each kind
+    comes from its own recurrence, so this compares two independent
+    computations."""
+    from .qstirling import qstirling1_triangle, qstirling2_triangle
+    report = CheckReport()
+    second = qstirling2_triangle(n_max)
+    first = qstirling1_triangle(n_max)
+    for n in range(1, n_max + 1):
+        A, B = ([[scale[i - j] * t.entry(i, j) if i >= j else zero
+                  for j in range(1, n + 1)] for i in range(1, n + 1)]
+                for t in (second, first))
+        report.check(identity, _is_inverse(A, B, n), n=n)
+    return report
+
+
+def verify_triangle_inverse(n_max: int) -> CheckReport:
+    """Check that the two triangles are exact matrix inverses, size by size."""
+    return _scaled_inverse_check("stirling-triangle-inverse", n_max,
+                                 [one] * n_max)
+
+
+def verify_conjugated_inverse(n_max: int) -> CheckReport:
+    """Check the scaled triangles A and B, with entries (1-q)^(i-j) times the
+    second- resp. first-kind numbers, are inverse to each other.
+
+    A is the conjugate of the second-kind triangle by diag((1-q)^(i-1)), so
+    this is the matrix form of the transfer identities.
+    """
+    return _scaled_inverse_check("scaled-triangle-inverse", n_max,
+                                 powers(one - q, n_max))
+
+
+def stirling_suite_report(n_max: int) -> CheckReport:
+    """The full q-Stirling verification battery; the conjugated-inverse check
+    stops at CONJUGATION_N_MAX."""
+    report = verify_carlitz_identities(n_max)
+    report.merge(verify_triangle_inverse(n_max))
+    report.merge(verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))
+    return report
+
+
+def reciprocal_recurrence_check(n_max: int) -> CheckReport:
+    """The reciprocal satisfies the horizontal recurrence with coefficients
+    [r]^j q^(r (n-r-j)) C(n-r, j) against row n-r of the reciprocal table."""
+    from .jpoly import build_jtable, reciprocal
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    report = CheckReport()
+    table = build_jtable(n_max)
+    for n in range(2, n_max + 1):
+        for r in range(1, n):
+            m = n - r
+            br = qbracket(r)
+            acc, bpow = zero, one
+            for j in range(1, m + 1):
+                bpow = bpow * br
+                acc = acc + (UniPoly.monomial(r * (m - j), comb(m, j))
+                             * bpow * reciprocal(m, j, table))
+            lhs = reciprocal(n, r, table)
+            report.check("reciprocal-row-recurrence", lhs == acc,
+                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
+    return report
+
+
+def kung_yan_check(n_max: int) -> CheckReport:
+    """The vertical recurrence down column r of the reciprocal table:
+    (1-q)^(n-r) Jbar(n, r) = 1 - sum over l < n of C(n-r, l-r) q^(l(n-l))
+    (1-q)^(l-r) Jbar(l, r); coefficients live in Z[q] with signs."""
+    from .jpoly import build_jtable, reciprocal
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    report = CheckReport()
+    table = build_jtable(n_max)
+    omq = powers(one - q, n_max)
+    for n in range(2, n_max + 1):
+        for r in range(1, n):
+            lhs = omq[n - r] * reciprocal(n, r, table)
+            rhs = one - sum((UniPoly.monomial(l * (n - l), comb(n - r, l - r))
+                             * omq[l - r] * reciprocal(l, r, table)
+                             for l in range(r, n)), zero)
+            report.check("reciprocal-column-recurrence", lhs == rhs,
+                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
+    return report
+
+
+def extended_recurrence_check(n_max: int) -> CheckReport:
+    """The recurrence extended to n >= r >= 0 with J(n, 0) = [n == 0] and
+    the empty bracket power [0]^0 = 1."""
+    from .jpoly import build_jtable
+    report = CheckReport()
+    table = build_jtable(max(n_max, 1))
+    for n in range(0, n_max + 1):
+        for r in range(0, n + 1):
+            m = n - r
+            acc = sum((UniPoly.monomial(comb(j, 2), comb(m, j)) * qbracket(r) ** j
+                       * table.entry(m, j) for j in range(m + 1)), zero)
+            lhs = table.entry(n, r)
+            report.check("extended-row-recurrence", lhs == acc,
+                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
+    return report
+
+
+def jpoly_suite_report(n_max: int) -> CheckReport:
+    """Cross-formula equivalence plus the recurrence and shift batteries."""
+    from .jpoly import build_jtable, j_explicit_composition, j_explicit_sequences
+    from .symfunc import (exp_shift_check, j_from_specialized_symfunc,
+                          specialization_bracket_shift_check)
+    report = CheckReport()
+    table = build_jtable(n_max)
+    for n in range(1, n_max + 1):
+        for r in range(1, n + 1):
+            expected = table.entry(n, r)
+            if n > r:   # past its conventions the sequence formula is this sum
+                ok = j_explicit_composition(n, r) == expected
+                report.check("table-vs-composition-formula", ok, n=n, r=r)
+            else:       # its conventions J(n, n) = 1 and J(n, 0) = 0
+                ok = (j_explicit_sequences(n, n) == expected
+                      and j_explicit_sequences(n, 0) == table.entry(n, 0))
+            report.check("table-vs-sequence-formula", ok, n=n, r=r)
+            try:
+                ok, detail = j_from_specialized_symfunc(n, r) == expected, ""
+            except InexactDivisionError as exc:     # the claimed divisibility fails
+                ok, detail = False, str(exc)
+            report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
+    report.merge(reciprocal_recurrence_check(n_max))
+    report.merge(kung_yan_check(n_max))
+    report.merge(exp_shift_check(max(n_max, 2), min(max(n_max, 2), 8)))
+    report.merge(specialization_bracket_shift_check(min(n_max, 7)))
+    report.merge(extended_recurrence_check(min(n_max, 9)))
+    return report
+
+
+def reciprocal_explicit_check(n_max: int) -> CheckReport:
+    """Both composition sums for the reciprocal polynomial, checked against
+    the reversed table entries.
+
+    Form one weights a composition u of n - r by q^(sigma(u) + r(n-r-u_1));
+    form two prepends the root count and uses q^sigma(u with root), which
+    shifts the same exponent bookkeeping into the sequence itself.
+    """
+    from .jpoly import build_jtable, composition_terms, reciprocal
+    from .oracles import sigma_statistic
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    report = CheckReport()
+    table = build_jtable(n_max)
+    for n in range(2, n_max + 1):
+        for r in range(1, n):
+            m = n - r
+            expected = reciprocal(n, r, table)
+            acc1 = acc2 = zero
+            for u, w, count in composition_terms(m, r):
+                acc1 = acc1 + w * UniPoly.monomial(
+                    sigma_statistic(u) + r * (m - u[0]), count)
+                acc2 = acc2 + w * UniPoly.monomial(
+                    sigma_statistic(u, include_root=r), count)
+            report.check("reciprocal-composition-formula", acc1 == expected,
+                         detail=lambda: f"lhs={acc1} expected={expected}",
+                         n=n, r=r)
+            report.check("reciprocal-rooted-composition-formula",
+                         acc2 == expected,
+                         detail=lambda: f"lhs={acc2} expected={expected}",
+                         n=n, r=r)
+    return report
+
+
+def oracle_suite_report(n_max: int, seed: int = 0,
+                        cap: int = DEFAULT_CAP) -> CheckReport:
+    """Forest and parking enumerators against the closed-form table.
+
+    Every (n, r) with 1 <= r < n <= n_max whose forest count fits the cap
+    is enumerated; rankings are the increasing, the decreasing, and three
+    seeded ones (seeds seed, seed+1, seed+2).  Root sets are varied with n
+    to exercise label independence.  An (n, r) whose forest or parking count
+    exceeds the cap is recorded as skipped, not passed.
+    """
+    from .jpoly import build_jtable, reciprocal
+    from .oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
+                          _forest_enumerators, parking_enumerator_poly)
+    report = CheckReport()
+    table = build_jtable(max(n_max, 2))
+    seeds = [seed, seed + 1, seed + 2]
+    rankings = [IncreasingRanking(), DecreasingRanking()] + \
+        [SeededRanking(s) for s in seeds]
+    ranking_names = ["increasing", "decreasing"] + [f"seeded:{s}" for s in seeds]
+    report.add_pass("ranking-seeds", seeds=",".join(str(s) for s in seeds))
+
+    for n in range(2, n_max + 1):
+        for r in range(1, n):
+            # rotate the root labels so independence from the label choice
+            # is exercised across the suite
+            roots = tuple(((r + i + n - 2) % n) + 1 for i in range(r))
+            try:
+                std, rec = _forest_enumerators(n, roots, rankings,
+                                               ("standard", "reciprocal"), cap)
+            except EnumerationCapExceeded:
+                report.add_skip("forest-oracle-skipped-by-cap", n=n, r=r)
+                continue
+            for identity, polys, expected in (
+                    ("forest-level-enumerator", std, table.entry(n, r)),
+                    ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
+                for name, poly in zip(ranking_names, polys):
+                    report.check(identity, poly == expected,
+                                 detail=lambda: f"got={poly} expected={expected}",
+                                 n=n, r=r, ranking=name)
+            count = std[0].evaluate(1)
+            report.check("forest-count", count == r * n ** (n - r - 1),
+                         detail=lambda: f"got={count}", n=n, r=r)
+
+    for n in range(1, n_max + 1):
+        for r in range(1, n + 1):
+            m = n - r
+            try:
+                got = parking_enumerator_poly(m, r, cap)
+            except EnumerationCapExceeded:
+                report.add_skip("parking-oracle-skipped-by-cap", n=n, r=r)
+                continue
+            expected = reciprocal(n, r, table)
+            report.check("parking-sum-enumerator", got == expected,
+                         detail=lambda: f"got={got} expected={expected}",
+                         m=m, r=r)
+
+    report.merge(reciprocal_explicit_check(max(n_max, 2)))
+    return report

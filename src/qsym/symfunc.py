@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
-from .exactpoly import (BiPoly, TruncSeries, UniPoly, det_hessenberg, one,
-                        powers, q, zero)
-from .qcalc import (alternating_binomial_sum, pq_binomial, qbinomial, qbracket,
+from .exactpoly import Frozen, UniPoly, one, powers, q, set_field, zero
+from .pqalgebra import BiPoly, TruncSeries, det_hessenberg, exact_div, pq_binomial
+from .qcalc import (alternating_binomial_sum, qbinomial, qbracket,
                     qbracket_power_base, qfactorial)
-from .report import CheckReport, Frozen, set_field
+from .report import CheckReport
 
 # Largest sizes of the r = 1 determinant and two-parameter batteries in the
 # suite; both run to these sizes whatever the suite's own size.
@@ -284,6 +285,83 @@ def qp_lambda(bundle: SymSeriesBundle, parts) -> UniPoly:
     for a in parts:
         acc = acc * qp_nr_direct(bundle, a, 1)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the exponential specialization e_k = q^C(k,2) / k!, a route to J(n, r)
+
+
+@lru_cache(maxsize=None)
+def exp_elementary(order: int):
+    """The elementary values of the deformed exponential: q^C(k,2) / k!."""
+    return tuple(UniPoly.monomial(comb(k, 2), Fraction(1, factorial(k)))
+                 for k in range(order + 1))
+
+
+def exp_series(order: int) -> TruncSeries:
+    """The q-deformed exponential sum q^C(k,2) t^k / k!, truncated."""
+    return TruncSeries(exp_elementary(order))
+
+
+def exp_shift_check(order: int, r_max: int) -> CheckReport:
+    """Ordinary r-th derivative of the deformed exponential equals
+    q^C(r,2) times the same series evaluated at q^r t, coefficientwise.
+
+    Equivalent to the exponent bookkeeping C(m+r,2) = C(m,2) + C(r,2) + mr.
+    """
+    if r_max > order:
+        raise ValueError("need order >= r_max")
+    report = CheckReport()
+    E = exp_series(order)
+    for r in range(1, r_max + 1):
+        lhs = E
+        for _ in range(r):
+            lhs = lhs.derivative()
+        rhs = tuple(UniPoly.monomial(comb(r, 2) + comb(m, 2) + m * r,
+                                     Fraction(1, factorial(m)))
+                    for m in range(order - r + 1))
+        report.check("exp-derivative-shift", lhs.coeffs == rhs, r=r,
+                     detail=lambda: f"order={order}")
+    return report
+
+
+@lru_cache(maxsize=None)
+def _exp_bundle(order: int):
+    return SymSeriesBundle.from_elementary(exp_elementary(order))
+
+
+def j_from_specialized_symfunc(n: int, r: int) -> UniPoly:
+    """Extract J(n, r) from the classical p_n^(r) of the exponential
+    specialization.
+
+    p_n^(r) there equals (1-q)^(n-r) q^C(r,2) / (r! (n-r)!) times J(n, r);
+    both divisions are exact polynomial divisions and a nonzero remainder
+    raises, which is itself a check of the claimed divisibility.
+    """
+    if not (n >= r >= 1):
+        raise ValueError("need n >= r >= 1")
+    p = p_nr_series(_exp_bundle(n), n, r)
+    scaled = p * (factorial(r) * factorial(n - r))
+    no_shift = exact_div(scaled, UniPoly.monomial(comb(r, 2)))
+    return exact_div(no_shift, (one - q) ** (n - r))
+
+
+def specialization_bracket_shift_check(n_max: int) -> CheckReport:
+    """Under the exponential specialization, p_n^(r) collapses to a scaled
+    r = 1 analog in bracket base q^r:
+    p_n^(r) = (1 - q^r) / r! * q^C(r,2) * [p_(n-r)] with brackets in base q^r.
+    """
+    report = CheckReport()
+    for n in range(2, n_max + 1):
+        bundle = _exp_bundle(n)
+        for r in range(1, n):
+            lhs = p_nr_series(bundle, n, r)
+            bracket_pn = pn_bracket_determinant(bundle.e, n - r, power_base=r)
+            rhs = (bracket_pn * (one - UniPoly.monomial(r))
+                   * UniPoly.monomial(comb(r, 2), Fraction(1, factorial(r))))
+            report.check("specialization-bracket-shift", lhs == rhs,
+                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Earlier routes to the J table and the first-kind q-Stirling triangle,
 kept for the tests as references: dense polynomial products throughout, no
-bracket_mul window sums and no triangle_rows."""
+bracket_mul window sums and no triangle_rows.  And the literal parking
+condition that the pruned parking walk is tested against."""
 
 from math import comb
 
@@ -42,3 +43,9 @@ def substituted_first_kind(n_max: int) -> list:
                 acc = acc + second[n][j] * s[j - 1][k - 1]
             s[n - 1][k - 1] = -acc
     return [row[:n] for n, row in enumerate(s, 1)]
+
+
+def is_parking_function(a, r: int) -> bool:
+    """The i-th smallest value must be below r + i - 1 (1-based i)."""
+    b = sorted(a)
+    return all(b[i] < r + i for i in range(len(b)))

@@ -12,18 +12,19 @@ from math import comb, factorial
 
 from qsym import cli
 from qsym.exactpoly import UniPoly
-from qsym.jpoly import (build_jtable, exp_shift_check, j_explicit_composition,
-                        j_explicit_sequences, j_from_specialized_symfunc,
-                        kung_yan_check, reciprocal, reciprocal_recurrence_check,
-                        specialization_bracket_shift_check)
+from qsym.jpoly import (build_jtable, j_explicit_composition,
+                        j_explicit_sequences, reciprocal)
 from qsym.oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
                           forest_enumerator_polys, parking_candidates,
                           parking_enumerator_poly)
-from qsym.qstirling import (verify_carlitz_identities,
-                            verify_conjugated_inverse, verify_triangle_inverse)
+from qsym.report import (kung_yan_check, reciprocal_recurrence_check,
+                         verify_carlitz_identities, verify_conjugated_inverse,
+                         verify_triangle_inverse)
 from qsym.symfunc import (SymAlphabet, classical_pn_determinants_check,
                           default_alphabets, determinant_vs_convolution_check,
-                          pq_transfer_check, transfer_theorem_check)
+                          exp_shift_check, j_from_specialized_symfunc,
+                          pq_transfer_check, specialization_bracket_shift_check,
+                          transfer_theorem_check)
 
 from polytext import parse_poly_text
 

@@ -11,7 +11,8 @@ import pytest
 
 import qsym.cli as cli
 import qsym.jpoly as jpoly
-from qsym.exactpoly import InexactDivisionError, UniPoly, bracket_mul
+from qsym.exactpoly import (EnumerationCapExceeded, InexactDivisionError,
+                            UniPoly, bracket_mul)
 from qsym.report import CheckReport
 
 from polytext import parse_poly_text
@@ -100,6 +101,14 @@ def test_query_qbinomial_and_stirling():
     assert code == 0 and text == "-2-q\n"
 
 
+@pytest.mark.parametrize("kind", ["qstirling1", "qstirling2"])
+def test_query_stirling_at_n_zero(kind):
+    # both kinds answer n = 0 alike: s[0,0] = S[0,0] = 1, 0 off the triangle
+    assert run("query", kind, "--n", "0", "--k", "0") == (0, "1\n")
+    assert run("query", kind, "--n", "0", "--k", "1") == (0, "0\n")
+    assert run("query", kind, "--n", "3", "--k", "0") == (0, "0\n")
+
+
 @pytest.mark.parametrize("kind, degree, value_at_one", [
     ("qbinomial", 3 * 497, 500 * 499 * 498 // 6),
     # S(n, 3) = (3^n - 3 * 2^n + 3) / 3!
@@ -170,6 +179,31 @@ def test_cap_exit_code():
     assert code == 3
     code, _ = run("query", "parking", "--m", "10", "--r", "2", "--cap", "100")
     assert code == 3
+
+
+# (6, 1) has 1,296 forests among 7,776 raw parent maps, and (m, r) = (5, 1)
+# 1,296 parking functions among 3,125 raw value tuples: the cap counts the
+# forests and the parking functions, so a cap between them and the raw space
+# runs, and one below them exits 3.
+@pytest.mark.parametrize("argv, same_as", [
+    (("forest-stat", "--n", "6", "--r", "1"), ("jpoly", "--n", "6", "--r", "1")),
+    (("parking", "--m", "5", "--r", "1"),
+     ("jpoly", "--n", "6", "--r", "1", "--variant", "reciprocal")),
+], ids=["forest", "parking"])
+def test_cap_counts_what_is_enumerated(argv, same_as):
+    expected = run("query", *same_as)
+    assert expected[0] == 0
+    for cap in ("1296", "2000", "3125"):
+        assert run("query", *argv, "--cap", cap) == expected
+    assert run("query", *argv, "--cap", "1295")[0] == 3
+
+
+def test_default_cap_admits_forest_9_1_and_parking_8_1():
+    from qsym.oracles import _capped_roots, parking_candidates
+    assert _capped_roots(9, (1,), 10_000_000) == (1,)     # 9^7 = 4,782,969
+    assert parking_candidates(8, 1) == 9 ** 7 <= 10_000_000
+    with pytest.raises(EnumerationCapExceeded):
+        _capped_roots(9, (1,), 9 ** 7 - 1)
 
 
 def test_cap_zero_enumerates_nothing():
@@ -325,7 +359,7 @@ def test_inexact_division_is_a_fail_record(monkeypatch):
     def inexact(n, r):
         raise InexactDivisionError(f"J({n}, {r}) left a remainder")
 
-    monkeypatch.setattr(jpoly, "j_from_specialized_symfunc", inexact)
+    monkeypatch.setattr("qsym.symfunc.j_from_specialized_symfunc", inexact)
     code, text = run("verify", "jpoly", "--n-max", "3")
     assert code == 1
     lines = text.splitlines()
@@ -353,7 +387,7 @@ def test_capped_checks_are_skips_not_passes():
     code, text = run(*argv)
     assert code == 0
     lines = text.splitlines()
-    assert "skip forest-oracle-skipped-by-cap (0/2 instances)" in lines
+    assert "skip forest-oracle-skipped-by-cap (0/1 instances)" in lines
     assert "skip parking-oracle-skipped-by-cap (0/1 instances)" in lines
     assert not any(l.startswith("ok") and "skipped" in l for l in lines)
     code, text = run(*argv, "--format", "json")

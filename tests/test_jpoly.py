@@ -7,13 +7,13 @@ import pytest
 
 from qsym.exactpoly import UniPoly, one, q, zero
 from qsym.qcalc import qbracket
-from qsym.jpoly import (build_jtable, column_binomial_sum,
-                        compositions, exp_series, exp_shift_check,
-                        extended_recurrence_check, j_explicit_composition,
-                        j_explicit_sequences, j_from_specialized_symfunc,
-                        jtable_csv_rows, jtable_latex, kung_yan_check,
-                        multinomial, q1_closed_forms, reciprocal,
-                        reciprocal_recurrence_check)
+from qsym.jpoly import (build_jtable, column_binomial_sum, compositions,
+                        j_explicit_composition, j_explicit_sequences,
+                        jtable_csv_rows, jtable_latex, multinomial,
+                        q1_closed_forms, reciprocal)
+from qsym.report import (extended_recurrence_check, kung_yan_check,
+                         reciprocal_recurrence_check)
+from qsym.symfunc import exp_series, exp_shift_check, j_from_specialized_symfunc
 from routes import dense_jtable
 
 
@@ -117,7 +117,7 @@ def test_from_specialized_symfunc_small():
 def test_specialized_bundle_determinant_route():
     # on the exponential-specialization bundle the determinant and the
     # convolution compute the same classical values
-    from qsym.jpoly import _exp_bundle
+    from qsym.symfunc import _exp_bundle
     from qsym.symfunc import p_nr_determinant, p_nr_series
     bundle = _exp_bundle(6)
     for n in range(1, 7):

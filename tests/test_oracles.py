@@ -15,12 +15,13 @@ from qsym.oracles import (_TALLY_KEYS, DecreasingRanking,
                           EnumerationCapExceeded, Forest, IncreasingRanking,
                           SeededRanking, _forest_enumerators, _raw_forests,
                           enumerate_forests, forest_enumerator_poly,
-                          forest_enumerator_polys,
-                          forests_json_lines, is_parking_function,
+                          forest_enumerator_polys, forest_records,
                           level_statistic, make_ranking,
-                          parking_enumerator_poly, projected_forest_candidates,
-                          reciprocal_explicit_check, reciprocal_level_statistic,
+                          parking_enumerator_poly, reciprocal_level_statistic,
                           sigma_statistic)
+from qsym.report import reciprocal_explicit_check
+
+from routes import is_parking_function
 
 
 def P(*coeffs):
@@ -103,8 +104,7 @@ def test_forest_levels_partition_vertices():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded) as exc:
         list(enumerate_forests(12, (1,), cap=10_000))
-    assert exc.value.projected == 12 ** 11
-    assert projected_forest_candidates(12, (1,)) == 12 ** 11
+    assert exc.value.projected == 12 ** 10            # r n^(n-r-1) forests
 
 
 def test_bad_roots_rejected():
@@ -424,7 +424,7 @@ def test_reciprocal_explicit_check():
 # -- streaming ------------------------------------------------------------------------
 
 def test_forest_json_lines():
-    lines = list(forests_json_lines(3, (1,), IncreasingRanking()))
+    lines = [line for _stat, line in forest_records(3, (1,), IncreasingRanking())]
     assert len(lines) == 3
     objs = [json.loads(l) for l in lines]
     assert {"parent", "levels", "stat"} <= set(objs[0])

@@ -5,10 +5,11 @@ from math import comb, factorial
 
 import pytest
 
-from qsym.exactpoly import BiPoly, TruncSeries, UniPoly, exact_div, one, zero
-from qsym.qcalc import (pq_binomial, pq_bracket, pq_derivative, pq_factorial,
-                        q_derivative, qbinomial, qbracket,
-                        qbracket_power_base, qfactorial)
+from qsym.exactpoly import UniPoly, one, zero
+from qsym.pqalgebra import (BiPoly, TruncSeries, exact_div, pq_binomial,
+                            pq_bracket, pq_derivative, pq_factorial,
+                            q_derivative)
+from qsym.qcalc import qbinomial, qbracket, qbracket_power_base, qfactorial
 
 
 def P(*coeffs):
@@ -98,7 +99,7 @@ def test_q_derivative_composes():
 def test_q_derivative_is_not_the_classical_shift():
     # the deformed exponential satisfies the shift law for the ordinary
     # derivative only; the q-derivative must break it (negative control)
-    from qsym.jpoly import exp_series
+    from qsym.symfunc import exp_series
     E = exp_series(6)
     lhs = q_derivative(E, 1)
     rhs = TruncSeries(tuple(

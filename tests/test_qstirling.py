@@ -7,8 +7,9 @@ import pytest
 from qsym.exactpoly import UniPoly, one, zero
 from qsym.qcalc import qbracket
 from qsym.qstirling import (qstirling1, qstirling1_triangle, qstirling2,
-                            qstirling2_triangle, verify_carlitz_identities,
-                            verify_conjugated_inverse, verify_triangle_inverse)
+                            qstirling2_triangle)
+from qsym.report import (verify_carlitz_identities, verify_conjugated_inverse,
+                         verify_triangle_inverse)
 from routes import substituted_first_kind
 
 
@@ -71,6 +72,17 @@ def test_first_kind_values():
     row3_at_one = [tri.entry(3, k).evaluate(Fraction(1)) for k in (1, 2, 3)]
     assert row3_at_one == [2, -3, 1]
     assert qstirling1(3, 2) == P(-2, -1)
+
+
+def test_both_kinds_start_from_one_at_the_origin():
+    # s[0,0] = S[0,0] = 1, the start of both recurrences; column 0 is 0 below
+    # it, and everything outside 0 <= k <= n is 0
+    for kind in (qstirling1, qstirling2):
+        assert kind(0, 0) == one
+        assert all(kind(n, 0) == zero for n in range(1, 6))
+        assert kind(0, 1) == kind(2, 3) == kind(-1, 0) == kind(2, -1) == zero
+    # the recurrence from s[0,0] reaches s[1,1] = 1 and s[2,1] = -[1]
+    assert qstirling1(1, 1) == one and qstirling1(2, 1) == P(-1)
 
 
 def classical_stirling1(n_max):

@@ -2,8 +2,9 @@
 
 Each command imports only the modules it uses, no module imports
 ``dataclasses`` (and with it ``inspect``), a command whose output holds no
-JSON does not load ``json``, and ``import qsym`` still offers every public
-name of the package, resolved on first access.
+JSON does not load ``json``, no query, export or jtable loads ``fractions``,
+and ``import qsym`` still offers every public name of the package, resolved
+on first access.
 """
 
 import importlib
@@ -33,7 +34,9 @@ PROBE = ("import io, sys\n"
          "print(json.dumps(loaded))\n")
 
 BASE = {"qsym", "qsym.cli", "qsym.exactpoly"}
-STIRLING = BASE | {"qsym.qcalc", "qsym.qstirling", "qsym.report"}
+STIRLING = BASE | {"qsym.qcalc", "qsym.qstirling"}
+JTABLE = BASE | {"qsym.qcalc", "qsym.jpoly"}
+ORACLES = BASE | {"qsym.oracles"}
 
 
 def loaded_modules(*argv) -> set:
@@ -46,47 +49,57 @@ def loaded_modules(*argv) -> set:
 
 # writes_json: the output holds JSON, so the command may load json; plain
 # output and CSV exports (their cells are compact JSON arrays, written
-# without the json module) must not.
+# without the json module) must not.  No query, export or jtable loads the
+# batteries (qsym.report), the verification algebra (qsym.pqalgebra) or
+# fractions and decimal; verify loads what its battery needs.
 @pytest.mark.parametrize("argv, expected, writes_json", [
     (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
      False),
     (("query", "qstirling2", "--n", "6", "--k", "3"), STIRLING, False),
-    (("query", "jpoly", "--n", "6", "--r", "2"),
-     BASE | {"qsym.qcalc", "qsym.jpoly", "qsym.report"}, False),
-    (("query", "parking", "--m", "3", "--r", "2"),
-     BASE | {"qsym.oracles", "qsym.report"}, False),
+    (("query", "qstirling1", "--n", "6", "--k", "3"), STIRLING, False),
+    (("query", "jpoly", "--n", "6", "--r", "2"), JTABLE, False),
+    (("query", "parking", "--m", "3", "--r", "2"), ORACLES, False),
+    (("query", "forest-stat", "--n", "4", "--r", "2"), ORACLES, False),
     (("export", "stirling", "--n-max", "5"), STIRLING, False),
-    (("export", "jtable", "--n-max", "5"),
-     BASE | {"qsym.qcalc", "qsym.jpoly", "qsym.report"}, False),
-    (("verify", "qstirling", "--n-max", "3"), STIRLING, False),
-], ids=["query-qbinomial", "query-qstirling2", "query-jpoly", "query-parking",
-        "export-stirling", "export-jtable", "verify-qstirling"])
+    (("export", "jtable", "--n-max", "5"), JTABLE, False),
+    (("jtable", "--n-max", "5"), JTABLE, False),
+    (("verify", "qstirling", "--n-max", "3"), STIRLING | {"qsym.report"},
+     False),
+    (("verify", "jpoly", "--n-max", "3"),
+     JTABLE | {"qsym.report", "qsym.symfunc", "qsym.pqalgebra"}, False),
+    (("verify", "oracles", "--n-max", "3"),
+     JTABLE | ORACLES | {"qsym.report"}, False),
+], ids=["query-qbinomial", "query-qstirling2", "query-qstirling1",
+        "query-jpoly", "query-parking", "query-forest-stat", "export-stirling",
+        "export-jtable", "jtable", "verify-qstirling", "verify-jpoly",
+        "verify-oracles"])
 def test_each_command_loads_only_its_modules(argv, expected, writes_json):
     modules = loaded_modules(*argv)
     assert "dataclasses" not in modules and "inspect" not in modules
     assert {m for m in modules if m.split(".")[0] == "qsym"} == expected
     if not writes_json:
         assert "json" not in modules
+    if argv[0] != "verify":
+        assert "fractions" not in modules and "decimal" not in modules
 
 
 # The public names of the package, by defining module.
 PUBLIC = {
-    "exactpoly": ["BiPoly", "InexactDivisionError", "TruncSeries", "UniPoly",
-                  "det_cofactor", "det_hessenberg", "exact_div", "poly_text"],
-    "qcalc": ["pq_binomial", "pq_bracket", "pq_derivative", "pq_factorial",
-              "q_derivative", "qbinomial", "qbracket", "qbracket_power_base",
-              "qfactorial"],
+    "exactpoly": ["InexactDivisionError", "UniPoly", "poly_text"],
+    "pqalgebra": ["BiPoly", "TruncSeries", "det_cofactor", "det_hessenberg",
+                  "exact_div", "pq_binomial", "pq_bracket", "pq_derivative",
+                  "pq_factorial", "q_derivative"],
+    "qcalc": ["qbinomial", "qbracket", "qbracket_power_base", "qfactorial"],
     "qstirling": ["StirlingTriangle", "qstirling1", "qstirling1_triangle",
-                  "qstirling2", "qstirling2_triangle",
-                  "verify_carlitz_identities"],
+                  "qstirling2", "qstirling2_triangle"],
     "symfunc": ["Partition", "SymAlphabet", "SymSeriesBundle",
                 "complete_from_elementary", "elementary", "elementary_sequence",
-                "p_nr_monomial", "qp_nr_determinant", "qp_nr_direct",
-                "transfer_theorem_check"],
+                "j_from_specialized_symfunc", "p_nr_monomial",
+                "qp_nr_determinant", "qp_nr_direct", "transfer_theorem_check"],
     "jpoly": ["JTable", "build_jtable", "j_explicit_composition",
-              "j_explicit_sequences", "j_from_specialized_symfunc",
-              "kung_yan_check", "q1_closed_forms", "reciprocal",
-              "reciprocal_recurrence_check"],
+              "j_explicit_sequences", "q1_closed_forms", "reciprocal"],
+    "report": ["kung_yan_check", "reciprocal_recurrence_check",
+               "verify_carlitz_identities"],
     "oracles": ["DecreasingRanking", "EnumerationCapExceeded", "Forest",
                 "IncreasingRanking", "Ranking", "SeededRanking",
                 "enumerate_forests", "forest_enumerator_poly", "level_statistic",
@@ -125,6 +138,16 @@ def test_moved_errors_keep_their_old_names():
     assert jpoly.JTableShapeError is exactpoly.JTableShapeError
     assert oracles.EnumerationCapExceeded is exactpoly.EnumerationCapExceeded
     assert oracles.DEFAULT_CAP == exactpoly.DEFAULT_CAP == 10_000_000
+
+
+def test_verification_algebra_keeps_its_exactpoly_names():
+    import qsym.exactpoly as exactpoly
+    import qsym.pqalgebra as pqalgebra
+    for name in ("BiPoly", "TruncSeries", "divmod_poly", "exact_div",
+                 "det_cofactor", "det_hessenberg"):
+        assert getattr(exactpoly, name) is getattr(pqalgebra, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        exactpoly.no_such_name
 
 
 def test_value_classes_compare_and_hash_by_fields():
