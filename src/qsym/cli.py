@@ -42,7 +42,7 @@ def _add_ascii(parser):
 def _add_enumeration(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="enumeration candidate cap")
+                        help="cap on the forests or parking functions enumerated")
 
 
 def build_parser(argv) -> argparse.ArgumentParser:

@@ -9,7 +9,6 @@ should check sign conventions.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 
 from .exactpoly import Frozen, UniPoly, json_coeff_list, set_field, zero
@@ -25,10 +24,8 @@ def _band_entry(kind: str, n: int, k: int) -> UniPoly:
     return UniPoly(next(islice(triangle_rows(WEIGHTS[kind], k), n, None))[k])
 
 
-@lru_cache(maxsize=None)
 def qstirling2(n: int, k: int) -> UniPoly:
-    """Second-kind q-Stirling number S[n,k]; S[n,0] = [n == 0], 0 for k > n.
-    Only final answers are cached."""
+    """Second-kind q-Stirling number S[n,k]; S[n,0] = [n == 0], 0 for k > n."""
     if n < 0 or k < 0 or k > n:
         return zero
     return _band_entry("second", n, k)

@@ -1,8 +1,11 @@
 """Earlier routes to the J table and the first-kind q-Stirling triangle,
 kept for the tests as references: dense polynomial products throughout, no
-bracket_mul window sums and no triangle_rows.  And the literal parking
-condition that the pruned parking walk is tested against."""
+bracket_mul window sums and no triangle_rows.  The classical p_n^(r) by
+partitions and their distinct rearrangements, no table over the alphabet.
+And the literal parking condition that the pruned parking walk is tested
+against."""
 
+import itertools
 from math import comb
 
 from qsym.exactpoly import UniPoly, one, zero
@@ -49,3 +52,42 @@ def is_parking_function(a, r: int) -> bool:
     """The i-th smallest value must be below r + i - 1 (1-based i)."""
     b = sorted(a)
     return all(b[i] < r + i for i in range(len(b)))
+
+
+def partitions_with_length(n: int, r: int):
+    """Partitions of n with exactly r parts, as weakly decreasing tuples."""
+    def rec(remaining, parts_left, cap):
+        if parts_left == 0:
+            if remaining == 0:
+                yield ()
+            return
+        # each remaining part is at least 1
+        hi = min(cap, remaining - (parts_left - 1))
+        for first in range(hi, 0, -1):
+            for rest in rec(remaining - first, parts_left - 1, first):
+                yield (first,) + rest
+    if r < 0 or n < 0:
+        return
+    yield from rec(n, r, n)
+
+
+def monomial_sum_by_permutations(values, n: int, r: int) -> UniPoly:
+    """Classical p_n^(r) on the alphabet values: each m_lambda, lambda a
+    partition of n with r parts, as the sum over the distinct rearrangements
+    of its exponent vector padded with zeros to the alphabet size."""
+    if r == 0:
+        return one if n == 0 else zero
+    if n < r or r < 0:
+        return zero
+    total = zero
+    for lam in partitions_with_length(n, r):
+        if len(lam) > len(values):
+            continue
+        exponents = lam + (0,) * (len(values) - len(lam))
+        for arrangement in set(itertools.permutations(exponents)):
+            term = one
+            for x, a in zip(values, arrangement):
+                if a:
+                    term = term * x ** a
+            total = total + term
+    return total

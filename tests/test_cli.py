@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,22 @@ def test_verify_small_suites():
     assert code == 0
     code, _ = run("verify", "oracles", "--n-max", "4", "--seed", "42")
     assert code == 0
+
+
+def test_verify_symfunc_coverage():
+    # three alphabets at each n <= 6, the r = 1 determinants to n = 5 and the
+    # (p, q) battery to n = 4
+    code, text = run("verify", "symfunc", "--n-max", "6", "--format", "json")
+    assert code == 0
+    records = json.loads(text)
+    assert all(r["status"] == "pass" for r in records)
+    assert Counter(r["identity"] for r in records) == {
+        "transfer-second-kind": 63, "transfer-first-kind": 63,
+        "transfer-double-sum": 63, "determinant-vs-convolution": 63,
+        "transfer-r1": 18,
+        "p-bracket-determinant": 45, "e-factorial-determinant": 45,
+        "e-p-linear-system": 45,
+        "pq-double-sum-vs-determinant": 10, "pq-degenerates-to-q": 10}
 
 
 def test_verify_oracles_lists_seeds():

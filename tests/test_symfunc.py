@@ -14,9 +14,10 @@ from qsym.symfunc import (Partition, SymAlphabet, SymSeriesBundle,
                           complete_from_elementary,
                           determinant_vs_convolution_check, elementary,
                           elementary_sequence, p_nr_monomial, p_nr_series,
-                          partitions_with_length, pq_transfer_check,
-                          qp_lambda, qp_nr_determinant, qp_nr_direct,
-                          transfer_theorem_check)
+                          pq_transfer_check, qp_lambda, qp_nr_determinant,
+                          qp_nr_direct, transfer_theorem_check)
+
+from routes import monomial_sum_by_permutations, partitions_with_length
 
 
 def test_partition_basics():
@@ -88,6 +89,20 @@ def test_p_nr_monomial_values():
     assert p_nr_monomial(a, 4, 4) == elementary(a, 4)
     assert p_nr_monomial(a, 0, 0) == one
     assert p_nr_monomial(a, 3, 0) == zero
+
+
+@pytest.mark.parametrize("make", [SymAlphabet.primes,
+                                  lambda size: SymAlphabet.integers(size, start=2),
+                                  SymAlphabet.half_odds, SymAlphabet.principal],
+                         ids=["primes", "integers", "half_odds", "principal"])
+def test_p_nr_monomial_matches_permutation_route(make):
+    # N < n occurs, and r runs one past each end of 0..n
+    for size in range(1, 7):
+        a = make(size)
+        for n in range(-1, 7):
+            for r in range(-1, n + 2):
+                assert (p_nr_monomial(a, n, r)
+                        == monomial_sum_by_permutations(a.values, n, r)), (size, n, r)
 
 
 def test_qp_nr_direct_small_cases():

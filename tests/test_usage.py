@@ -4,7 +4,9 @@ build_parser fills in only the subparser of the command being run, so the
 top-level help, the usage errors and each command's own help must read as
 they did when every subparser was built on every call.  usage_golden.json
 holds stdout, stderr and the exit code of each case below, captured from
-the parser that built all four subparsers (Python 3.11, 80 columns).
+the parser that built all four subparsers (Python 3.11, 80 columns); the
+verify and query help were captured again when the --cap help changed to
+name what the cap counts.
 """
 
 import json
