@@ -23,7 +23,7 @@ _EXPORTS = {
                 "j_from_specialized_symfunc p_nr_monomial qp_nr_determinant "
                 "qp_nr_direct transfer_theorem_check"),
     "jpoly": ("JTable build_jtable j_explicit_composition "
-              "j_explicit_sequences q1_closed_forms reciprocal"),
+              "j_explicit_sequences reciprocal"),
     "report": ("kung_yan_check reciprocal_recurrence_check "
                "verify_carlitz_identities"),
     "oracles": ("DecreasingRanking EnumerationCapExceeded Forest "

@@ -8,56 +8,20 @@ triangle is generated row by row from a linear recurrence whose coefficients
 are bracket powers.  An explicit composition sum, and a route through the
 symmetric-function machinery specialized at e_k = q^C(k,2) / k! (in
 ``symfunc``), produce the same polynomials as mutually checking code paths.
+The composition sums, of J and of both forms of its reciprocal, are one
+depth-first walk over the compositions that shares each prefix's bracket
+chain among all compositions extending it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from math import comb, factorial
-from operator import itemgetter, sub
+from operator import add, itemgetter, mul
 
 from .exactpoly import (JTableShapeError, UniPoly, bracket_mul, json_coeff_list,
                         latex_poly, one, zero)
-from .qcalc import qbracket
-
-
-def multinomial(total: int, parts) -> int:
-    num = factorial(total)
-    for a in parts:
-        num //= factorial(a)
-    return num
-
-
-def compositions(total: int):
-    """Ordered tuples of positive integers with the given sum.
-
-    Encoded by the subset of cut positions between consecutive units, so
-    there are exactly 2^(total-1) of them; fine through total ~ 20.
-    """
-    if total < 0:
-        return
-    if total == 0:
-        yield ()
-        return
-    for mask in range(1 << (total - 1)):
-        cuts = [i for i in range(1, total) if mask >> (i - 1) & 1]
-        yield tuple(map(sub, cuts + [total], [0] + cuts))
-
-
-def column_binomial_sum(u) -> int:
-    """sum C(u_i, 2): the inversion-floor statistic of a composition."""
-    return sum(comb(a, 2) for a in u)
-
-
-def composition_terms(m: int, r: int):
-    """(u, [r]^(u1) [u1]^(u2) ... [u_(k-1)]^(uk), multinomial(m, u)) for
-    every composition u of m: the shared factors of the composition sums."""
-    for u in compositions(m):
-        w = qbracket(r) ** u[0]
-        for i in range(1, len(u)):
-            w = w * qbracket(u[i - 1]) ** u[i]
-        yield u, w, multinomial(m, u)
 
 
 def j_degree(n: int, r: int) -> int:
@@ -139,6 +103,35 @@ def build_jtable(n_max: int) -> JTable:
     return JTable(n_max, rows)
 
 
+def composition_sum(m: int, r: int, step) -> list:
+    """sum over the compositions u of m of multinomial(m, u) q^e(u)
+    [r]^(u1) [u1]^(u2) ... [u_(k-1)]^(uk), as an int coefficient list.
+
+    The compositions are walked depth first.  Each prefix carries its
+    bracket chain, its multinomial count, its exponent e, its last part
+    (r before the first) and its part sum done.  A new part a takes
+    C(m - done, a) into the count and advances e, from 0, to
+    step(e, a, last, done); part a + 1 is part a times one more [last], so
+    each child's chain is one bracket_mul past its previous sibling's.  A
+    leaf adds count times its chain, shifted by e, into one list.
+    """
+    total = []
+
+    def walk(chain, count, e, last, done):
+        if done == m:
+            end = e + len(chain)
+            total.extend(repeat(0, end - len(total)))
+            total[e:end] = map(add, total[e:end], map(mul, chain, repeat(count)))
+            return
+        for a in range(1, m - done + 1):
+            chain = bracket_mul(chain, last)
+            walk(chain, count * comb(m - done, a), step(e, a, last, done),
+                 a, done + a)
+
+    walk([1], 1, 0, r, 0)
+    return total
+
+
 def j_explicit_composition(n: int, r: int) -> UniPoly:
     """J(n, r) as a sum over compositions u of n - r.
 
@@ -147,8 +140,8 @@ def j_explicit_composition(n: int, r: int) -> UniPoly:
     """
     if not (n - 1 >= r >= 1):
         raise ValueError("need n - 1 >= r >= 1")
-    return sum((w * UniPoly.monomial(column_binomial_sum(u), count)
-                for u, w, count in composition_terms(n - r, r)), zero)
+    return UniPoly(composition_sum(n - r, r,
+                                   lambda e, a, last, done: e + comb(a, 2)))
 
 
 def j_explicit_sequences(n: int, r: int) -> UniPoly:
@@ -175,20 +168,6 @@ def reciprocal(n: int, r: int, table: JTable) -> UniPoly:
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
     return table.entry(n, r).reversed_to(j_degree(n, r))
-
-
-def q1_closed_forms(n: int, r: int):
-    """(forest count, functional digraph count) at q = 1.
-
-    The forest count r * n^(n-r-1) equals J(n, r)(1); at r = n the exponent
-    is -1 and the exact value is 1, handled as a guarded case instead of a
-    negative integer power.  The digraph count is (r-1)! times the forest
-    count.
-    """
-    if not (n >= r >= 1):
-        raise ValueError("need n >= r >= 1")
-    count = 1 if r == n else r * n ** (n - r - 1)
-    return count, factorial(r - 1) * count
 
 
 # ---------------------------------------------------------------------------

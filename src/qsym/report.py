@@ -194,8 +194,6 @@ def reciprocal_recurrence_check(n_max: int) -> CheckReport:
     """The reciprocal satisfies the horizontal recurrence with coefficients
     [r]^j q^(r (n-r-j)) C(n-r, j) against row n-r of the reciprocal table."""
     from .jpoly import build_jtable, reciprocal
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
     report = CheckReport()
     table = build_jtable(n_max)
     for n in range(2, n_max + 1):
@@ -218,8 +216,6 @@ def kung_yan_check(n_max: int) -> CheckReport:
     (1-q)^(n-r) Jbar(n, r) = 1 - sum over l < n of C(n-r, l-r) q^(l(n-l))
     (1-q)^(l-r) Jbar(l, r); coefficients live in Z[q] with signs."""
     from .jpoly import build_jtable, reciprocal
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
     report = CheckReport()
     table = build_jtable(n_max)
     omq = powers(one - q, n_max)
@@ -281,30 +277,31 @@ def jpoly_suite_report(n_max: int) -> CheckReport:
     return report
 
 
-def reciprocal_explicit_check(n_max: int) -> CheckReport:
-    """Both composition sums for the reciprocal polynomial, checked against
-    the reversed table entries.
+def reciprocal_composition_forms(m: int, r: int):
+    """The two composition sums for the reciprocal of J(m + r, r), from one
+    walk with two exponent rules; s is the part sum before a new part a and
+    l the last part (r before the first).
 
-    Form one weights a composition u of n - r by q^(sigma(u) + r(n-r-u_1));
-    form two prepends the root count and uses q^sigma(u with root), which
-    shifts the same exponent bookkeeping into the sequence itself.
+    Form one weights a composition u of m by q^(sigma(u) + r(m-u_1)): the
+    first part adds 0 and each later one a(s-l) + r a.  Form two prepends
+    the root count and uses q^sigma(r, u): each part adds a(r+s-l).
     """
-    from .jpoly import build_jtable, composition_terms, reciprocal
-    from .oracles import sigma_statistic
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
+    from .jpoly import composition_sum
+    form_one = composition_sum(
+        m, r, lambda e, a, l, s: e + a * (s - l) + r * a if s else e)
+    form_two = composition_sum(m, r, lambda e, a, l, s: e + a * (r + s - l))
+    return UniPoly(form_one), UniPoly(form_two)
+
+
+def reciprocal_explicit_check(n_max: int) -> CheckReport:
+    """Both composition sums for the reciprocal against the table's."""
+    from .jpoly import build_jtable, reciprocal
     report = CheckReport()
     table = build_jtable(n_max)
     for n in range(2, n_max + 1):
         for r in range(1, n):
-            m = n - r
             expected = reciprocal(n, r, table)
-            acc1 = acc2 = zero
-            for u, w, count in composition_terms(m, r):
-                acc1 = acc1 + w * UniPoly.monomial(
-                    sigma_statistic(u) + r * (m - u[0]), count)
-                acc2 = acc2 + w * UniPoly.monomial(
-                    sigma_statistic(u, include_root=r), count)
+            acc1, acc2 = reciprocal_composition_forms(n - r, r)
             report.check("reciprocal-composition-formula", acc1 == expected,
                          detail=lambda: f"lhs={acc1} expected={expected}",
                          n=n, r=r)
@@ -329,7 +326,7 @@ def oracle_suite_report(n_max: int, seed: int = 0,
     from .oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
                           _forest_enumerators, parking_enumerator_poly)
     report = CheckReport()
-    table = build_jtable(max(n_max, 2))
+    table = build_jtable(n_max)
     seeds = [seed, seed + 1, seed + 2]
     rankings = [IncreasingRanking(), DecreasingRanking()] + \
         [SeededRanking(s) for s in seeds]
@@ -371,5 +368,5 @@ def oracle_suite_report(n_max: int, seed: int = 0,
                          detail=lambda: f"got={got} expected={expected}",
                          m=m, r=r)
 
-    report.merge(reciprocal_explicit_check(max(n_max, 2)))
+    report.merge(reciprocal_explicit_check(n_max))
     return report

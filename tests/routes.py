@@ -1,14 +1,17 @@
 """Earlier routes to the J table and the first-kind q-Stirling triangle,
 kept for the tests as references: dense polynomial products throughout, no
-bracket_mul window sums and no triangle_rows.  The classical p_n^(r) by
-partitions and their distinct rearrangements, no table over the alphabet.
-And the literal parking condition that the pruned parking walk is tested
-against."""
+bracket_mul window sums and no triangle_rows.  The composition sums with
+every composition's bracket chain rebuilt by dense powers, no shared
+prefixes.  The classical p_n^(r) by partitions and their distinct
+rearrangements, no table over the alphabet.  And the literal parking
+condition that the pruned parking walk is tested against."""
 
 import itertools
-from math import comb
+from math import comb, factorial
+from operator import sub
 
 from qsym.exactpoly import UniPoly, one, zero
+from qsym.oracles import sigma_statistic
 from qsym.qcalc import qbracket
 
 
@@ -26,6 +29,48 @@ def dense_jtable(n_max: int) -> dict:
                 acc = acc + UniPoly.monomial(comb(i, 2), comb(m, i)) * bpow * j[m, i]
             j[n, r] = acc
     return j
+
+
+def multinomial(total: int, parts) -> int:
+    num = factorial(total)
+    for a in parts:
+        num //= factorial(a)
+    return num
+
+
+def compositions(total: int):
+    """Ordered tuples of positive integers with the given sum, one per
+    subset of the total - 1 cut positions between consecutive units."""
+    if total < 0:
+        return
+    if total == 0:
+        yield ()
+        return
+    for mask in range(1 << (total - 1)):
+        cuts = [i for i in range(1, total) if mask >> (i - 1) & 1]
+        yield tuple(map(sub, cuts + [total], [0] + cuts))
+
+
+def dense_composition_sum(m: int, r: int, exponent) -> UniPoly:
+    """sum over the compositions u of m of multinomial(m, u) q^exponent(u)
+    [r]^(u1) [u1]^(u2) ... [u_(k-1)]^(uk), each chain a product of dense
+    powers."""
+    total = zero
+    for u in compositions(m):
+        w, last = one, r
+        for a in u:
+            w, last = w * qbracket(last) ** a, a
+        total = total + w * UniPoly.monomial(exponent(u), multinomial(m, u))
+    return total
+
+
+# The exponents of the three explicit sums, as functions of (m, r, u): J's
+# sum C(u_i, 2), and the reciprocal's sigma(u) + r(m - u_1) and sigma(r, u).
+COMPOSITION_EXPONENTS = {
+    "j": lambda m, r, u: sum(comb(a, 2) for a in u),
+    "reciprocal": lambda m, r, u: sigma_statistic(u) + r * (m - u[0]),
+    "rooted-reciprocal": lambda m, r, u: sigma_statistic(u, include_root=r),
+}
 
 
 def substituted_first_kind(n_max: int) -> list:

@@ -226,6 +226,21 @@ def test_verify_small_suites():
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", ["jpoly", "oracles", "all"])
+def test_verify_accepts_n_max_one(suite):
+    # the documented minimum; batteries whose instances start at n = 2 are
+    # empty there, and report nothing they were not asked for
+    code, text = run("verify", suite, "--n-max", "1", "--format", "json")
+    assert code == 0
+    records = json.loads(text)
+    assert records and all(r["status"] == "pass" for r in records)
+    assert not [r for r in records
+                if r["identity"].startswith(("reciprocal-", "forest-"))]
+    if suite == "oracles":
+        assert [r["identity"] for r in records] == ["ranking-seeds",
+                                                    "parking-sum-enumerator"]
+
+
 def test_verify_symfunc_coverage():
     # three alphabets at each n <= 6, the r = 1 determinants to n = 5 and the
     # (p, q) battery to n = 4

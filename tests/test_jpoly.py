@@ -7,14 +7,15 @@ import pytest
 
 from qsym.exactpoly import UniPoly, one, q, zero
 from qsym.qcalc import qbracket
-from qsym.jpoly import (build_jtable, column_binomial_sum, compositions,
-                        j_explicit_composition, j_explicit_sequences,
-                        jtable_csv_rows, jtable_latex, multinomial,
-                        q1_closed_forms, reciprocal)
+from qsym.jpoly import (build_jtable, composition_sum, j_explicit_composition,
+                        j_explicit_sequences, jtable_csv_rows, jtable_latex,
+                        reciprocal)
 from qsym.report import (extended_recurrence_check, kung_yan_check,
+                         reciprocal_composition_forms,
                          reciprocal_recurrence_check)
 from qsym.symfunc import exp_series, exp_shift_check, j_from_specialized_symfunc
-from routes import dense_jtable
+from routes import (COMPOSITION_EXPONENTS, compositions, dense_composition_sum,
+                    dense_jtable, multinomial)
 
 
 def P(*coeffs):
@@ -79,7 +80,28 @@ def test_compositions():
     assert list(compositions(0)) == [()]
     assert len(list(compositions(8))) == 128
     assert multinomial(4, (2, 1, 1)) == 12
-    assert column_binomial_sum((3, 2)) == 3 + 1
+    assert COMPOSITION_EXPONENTS["j"](5, 1, (3, 2)) == 3 + 1
+
+
+def test_composition_walk_matches_the_dense_reference():
+    # one walk, three exponent rules, against every composition's chain
+    # rebuilt with dense powers
+    for n in range(2, 13):
+        for r in range(1, n):
+            m = n - r
+            walked = {"j": j_explicit_composition(n, r)}
+            walked["reciprocal"], walked["rooted-reciprocal"] = \
+                reciprocal_composition_forms(m, r)
+            for name, exponent in COMPOSITION_EXPONENTS.items():
+                expected = dense_composition_sum(
+                    m, r, lambda u: exponent(m, r, u))
+                assert walked[name] == expected, (name, n, r)
+
+
+def test_composition_walk_at_the_empty_composition():
+    # m = 0 is the one empty composition: count 1, chain 1, exponent 0
+    assert composition_sum(0, 3, lambda e, a, last, done: e + 1) == [1]
+    assert composition_sum(1, 2, lambda e, a, last, done: e + 5) == [0] * 5 + [1, 1]
 
 
 def test_explicit_composition_values():
@@ -200,22 +222,19 @@ def test_column_recurrence_first_step():
 
 
 def test_q1_closed_forms():
-    assert q1_closed_forms(5, 1) == (125, 125)
-    assert q1_closed_forms(4, 2) == (8, 8)
-    assert q1_closed_forms(5, 5) == (1, 24)
-    assert q1_closed_forms(1, 1) == (1, 1)
-    assert sum(GOLDEN[(5, 1)].coeffs) == 125
-    with pytest.raises(ValueError):
-        q1_closed_forms(2, 3)
+    # J(n, r)(1) counts the forests: r n^(n-r-1), and 1 at r = n
+    table = build_jtable(5)
+    assert table.entry(5, 1).evaluate(1) == sum(GOLDEN[(5, 1)].coeffs) == 125
+    assert table.entry(4, 2).evaluate(1) == 8
+    assert table.entry(5, 5).evaluate(1) == table.entry(1, 1).evaluate(1) == 1
 
 
 def test_table_at_one_matches_closed_form():
     table = build_jtable(12)
     for n in range(1, 13):
         for r in range(1, n + 1):
-            count, digraphs = q1_closed_forms(n, r)
+            count = 1 if r == n else r * n ** (n - r - 1)
             assert table.entry(n, r).evaluate(Fraction(1)) == count
-            assert digraphs == factorial(r - 1) * count
 
 
 def test_exp_series_coefficients():

@@ -35,7 +35,7 @@ PROBE = ("import io, sys\n"
 
 BASE = {"qsym", "qsym.cli", "qsym.exactpoly"}
 STIRLING = BASE | {"qsym.qcalc", "qsym.qstirling"}
-JTABLE = BASE | {"qsym.qcalc", "qsym.jpoly"}
+JTABLE = BASE | {"qsym.jpoly"}
 ORACLES = BASE | {"qsym.oracles"}
 
 
@@ -66,9 +66,10 @@ def loaded_modules(*argv) -> set:
     (("verify", "qstirling", "--n-max", "3"), STIRLING | {"qsym.report"},
      False),
     (("verify", "jpoly", "--n-max", "3"),
-     JTABLE | {"qsym.report", "qsym.symfunc", "qsym.pqalgebra"}, False),
+     JTABLE | {"qsym.qcalc", "qsym.report", "qsym.symfunc", "qsym.pqalgebra"},
+     False),
     (("verify", "oracles", "--n-max", "3"),
-     JTABLE | ORACLES | {"qsym.report"}, False),
+     JTABLE | ORACLES | {"qsym.qcalc", "qsym.report"}, False),
 ], ids=["query-qbinomial", "query-qstirling2", "query-qstirling1",
         "query-jpoly", "query-parking", "query-forest-stat", "export-stirling",
         "export-jtable", "jtable", "verify-qstirling", "verify-jpoly",
@@ -97,7 +98,7 @@ PUBLIC = {
                 "j_from_specialized_symfunc", "p_nr_monomial",
                 "qp_nr_determinant", "qp_nr_direct", "transfer_theorem_check"],
     "jpoly": ["JTable", "build_jtable", "j_explicit_composition",
-              "j_explicit_sequences", "q1_closed_forms", "reciprocal"],
+              "j_explicit_sequences", "reciprocal"],
     "report": ["kung_yan_check", "reciprocal_recurrence_check",
                "verify_carlitz_identities"],
     "oracles": ["DecreasingRanking", "EnumerationCapExceeded", "Forest",
