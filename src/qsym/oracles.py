@@ -6,12 +6,20 @@ level by level, which would mirror the proof structure being certified),
 and parking functions as raw value tuples filtered by the sorted-prefix
 condition.  Both walks prune: a partial parent map is dropped at the first
 edge that closes a cycle, and a value prefix that no last value completes
-is dropped, its admissible last values being counted directly.  The cap
-bounds what is enumerated, the r n^(n-r-1) forests and the r (r+m)^(m-1)
-parking functions, not the raw spaces the walks prune.
+is never visited, its admissible last values being counted directly.  The
+cap bounds what is enumerated, the r n^(n-r-1) forests and the
+r (r+m)^(m-1) parking functions, not the raw spaces the walks prune.
 
-Each forest is still scored on its own, once for every ranking, by one
-sum of packed table lookups (_forest_enumerators); level_statistic and
+Both walks share work among objects that provably score alike.  The
+parking walk visits only nondecreasing prefixes: a prefix's sorted values
+alone decide whether it completes and what it contributes, so each sorted
+prefix stands for all of its orderings.  The forest walk stops at the last
+non-root v and groups the parents that close no cycle, the vertices of
+known depth, by depth: v and the subtree hanging under it take the same
+depths under every member of a group, so the group's forests share depths
+and level masks and differ only in v's parent.  _forest_enumerators scores
+each group once, for every ranking, by one sum of packed table lookups,
+each member adding one weight for v's parent; level_statistic and
 reciprocal_level_statistic remain the literal per-forest scorers, used for
 --dump-forests.
 
@@ -22,7 +30,7 @@ strongest correctness evidence the package produces.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, factorial
 
 from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, Frozen, UniPoly,
                         one, set_field)
@@ -141,23 +149,35 @@ def _check_roots(n: int, roots) -> tuple:
 
 
 def _raw_forests(n: int, roots: tuple):
-    """Yield (parent_array, depth_array, level_masks) for each acyclic
-    parent map.
+    """Yield (parent_array, depth_array, level_masks, sizes, group) for each
+    depth group of acyclic parent maps.
 
-    The non-roots are given parents in ascending vertex order, each trying
-    parents 1..n in ascending order, so the maps come in the order of the
-    full product of parent choices, the last non-root varying fastest.  A
-    branch is dropped as soon as its newest edge closes a cycle, which is
-    when the parent chain from the new parent returns to the new child; no
-    extension of that branch is acyclic.  Depths are kept along the way:
-    when a vertex attaches below one whose depth is known, it and the
-    subtree already hanging under it get theirs, and backtracking clears
-    them again.  level_masks[d] is kept with them: the bitmask, bit v for
-    vertex v, of the vertices at depth d (0 past the deepest level).
+    The non-roots but the last, v, are given parents in ascending vertex
+    order, each trying parents 1..n in ascending order.  A branch is dropped
+    as soon as its newest edge closes a cycle, which is when the parent
+    chain from the new parent returns to the new child; no extension of
+    that branch is acyclic.  Depths are kept along the way: when a vertex
+    attaches below one whose depth is known, it and the subtree already
+    hanging under it get theirs, and backtracking clears them again.
+    level_masks[d] is kept with them: the bitmask, bit v for vertex v, of
+    the vertices at depth d (0 past the deepest level).  So is sizes, which
+    packs the sizes of levels 1, 2, ..., n.bit_length() bits each.
+
+    Once every non-root but v has a parent (a frame), the parents that close
+    no cycle for v are exactly the vertices of known depth: every other
+    vertex hangs, through its chain, below v.  They are grouped by depth.
+    The forests of one group differ only in v's parent, since v and the
+    subtree hanging under it take the same depths whichever member it hangs
+    from; so the group shares the depth array, the level masks and sizes.
+    A frame yields its groups in ascending depth, the roots' group first,
+    with parent_array[v] = 0; each group lists its members ascending.
+    Ordering each frame's forests by v's parent gives the order of the full
+    product of parent choices, the last non-root varying fastest.
 
     parent_array and depth_array are indexed by vertex; slot 0 stands for
-    the missing parent of a root, with parent 0 and depth 0.  All three
-    arrays are reused between iterations: consumers keep a copy of
+    the missing parent of a root, with parent 0 and depth 0.  With no
+    non-root at all, the edgeless forest is yielded as the one group (0,).
+    All the arrays are reused between iterations: consumers keep a copy of
     anything they hold past the current step.
     """
     nonroots = [v for v in range(1, n + 1) if v not in roots]
@@ -169,14 +189,41 @@ def _raw_forests(n: int, roots: tuple):
     for rt in roots:
         depth[rt] = 0
         lvl[0] |= 1 << rt
+    if k == 0:
+        yield parent, depth, lvl, 0, (0,)
+        return
+    size_bits = n.bit_length()
+    unit = [0] + [1 << (d * size_bits) for d in range(k)]   # by depth
+    sizes = 0
     children = [[] for _ in range(n + 1)]
     placed = []         # the vertices given a depth, in the order they got it
     marks = [0] * k     # len(placed) before the i-th non-root was assigned
     next_parent = [1] * k
+    last = nonroots[-1]
+    members = {}        # a level mask's vertices, ascending
     i = 0
     while i >= 0:
-        if i == k:
-            yield parent, depth, lvl
+        if i == k - 1:
+            # v and what hangs under it, with their depths below v
+            hang, below = [last], [0]
+            for u, du in zip(hang, below):
+                hang.extend(children[u])
+                below.extend([du + 1] * len(children[u]))
+            for d, mask in enumerate(lvl[:lvl.index(0)]):
+                group = members.get(mask)
+                if group is None:
+                    group = members[mask] = [u for u in range(1, n + 1)
+                                             if mask >> u & 1]
+                extra = 0
+                for u, du in zip(hang, below):
+                    du += d + 1
+                    depth[u] = du
+                    lvl[du] |= 1 << u
+                    extra += unit[du]
+                yield parent, depth, lvl, sizes + extra, group
+                for u in hang:
+                    lvl[depth[u]] ^= 1 << u
+                    depth[u] = -1
             i -= 1
             continue
         v = nonroots[i]
@@ -185,6 +232,7 @@ def _raw_forests(n: int, roots: tuple):
             parent[v] = 0
             for u in placed[marks[i]:]:
                 lvl[depth[u]] ^= 1 << u
+                sizes -= unit[depth[u]]
                 depth[u] = -1
             del placed[marks[i]:]
         # A parent of unknown depth hangs, through its chain, below an
@@ -209,6 +257,7 @@ def _raw_forests(n: int, roots: tuple):
         if depth[p] >= 0:
             depth[v] = dv = depth[p] + 1
             lvl[dv] |= 1 << v
+            sizes += unit[dv]
             placed.append(v)
             while j < len(placed):
                 u = placed[j]
@@ -216,6 +265,7 @@ def _raw_forests(n: int, roots: tuple):
                 for c in children[u]:
                     depth[c] = du
                     lvl[du] |= 1 << c
+                    sizes += unit[du]
                     placed.append(c)
                 j += 1
         i += 1
@@ -232,14 +282,23 @@ def _capped_roots(n: int, roots, cap: int) -> tuple:
 
 
 def enumerate_forests(n: int, roots, cap: int = DEFAULT_CAP):
-    """Stream every rooted forest on {1..n} with the given root set."""
+    """Stream every rooted forest on {1..n} with the given root set, in the
+    order of the full product of parent choices, the last non-root varying
+    fastest."""
     roots = _capped_roots(n, roots, cap)
-    for parent, depth, _lvl in _raw_forests(n, roots):
-        pmap = {v: parent[v] for v in range(1, n + 1) if v not in roots}
+    nonroots = [v for v in range(1, n + 1) if v not in roots]
+    frame = {}          # one frame's forests by the last non-root's parent
+    for parent, depth, _lvl, _sizes, group in _raw_forests(n, roots):
+        if depth[group[0]] == 0:        # a new frame: flush the last one
+            yield from map(frame.pop, sorted(frame))
+        head = [parent[v] for v in nonroots[:-1]]
         levels = [[] for _ in range(max(depth) + 1)]
         for v in range(1, n + 1):
             levels[depth[v]].append(v)
-        yield Forest(n, roots, pmap, tuple(map(tuple, levels)))
+        levels = tuple(map(tuple, levels))
+        for p in group:
+            frame[p] = Forest(n, roots, dict(zip(nonroots, head + [p])), levels)
+    yield from map(frame.pop, sorted(frame))
 
 
 def sigma_statistic(u, include_root=None) -> int:
@@ -334,10 +393,12 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     """Sum q^statistic over all forests for every variant and ranking, in one
     walk of the candidate space.
 
-    Each forest is scored once for all rankings, by C-level maps with no
-    Python loop over its vertices: the weights of the vertices' parents,
-    each looked up by the mask of the parent's level, sum to every
-    ranking's parent-rank shortfall at once, one per lane.  Forests are
+    Each depth group of the walk is scored once for all rankings, by
+    C-level maps with no Python loop over its vertices: the weights of the
+    vertices' parents, each looked up by the mask of the parent's level,
+    sum to every ranking's parent-rank shortfall at once, one per lane.
+    That sum leaves out the last non-root, whose parent is what the members
+    of a group differ in, so each member adds its own weight.  Forests are
     tallied by (level sizes, packed shortfalls), both packed into one int,
     and the tally is folded into per-ranking shortfall counts for each
     level-size sequence whenever it reaches _TALLY_KEYS keys.  Every
@@ -349,13 +410,11 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     width, weight = _packed_weights(n, roots, rankings)
     lane = (1 << width) - 1
     # A key holds the shortfall lanes in its low bits and, above them, the
-    # sizes of levels 1, 2, ..., size_bits bits each: unit[d] counts one
-    # vertex at depth d >= 1, and the roots and slot 0 count for nothing.
+    # walk's sizes: levels 1, 2, ..., size_bits bits each.
     low = width * len(rankings)
     k = n - len(roots)              # the non-roots fill at most k levels
     size_bits = n.bit_length()
     size_mask = (1 << size_bits) - 1
-    unit = [0] + [1 << (low + d * size_bits) for d in range(k)]
     shortfalls = {}     # key >> low -> per ranking, {shortfall: count}
 
     def fold(tally):
@@ -371,12 +430,16 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
 
     tally = {}
     lookup = dict.__getitem__
-    for parent, depth, lvl in _raw_forests(n, roots):
-        key = (sum(map(lookup, map(weight.__getitem__, parent),
-                       map(lvl.__getitem__, map(depth.__getitem__, parent))))
-               + sum(map(unit.__getitem__, depth)))
-        tally[key] = tally.get(key, 0) + 1
-        if len(tally) == _TALLY_KEYS:
+    for parent, depth, lvl, sizes, group in _raw_forests(n, roots):
+        # parent[v] = 0 for the last non-root v adds nothing to the base
+        base = (sum(map(lookup, map(weight.__getitem__, parent),
+                        map(lvl.__getitem__, map(depth.__getitem__, parent))))
+                + (sizes << low))
+        mask = lvl[depth[group[0]]]
+        for p in group:
+            key = base + weight[p][mask]
+            tally[key] = tally.get(key, 0) + 1
+        if len(tally) >= _TALLY_KEYS:
             fold(tally)
     fold(tally)
     polys = []
@@ -423,14 +486,23 @@ def parking_candidates(m: int, r: int) -> int:
 def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
     """Sum of q^(a_1 + ... + a_m) over parking functions with offset r.
 
-    Runs through {0..r+m-2}^(m-1), the first m - 1 values, and drops a
-    prefix that no last value completes: one whose sorted values b break
-    b_j < r + j + 1 (0-based j).  A completable prefix is completed exactly
-    by the last values 0..t-1, where t = r + f for the first position f
-    with b_f = r + f, and t = r + m - 1 if there is none; lowering a value
-    never breaks the sorted condition, so they form an initial segment.
-    Each of those t tuples is tallied.  The cap counts the parking
-    functions, and the empty case m = 0 contributes the empty sum 1.
+    Runs through the nondecreasing prefixes b of the first m - 1 values,
+    each of which stands for its (m-1)! / prod_v c_v! orderings, c_v the
+    number of times v occurs.  The walk keeps b_j <= r + j (0-based j), the
+    sorted condition, so it visits exactly the prefixes that some last
+    value completes.  They are completed exactly by the last values
+    0..t-1, where t = r + f for the first position f with b_f = r + f, and
+    t = r + m - 1 if there is none; lowering a value never breaks the sorted
+    condition, so they form an initial segment.  Every ordering of b has
+    the same sum and the same t, so b adds its ordering count to the
+    coefficients from q^sum(b) to q^(sum(b)+t-1), one difference-array
+    entry at each end.  The walk steps b like an odometer, the last
+    position fastest: the rightmost position below its bound goes up by one
+    and every later position takes its new value.  The sum, the product of
+    run-length factorials and t of each leading part of b are kept on an
+    explicit stack, so a step redoes only the positions it changed.  The
+    cap counts the parking functions, and the empty case m = 0 contributes
+    the empty sum 1.
     """
     if m < 0 or r < 1:
         raise ValueError("need m >= 0 and r >= 1")
@@ -439,20 +511,32 @@ def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
         raise EnumerationCapExceeded(projected, cap)
     if m == 0:
         return one
+    k = m - 1
     full = r + m - 1
-    coeffs = [0] * (m * (full - 1) + 1)
-    for prefix in itertools.product(range(full), repeat=m - 1):
-        t = full
-        for bound, b in enumerate(sorted(prefix), r):
-            if b > bound:
-                break
-            if b == bound and t == full:
-                t = bound
-        else:
-            s = sum(prefix)
-            for x in range(t):
-                coeffs[s + x] += 1
-    return UniPoly(coeffs)
+    orderings = factorial(k)
+    b = [0] * k
+    # entry j: the sum, the run-length factorial product, the length of the
+    # last run and t of b[:j]
+    sums, denoms, runs, tight = [0] * m, [1] * m, [0] * m, [full] * m
+    diff = [0] * (m * (full - 1) + 2)
+    j = 0
+    while True:
+        for i in range(j, k):
+            b[i] = v = b[j]
+            run = runs[i] + 1 if i and b[i - 1] == v else 1
+            runs[i + 1] = run
+            denoms[i + 1] = denoms[i] * run
+            sums[i + 1] = sums[i] + v
+            tight[i + 1] = r + i if tight[i] == full and v == r + i else tight[i]
+        w = orderings // denoms[k]
+        diff[sums[k]] += w
+        diff[sums[k] + tight[k]] -= w
+        j = k - 1
+        while j >= 0 and b[j] == r + j:
+            j -= 1
+        if j < 0:
+            return UniPoly(list(itertools.accumulate(diff[:-1])))
+        b[j] += 1
 
 
 def forest_records(n: int, roots, ranking: Ranking,

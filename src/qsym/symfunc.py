@@ -29,7 +29,7 @@ from .qcalc import (alternating_binomial_sum, qbinomial, qbracket,
 from .report import CheckReport
 
 # Largest sizes of the r = 1 determinant and two-parameter batteries in the
-# suite; both run to these sizes whatever the suite's own size.
+# suite; below them, both stop at the suite's own size.
 DETERMINANT_N_MAX = 5
 PQ_N_MAX = 4
 
@@ -482,10 +482,10 @@ def symfunc_suite_report(n_max: int) -> CheckReport:
         for alphabet in default_alphabets(n):
             report.merge(transfer_theorem_check(alphabet, n))
             report.merge(determinant_vs_convolution_check(alphabet, n))
-    for n in range(1, DETERMINANT_N_MAX + 1):
+    for n in range(1, min(n_max, DETERMINANT_N_MAX) + 1):
         for alphabet in default_alphabets(n):
             report.merge(classical_pn_determinants_check(alphabet, n))
-    for n in range(1, PQ_N_MAX + 1):
+    for n in range(1, min(n_max, PQ_N_MAX) + 1):
         alphabet = SymAlphabet.primes(max(n, 3))
         report.merge(pq_transfer_check(alphabet, n))
     return report

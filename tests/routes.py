@@ -3,8 +3,9 @@ kept for the tests as references: dense polynomial products throughout, no
 bracket_mul window sums and no triangle_rows.  The composition sums with
 every composition's bracket chain rebuilt by dense powers, no shared
 prefixes.  The classical p_n^(r) by partitions and their distinct
-rearrangements, no table over the alphabet.  And the literal parking
-condition that the pruned parking walk is tested against."""
+rearrangements, no table over the alphabet.  The parking sum by every
+ordered prefix of the first m - 1 values, each sorted on its own, and the
+literal parking condition that both parking walks are tested against."""
 
 import itertools
 from math import comb, factorial
@@ -97,6 +98,34 @@ def is_parking_function(a, r: int) -> bool:
     """The i-th smallest value must be below r + i - 1 (1-based i)."""
     b = sorted(a)
     return all(b[i] < r + i for i in range(len(b)))
+
+
+def prefix_product_parking(m: int, r: int) -> UniPoly:
+    """Sum of q^(a_1 + ... + a_m) over parking functions with offset r.
+
+    Runs through {0..r+m-2}^(m-1), the first m - 1 values, and drops a
+    prefix that no last value completes: one whose sorted values b break
+    b_j < r + j + 1 (0-based j).  A completable prefix is completed exactly
+    by the last values 0..t-1, where t = r + f for the first position f
+    with b_f = r + f, and t = r + m - 1 if there is none.  Each of those t
+    tuples is tallied.
+    """
+    if m == 0:
+        return one
+    full = r + m - 1
+    coeffs = [0] * (m * (full - 1) + 1)
+    for prefix in itertools.product(range(full), repeat=m - 1):
+        t = full
+        for bound, b in enumerate(sorted(prefix), r):
+            if b > bound:
+                break
+            if b == bound and t == full:
+                t = bound
+        else:
+            s = sum(prefix)
+            for x in range(t):
+                coeffs[s + x] += 1
+    return UniPoly(coeffs)
 
 
 def partitions_with_length(n: int, r: int):

@@ -241,6 +241,14 @@ def test_verify_accepts_n_max_one(suite):
                                                     "parking-sum-enumerator"]
 
 
+def test_verify_n_max_one_reports_nothing_larger():
+    code, text = run("verify", "all", "--n-max", "1", "--format", "json")
+    assert code == 0
+    records = json.loads(text)
+    assert records
+    assert [r for r in records if r.get("n", 0) > 1 or r.get("r", 0) > 1] == []
+
+
 def test_verify_symfunc_coverage():
     # three alphabets at each n <= 6, the r = 1 determinants to n = 5 and the
     # (p, q) battery to n = 4

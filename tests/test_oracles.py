@@ -21,7 +21,7 @@ from qsym.oracles import (_TALLY_KEYS, DecreasingRanking,
                           sigma_statistic)
 from qsym.report import reciprocal_explicit_check
 
-from routes import is_parking_function
+from routes import is_parking_function, prefix_product_parking
 
 
 def P(*coeffs):
@@ -153,13 +153,41 @@ def levels_of(lvl, n):
                  for mask in lvl[:deepest])
 
 
+def expanded_walk(n, roots):
+    """The walk's depth groups expanded into one (parent, depth, levels) per
+    forest, each frame's forests put in ascending order of the last
+    non-root's parent.  Checks each group on the way: its members are
+    ascending and share one depth, the last non-root's parent is left 0,
+    and sizes packs the sizes of levels 1, 2, ..."""
+    nonroots = [v for v in range(1, n + 1) if v not in roots]
+    last = nonroots[-1] if nonroots else 0
+    frame = {}
+    for parent, depth, lvl, sizes, group in _raw_forests(n, roots):
+        if depth[group[0]] == 0:
+            yield from map(frame.pop, sorted(frame))
+        levels = levels_of(lvl, n)
+        assert sizes == sum(len(level) << (d * n.bit_length())
+                            for d, level in enumerate(levels[1:]))
+        assert list(group) == sorted(group)
+        assert {depth[p] for p in group} == {depth[group[0]]}
+        assert parent[last] == 0
+        for p in group:
+            expanded = list(parent)
+            expanded[last] = p
+            frame[p] = (expanded, depth[1:], levels)
+    yield from map(frame.pop, sorted(frame))
+
+
 def test_pruned_forest_walk_matches_product_filter():
     for n in range(1, 7):
         for r in range(1, n + 1):
             for roots in itertools.combinations(range(1, n + 1), r):
-                got = [(list(parent), depth[1:], levels_of(lvl, n))
-                       for parent, depth, lvl in _raw_forests(n, roots)]
+                got = list(expanded_walk(n, roots))
                 assert got == list(product_filter_forests(n, roots)), roots
+                forests = [Forest(n, roots, {v: parent[v] for v in range(1, n + 1)
+                                             if v not in roots}, levels)
+                           for parent, _depth, levels in got]
+                assert list(enumerate_forests(n, roots)) == forests, roots
 
 
 @pytest.mark.parametrize("variant", ["standard", "reciprocal"])
@@ -179,6 +207,13 @@ def test_dump_forests_matches_reference_rendering(variant):
                      "--dump-forests"], out=out)
     assert code == 0
     assert out.getvalue().splitlines()[:-1] == expected
+
+
+def test_sorted_prefix_walk_matches_prefix_product_route():
+    for m in range(9):
+        for r in range(1, 10 - m):
+            assert (parking_enumerator_poly(m, r)
+                    == prefix_product_parking(m, r)), (m, r)
 
 
 def test_parking_walk_matches_literal_filter():
@@ -246,13 +281,15 @@ def literal_enumerators(n, roots, rankings):
 
 
 def test_packed_scoring_matches_the_literal_statistics():
+    # every root set at n <= 6, and (8, {1, 5, 7}), whose five non-roots
+    # give the last one up to five depth groups of parents
     rankings = suite_rankings()
-    for n in range(1, 7):
-        for r in range(1, n + 1):
-            for roots in itertools.combinations(range(1, n + 1), r):
-                got = _forest_enumerators(n, roots, rankings,
-                                          ("standard", "reciprocal"), 10 ** 7)
-                assert got == literal_enumerators(n, roots, rankings), roots
+    cases = [(n, roots) for n in range(1, 7) for r in range(1, n + 1)
+             for roots in itertools.combinations(range(1, n + 1), r)]
+    for n, roots in cases + [(8, (1, 5, 7))]:
+        got = _forest_enumerators(n, roots, rankings,
+                                  ("standard", "reciprocal"), 10 ** 7)
+        assert got == literal_enumerators(n, roots, rankings), (n, roots)
 
 
 def test_adjacent_lanes_at_the_largest_shortfall():
