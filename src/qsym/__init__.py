@@ -13,15 +13,14 @@ from importlib import import_module
 
 _EXPORTS = {
     "exactpoly": "InexactDivisionError UniPoly poly_text",
-    "pqalgebra": ("BiPoly TruncSeries det_cofactor det_hessenberg exact_div "
-                  "pq_binomial pq_bracket pq_derivative pq_factorial q_derivative"),
+    "pqalgebra": "BiPoly TruncSeries det_hessenberg exact_div pq_binomial",
     "qcalc": "qbinomial qbracket qbracket_power_base qfactorial",
     "qstirling": ("StirlingTriangle qstirling1 qstirling1_triangle qstirling2 "
                   "qstirling2_triangle"),
-    "symfunc": ("Partition SymAlphabet SymSeriesBundle "
-                "complete_from_elementary elementary elementary_sequence "
-                "j_from_specialized_symfunc p_nr_monomial qp_nr_determinant "
-                "qp_nr_direct transfer_theorem_check"),
+    "symfunc": ("SymAlphabet SymSeriesBundle complete_from_elementary "
+                "elementary elementary_sequence j_from_specialized_symfunc "
+                "p_nr_monomial qp_nr_determinant qp_nr_direct "
+                "transfer_theorem_check"),
     "jpoly": ("JTable build_jtable j_explicit_composition "
               "j_explicit_sequences reciprocal"),
     "report": ("kung_yan_check reciprocal_recurrence_check "

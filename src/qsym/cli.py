@@ -4,7 +4,8 @@ Commands: jtable (print the triangle), verify (run an identity battery),
 query (one exact object), export (CSV / LaTeX dumps).  Each command accepts
 only the options it reads.  Exit codes are a stable contract: 0 success, 1 a
 mathematical identity failed, 2 usage error (a bad argument, or an output
-file that cannot be written), 3 enumeration cap exceeded, 141 the reader
+file that cannot be written), 3 enumeration cap exceeded, 4 an internal
+error (any other exception; its traceback goes to stderr), 141 the reader
 closed stdout early (128 + SIGPIPE, what a shell reports for other writers
 cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output
 is byte-deterministic for fixed flags and seed.  Each command imports only
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 
 ALL_FORMATS = ["plain", "json", "csv", "latex"]
@@ -216,7 +218,7 @@ def _cmd_query(args, out) -> int:
                               forest_records, make_ranking)
         if args.roots:
             roots = tuple(int(v) for v in args.roots.split(","))
-        elif args.r:
+        elif args.r is not None:
             roots = tuple(range(1, args.r + 1))
         else:
             raise ValueError("forest-stat requires --roots or --r")
@@ -294,6 +296,10 @@ def main(argv=None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:                # a fault of the program, not its input
+        import traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

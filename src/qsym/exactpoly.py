@@ -8,7 +8,8 @@ scalar without importing ``fractions``.  Every command compiles this module
 (there is no bytecode cache), so it holds only what queries and exports use:
 ``UniPoly``, the bracket kernel, the renderers, the immutable value base and
 the errors with their own exit codes.  ``BiPoly``, ``TruncSeries``, exact
-division and the determinants live in ``pqalgebra`` and still resolve here.
+division and the Hessenberg determinant live in ``pqalgebra`` and still
+resolve here.  JSON is an output form only: nothing here parses it back.
 All values are immutable and all operations pure.
 """
 
@@ -17,8 +18,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import sub
 
-_MOVED = ("BiPoly", "TruncSeries", "divmod_poly", "exact_div", "det_cofactor",
-          "det_hessenberg")
+_MOVED = ("BiPoly", "TruncSeries", "divmod_poly", "exact_div", "det_hessenberg")
 
 
 def __getattr__(name):
@@ -319,18 +319,6 @@ class UniPoly:
     def to_json(self) -> str:
         import json
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "UniPoly":
-        if d.get("var") != "q":
-            raise ValueError("expected a polynomial in q")
-        from fractions import Fraction
-        return cls(Fraction(c) for c in d["coeffs"])
-
-    @classmethod
-    def from_json(cls, s: str) -> "UniPoly":
-        import json
-        return cls.from_json_dict(json.loads(s))
 
 
 zero = UniPoly()

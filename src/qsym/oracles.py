@@ -301,17 +301,12 @@ def enumerate_forests(n: int, roots, cap: int = DEFAULT_CAP):
     yield from map(frame.pop, sorted(frame))
 
 
-def sigma_statistic(u, include_root=None) -> int:
-    """Sum of u_i * u_j over index pairs at distance >= 2.
-
-    With include_root = r the sequence is prepended with r, so level 0
-    participates in the pairing.
-    """
-    seq = ((include_root,) if include_root is not None else ()) + tuple(u)
+def sigma_statistic(u) -> int:
+    """Sum of u_i * u_j over index pairs at distance >= 2."""
     total = 0
-    for i in range(len(seq)):
-        for j in range(i + 2, len(seq)):
-            total += seq[i] * seq[j]
+    for i in range(len(u)):
+        for j in range(i + 2, len(u)):
+            total += u[i] * u[j]
     return total
 
 

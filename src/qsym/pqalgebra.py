@@ -1,5 +1,5 @@
 """The verification algebra: polynomials in (p, q), truncated power series,
-exact division, determinants, and the q- and (p,q)-derivatives.
+exact division, the Hessenberg determinant and the (p, q)-binomials.
 
 Only verify uses these, so they are kept out of ``exactpoly``, which every
 command compiles.  Coefficients follow the ``exactpoly`` rules.
@@ -13,7 +13,6 @@ from operator import add, sub
 
 from .exactpoly import (InexactDivisionError, UniPoly, _add, _coerce, _convolve,
                         _power, zero)
-from .qcalc import qbinomial, qfactorial
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +138,6 @@ class BiPoly:
                     terms.append(f"{c}*p^{i}q^{j}")
         return "BiPoly(" + (" + ".join(terms) if terms else "0") + ")"
 
-    def to_json_dict(self) -> dict:
-        return {"vars": ["p", "q"],
-                "coeffs": [[str(c) for c in row] for row in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BiPoly":
-        if d.get("vars") != ["p", "q"]:
-            raise ValueError("expected a polynomial in (p, q)")
-        return cls([[Fraction(c) for c in row] for row in d["coeffs"]])
-
 
 # ---------------------------------------------------------------------------
 # truncated power series
@@ -230,7 +219,7 @@ class TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# exact division, determinants and derivatives
+# exact division and the Hessenberg determinant
 
 
 def divmod_poly(a: UniPoly, b: UniPoly):
@@ -257,28 +246,6 @@ def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
     if not rem.is_zero():
         raise InexactDivisionError(f"({a}) is not divisible by ({b})")
     return quot
-
-
-def det_cofactor(m):
-    """Determinant by first-row cofactor expansion.
-
-    Works over any coefficient ring (UniPoly, BiPoly); exponential in the
-    size, so only for small matrices and as the reference that
-    det_hessenberg is tested against.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def det_hessenberg(first_col, band, superdiag):
@@ -312,43 +279,9 @@ def det_hessenberg(first_col, band, superdiag):
     return d[n]
 
 
-def _derivative(f: TruncSeries, r: int, factorial, binomial) -> TruncSeries:
-    """The coefficient of t^(n-r) is factorial(r) * binomial(n, r) times the
-    coefficient of t^n in f; the order drops by r."""
-    if r < 1:
-        raise ValueError("derivative order must be >= 1")
-    if r > f.order:
-        raise ValueError("derivative order exceeds the series order")
-    fr = factorial(r)
-    return TruncSeries(fr * binomial(m + r, r) * f.coeff(m + r)
-                       for m in range(f.order - r + 1))
-
-
-def q_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
-    """Apply the q-derivative r times to a truncated series: t^n goes to
-    [r]! * [n choose r]_q t^(n-r)."""
-    return _derivative(f, r, qfactorial, qbinomial)
-
-
 # ---------------------------------------------------------------------------
-# two-parameter versions; stored as BiPoly even when the p-degree is zero,
-# so the one-parameter degeneration is a plain p = 1 specialization.
-
-
-def pq_bracket(n: int) -> BiPoly:
-    """[n]_{p,q} = p^(n-1) + p^(n-2) q + ... + q^(n-1); [0]_{p,q} = 0."""
-    if n < 0:
-        raise ValueError("bracket index must be >= 0")
-    return BiPoly([[0] * (n - 1 - i) + [1] for i in range(n)])
-
-
-@lru_cache(maxsize=None)
-def pq_factorial(n: int) -> BiPoly:
-    if n < 0:
-        raise ValueError("factorial index must be >= 0")
-    if n == 0:
-        return BiPoly.constant(1)
-    return pq_factorial(n - 1) * pq_bracket(n)
+# the two-parameter binomial; stored as BiPoly even when the p-degree is
+# zero, so the one-parameter degeneration is a plain p = 1 specialization.
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +294,3 @@ def pq_binomial(n: int, k: int) -> BiPoly:
     return (BiPoly.monomial(k, 0) * pq_binomial(n - 1, k)
             + BiPoly.monomial(0, n - k) * pq_binomial(n - 1, k - 1))
 
-
-def pq_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
-    """(p,q)-derivative applied r times to a series with BiPoly coefficients."""
-    return _derivative(f, r, pq_factorial, pq_binomial)

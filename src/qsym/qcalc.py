@@ -2,18 +2,18 @@
 
 Brackets [n] = 1 + q + ... + q^(n-1), factorials, Gaussian binomial
 coefficients, brackets in base q^r and the triangle generator behind the
-q-binomial and q-Stirling rows.  The q-derivative and the two-parameter
-(p, q) versions are in pqalgebra.
+q-binomial and q-Stirling rows.  The two-parameter (p, q)-binomials are in
+pqalgebra.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import sub
 
-from .exactpoly import InexactDivisionError, UniPoly, bracket_mul, one, zero
+from .exactpoly import InexactDivisionError, UniPoly, bracket_mul, zero
 
 
 def qbracket(n: int) -> UniPoly:
@@ -23,14 +23,11 @@ def qbracket(n: int) -> UniPoly:
     return UniPoly((1,) * n)
 
 
-@lru_cache(maxsize=None)
 def qfactorial(n: int) -> UniPoly:
     """[n]! = [1][2]...[n]; [0]! = 1."""
     if n < 0:
         raise ValueError("factorial index must be >= 0")
-    if n == 0:
-        return one
-    return qfactorial(n - 1) * qbracket(n)
+    return UniPoly(reduce(bracket_mul, range(2, n + 1), [1]))
 
 
 def triangle_rows(weight, k_max: int):

@@ -34,40 +34,6 @@ DETERMINANT_N_MAX = 5
 PQ_N_MAX = 4
 
 
-class Partition(Frozen):
-    """Weakly decreasing sequence of positive integers."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        if any(a <= 0 for a in parts):
-            raise ValueError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-        set_field(self, "parts", parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for a in self.parts:
-            for i in range(a):
-                cols[i] += 1
-        return Partition(tuple(cols))
-
-    def n_stat(self) -> int:
-        """sum (i-1) * part_i, equal to the column-binomial sum of the conjugate."""
-        return sum(i * a for i, a in enumerate(self.parts))
-
-
 class SymAlphabet(Frozen):
     """Finite list of exact variable values x_1..x_N.
 
@@ -163,12 +129,6 @@ class SymSeriesBundle(Frozen):
         h = complete_from_elementary(e, order)
         return cls(order, tuple(e), tuple(h))
 
-    def e_series(self) -> TruncSeries:
-        return TruncSeries(self.e)
-
-    def h_series(self) -> TruncSeries:
-        return TruncSeries(self.h)
-
 
 def p_nr_row(alphabet: SymAlphabet, n: int) -> list:
     """Classical [p_n^(0), ..., p_n^(n)] on the alphabet, for n >= 0.
@@ -239,11 +199,6 @@ def qp_nr_determinant(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     return _determinant(bundle.e, n, r, qbinomial)
 
 
-def p_nr_determinant(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
-    """Classical p_n^(r) as the same determinant with ordinary binomials."""
-    return _determinant(bundle.e, n, r, comb)
-
-
 def pn_bracket_determinant(e, n: int, power_base: int = 1) -> UniPoly:
     """The r = 1 q-analog from the determinant whose first column is [k] e_k.
 
@@ -262,14 +217,6 @@ def en_factorial_determinant(p_list, n: int) -> UniPoly:
         raise ValueError("need n >= 1")
     return det_hessenberg(p_list[1:n + 1], p_list,
                           [qbracket(i + 1) for i in range(n)])
-
-
-def qp_lambda(bundle: SymSeriesBundle, parts) -> UniPoly:
-    """Product of r = 1 q-analogs over the parts of a partition."""
-    acc = one
-    for a in parts:
-        acc = acc * qp_nr_direct(bundle, a, 1)
-    return acc
 
 
 # ---------------------------------------------------------------------------

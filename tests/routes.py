@@ -3,9 +3,12 @@ kept for the tests as references: dense polynomial products throughout, no
 bracket_mul window sums and no triangle_rows.  The composition sums with
 every composition's bracket chain rebuilt by dense powers, no shared
 prefixes.  The classical p_n^(r) by partitions and their distinct
-rearrangements, no table over the alphabet.  The parking sum by every
-ordered prefix of the first m - 1 values, each sorted on its own, and the
-literal parking condition that both parking walks are tested against."""
+rearrangements, no table over the alphabet, and by the Hessenberg
+determinant with ordinary binomials.  The parking sum by every ordered
+prefix of the first m - 1 values, each sorted on its own, and the literal
+parking condition that both parking walks are tested against.  Cofactor
+expansion, the reference for det_hessenberg, and the q-derivative of a
+truncated series, the operator of the generating-series identity."""
 
 import itertools
 from math import comb, factorial
@@ -13,7 +16,8 @@ from operator import sub
 
 from qsym.exactpoly import UniPoly, one, zero
 from qsym.oracles import sigma_statistic
-from qsym.qcalc import qbracket
+from qsym.pqalgebra import TruncSeries, det_hessenberg
+from qsym.qcalc import qbinomial, qbracket, qfactorial
 
 
 def dense_jtable(n_max: int) -> dict:
@@ -70,7 +74,7 @@ def dense_composition_sum(m: int, r: int, exponent) -> UniPoly:
 COMPOSITION_EXPONENTS = {
     "j": lambda m, r, u: sum(comb(a, 2) for a in u),
     "reciprocal": lambda m, r, u: sigma_statistic(u) + r * (m - u[0]),
-    "rooted-reciprocal": lambda m, r, u: sigma_statistic(u, include_root=r),
+    "rooted-reciprocal": lambda m, r, u: sigma_statistic((r,) + u),
 }
 
 
@@ -165,3 +169,42 @@ def monomial_sum_by_permutations(values, n: int, r: int) -> UniPoly:
                     term = term * x ** a
             total = total + term
     return total
+
+
+def p_nr_determinant(bundle, n: int, r: int) -> UniPoly:
+    """Classical p_n^(r) as the Hessenberg determinant of the q-analog with
+    ordinary binomials in its first column: C(r+i, r) e_(r+i) down the
+    first column, the e's down the band, ones on the superdiagonal."""
+    e, size = bundle.e, n - r + 1
+    return det_hessenberg([comb(r + i, r) * e[r + i] for i in range(size)],
+                          e, [1] * size)
+
+
+def det_cofactor(m):
+    """Determinant by first-row cofactor expansion over any coefficient ring
+    (UniPoly, BiPoly); exponential in the size, so for small matrices only."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if n == 1:
+        return m[0][0]
+    acc = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * det_cofactor(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def q_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:
+    """Apply the q-derivative r times to a truncated series: t^n goes to
+    [r]! [n choose r]_q t^(n-r), so the order drops by r."""
+    if r < 1:
+        raise ValueError("derivative order must be >= 1")
+    if r > f.order:
+        raise ValueError("derivative order exceeds the series order")
+    fr = qfactorial(r)
+    return TruncSeries(fr * qbinomial(m + r, r) * f.coeff(m + r)
+                       for m in range(f.order - r + 1))

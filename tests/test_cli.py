@@ -175,6 +175,14 @@ def test_query_range_violation_is_usage_error():
     assert code == 2
 
 
+def test_forest_stat_r_zero_reports_the_empty_root_set(capsys):
+    # --r 0 is given, so the complaint is about the roots, not a missing flag
+    code, text = run("query", "forest-stat", "--n", "2", "--r", "0")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: roots must be a nonempty subset of {1..n}\n"
+
+
 def test_cap_exit_code():
     code, _ = run("query", "forest-stat", "--n", "12", "--roots", "1")
     assert code == 3
@@ -420,6 +428,20 @@ def test_jtable_shape_failure_is_an_error_line(monkeypatch, capsys):
         jpoly.build_jtable.cache_clear()
     assert code == 1 and text == ""
     assert capsys.readouterr().err == "error: J(2,1) degree 1 != 0\n"
+
+
+def test_unexpected_exception_exits_four_with_traceback(monkeypatch, capsys):
+    # a fault of the program is neither a failed identity (1) nor a usage
+    # error (2): it exits 4 and leaves its traceback on stderr
+    def broken(args, out):
+        raise TypeError("a fault of the program")
+
+    monkeypatch.setitem(cli.COMMANDS, "jtable", broken)
+    code, text = run("jtable", "--n-max", "3")
+    assert code == cli.EXIT_INTERNAL == 4 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("TypeError: a fault of the program\n")
 
 
 def test_capped_checks_are_skips_not_passes():

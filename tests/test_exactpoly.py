@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from qsym.exactpoly import (BiPoly, InexactDivisionError, TruncSeries,
-                            UniPoly, bracket_mul, det_cofactor,
-                            det_hessenberg, divmod_poly, exact_div,
-                            json_coeff_list, one, poly_text, q, zero)
+                            UniPoly, bracket_mul, det_hessenberg, divmod_poly,
+                            exact_div, json_coeff_list, one, poly_text, q, zero)
 from qsym.qcalc import qbracket
 
 from polytext import parse_poly_text
+from routes import det_cofactor
 
 
 def P(*coeffs):
@@ -54,11 +54,10 @@ def test_integral_coefficients_are_stored_as_int():
     assert _types((half + half).coeffs) == [int, int]
     assert _types((half * half).coeffs) == [Fraction, Fraction, Fraction]
     assert _types(P(Fraction(1, 2)).inverse().coeffs) == [int]
-    assert _types(UniPoly.from_json('{"var":"q","coeffs":["3","3/2"]}').coeffs) == \
+    assert _types(UniPoly((Fraction("3"), Fraction("3/2"))).coeffs) == \
         [int, Fraction]
     assert _types(parse_poly_text("4+2q^2").coeffs) == [int, int, int]
-    assert _types(BiPoly.from_json_dict({"vars": ["p", "q"],
-                                         "coeffs": [["2", "1/2"]]}).rows[0]) == \
+    assert _types(BiPoly([[Fraction("2"), Fraction("1/2")]]).rows[0]) == \
         [int, Fraction]
 
 
@@ -355,9 +354,8 @@ def test_json_form():
     p = UniPoly((3, Fraction(3, 2)))
     d = p.to_json_dict()
     assert d == {"var": "q", "coeffs": ["3", "3/2"]}
-    assert UniPoly.from_json(p.to_json()) == p
-    assert json.loads(p.to_json())["var"] == "q"
-    assert UniPoly.from_json(zero.to_json()) == zero
+    assert json.loads(p.to_json()) == d
+    assert json.loads(zero.to_json()) == {"var": "q", "coeffs": []}
 
 
 # -- bivariate ------------------------------------------------------------------
@@ -381,10 +379,3 @@ def test_bipoly_p_one_slice():
     b = BiPoly([[0, 1], [1, 0]])      # q + p
     assert b.at_p_one() == P(1, 1)
 
-
-def test_bipoly_json():
-    b = BiPoly([[1, 2], [0, Fraction(1, 3)]])
-    d = b.to_json_dict()
-    assert d["vars"] == ["p", "q"]
-    assert d["coeffs"] == [["1", "2"], ["0", "1/3"]]
-    assert BiPoly.from_json_dict(d) == b

@@ -15,7 +15,7 @@ from qsym.report import (extended_recurrence_check, kung_yan_check,
                          reciprocal_recurrence_check)
 from qsym.symfunc import exp_series, exp_shift_check, j_from_specialized_symfunc
 from routes import (COMPOSITION_EXPONENTS, compositions, dense_composition_sum,
-                    dense_jtable, multinomial)
+                    dense_jtable, multinomial, p_nr_determinant)
 
 
 def P(*coeffs):
@@ -139,8 +139,7 @@ def test_from_specialized_symfunc_small():
 def test_specialized_bundle_determinant_route():
     # on the exponential-specialization bundle the determinant and the
     # convolution compute the same classical values
-    from qsym.symfunc import _exp_bundle
-    from qsym.symfunc import p_nr_determinant, p_nr_series
+    from qsym.symfunc import _exp_bundle, p_nr_series
     bundle = _exp_bundle(6)
     for n in range(1, 7):
         for r in range(1, n + 1):

@@ -437,8 +437,8 @@ def test_parking_cap_and_ranges():
 def test_sigma_statistic():
     assert sigma_statistic((4,)) == 0
     assert sigma_statistic((1, 2, 3)) == 3
-    assert sigma_statistic((1, 1, 1), include_root=2) == 2 * 1 + 2 * 1 + 1 * 1
-    assert sigma_statistic((), include_root=3) == 0
+    assert sigma_statistic((2, 1, 1, 1)) == 2 * 1 + 2 * 1 + 1 * 1
+    assert sigma_statistic((3,)) == 0
 
 
 def test_sigma_with_root_matches_shifted_form():
@@ -446,7 +446,7 @@ def test_sigma_with_root_matches_shifted_form():
     for u in ((1, 1, 2), (3,), (2, 2, 1, 1)):
         for r in (1, 2, 5):
             m = sum(u)
-            assert (sigma_statistic(u, include_root=r)
+            assert (sigma_statistic((r,) + u)
                     == sigma_statistic(u) + r * (m - u[0]))
 
 

@@ -1,15 +1,17 @@
 """Brackets, factorials, Gaussian binomials, and the series derivatives."""
 
+import inspect
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from qsym.exactpoly import UniPoly, one, zero
-from qsym.pqalgebra import (BiPoly, TruncSeries, exact_div, pq_binomial,
-                            pq_bracket, pq_derivative, pq_factorial,
-                            q_derivative)
+from qsym.pqalgebra import BiPoly, TruncSeries, exact_div, pq_binomial
 from qsym.qcalc import qbinomial, qbracket, qbracket_power_base, qfactorial
+
+from routes import q_derivative
 
 
 def P(*coeffs):
@@ -26,6 +28,29 @@ def test_qfactorial():
     assert qfactorial(0) == one
     assert qfactorial(2) == P(1, 1)
     assert qfactorial(3) == P(1, 2, 2, 1)
+    with pytest.raises(ValueError):
+        qfactorial(-1)
+
+
+def test_qfactorial_is_the_bracket_product():
+    acc = one
+    for n in range(25):
+        if n:
+            acc = acc * qbracket(n)
+        assert qfactorial(n) == acc
+
+
+def test_qfactorial_needs_no_recursion():
+    # [n]! is a loop of bracket_mul window sums, so its depth of calls does
+    # not grow with n: it succeeds with 50 frames to spare, far below n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        poly = qfactorial(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly.degree() == comb(150, 2)
+    assert poly.evaluate(1) == factorial(150)
 
 
 def test_qbinomial_values():
@@ -111,14 +136,6 @@ def test_q_derivative_is_not_the_classical_shift():
 # -- two-parameter versions ----------------------------------------------------
 
 
-def test_pq_bracket():
-    assert pq_bracket(0).is_zero()
-    assert pq_bracket(1) == BiPoly.constant(1)
-    expect = (BiPoly.monomial(3, 0) + BiPoly.monomial(2, 1)
-              + BiPoly.monomial(1, 2) + BiPoly.monomial(0, 3))
-    assert pq_bracket(4) == expect
-
-
 def test_pq_binomial_values():
     assert pq_binomial(2, 1) == BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)
     assert pq_binomial(5, 0) == BiPoly.constant(1)
@@ -144,17 +161,6 @@ def test_pq_binomial_is_homogenized_qbinomial():
 
 def test_pq_degenerates_to_q_at_p_one():
     for n in range(16):
-        assert pq_bracket(n).at_p_one() == qbracket(n)
-        assert pq_factorial(n).at_p_one() == qfactorial(n)
         for k in range(n + 1):
             assert pq_binomial(n, k).at_p_one() == qbinomial(n, k)
 
-
-def test_pq_derivative_matches_q_derivative_at_p_one():
-    f_bi = TruncSeries([BiPoly.monomial(0, i, i + 1) for i in range(5)])
-    f_q = TruncSeries([UniPoly.monomial(i, i + 1) for i in range(5)])
-    for r in (1, 2):
-        lhs = pq_derivative(f_bi, r)
-        rhs = q_derivative(f_q, r)
-        assert all(lhs.coeff(m).at_p_one() == rhs.coeff(m)
-                   for m in range(lhs.order + 1))

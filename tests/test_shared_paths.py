@@ -3,7 +3,6 @@ rows, the J-table writers of jtable and export, the dump of forest-stat, and
 the J table built once per verify run."""
 
 import io
-import json
 import random
 from fractions import Fraction
 
@@ -104,10 +103,6 @@ def test_bipoly_matches_dictionary_reference(rational):
         want = UniPoly([slice_ref.get(j, 0)
                         for j in range(max(slice_ref, default=-1) + 1)])
         assert a.at_p_one() == want
-        d = json.loads(json.dumps(a.to_json_dict()))
-        back = BiPoly.from_json_dict(d)
-        assert back == a and back.rows == a.rows
-        assert d == a.to_json_dict()
 
 
 def test_bipoly_zero_rows_and_columns_normalize_away():

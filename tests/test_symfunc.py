@@ -7,31 +7,18 @@ from math import comb
 import pytest
 
 from qsym.exactpoly import UniPoly, one, zero
-from qsym.pqalgebra import TruncSeries, exact_div, q_derivative
+from qsym.pqalgebra import TruncSeries, exact_div
 from qsym.qcalc import qfactorial
-from qsym.symfunc import (Partition, SymAlphabet, SymSeriesBundle,
+from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
                           classical_pn_determinants_check,
                           complete_from_elementary,
                           determinant_vs_convolution_check, elementary,
                           elementary_sequence, p_nr_monomial, p_nr_series,
-                          pq_transfer_check, qp_lambda, qp_nr_determinant,
+                          pq_transfer_check, qp_nr_determinant,
                           qp_nr_direct, transfer_theorem_check)
 
-from routes import monomial_sum_by_permutations, partitions_with_length
-
-
-def test_partition_basics():
-    lam = Partition((3, 2, 2))
-    assert lam.size == 7
-    assert lam.length == 3
-    assert lam.conjugate().parts == (3, 3, 1)
-    assert lam.n_stat() == 0 * 3 + 1 * 2 + 2 * 2
-    # two ways of reading the same statistic
-    assert lam.n_stat() == sum(comb(a, 2) for a in lam.conjugate().parts)
-    with pytest.raises(ValueError):
-        Partition((2, 3))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+from routes import (monomial_sum_by_permutations, partitions_with_length,
+                    q_derivative)
 
 
 def test_partitions_with_length():
@@ -78,7 +65,7 @@ def test_bundle_series_identity():
         b = SymSeriesBundle.from_alphabet(SymAlphabet.primes(n), n)
         alternating = TruncSeries([c if k % 2 == 0 else -c
                                    for k, c in enumerate(b.e)])
-        prod = alternating * b.h_series()
+        prod = alternating * TruncSeries(b.h)
         assert prod == TruncSeries([one] + [zero] * n)
 
 
@@ -178,13 +165,16 @@ def test_e_times_h_expands_in_p():
             assert lhs == rhs
 
 
-def test_generating_series_identity_for_qp():
+@pytest.mark.parametrize("alphabet", [
+    SymAlphabet.primes, lambda n: SymAlphabet.integers(n, start=2),
+    SymAlphabet.half_odds, SymAlphabet.principal],
+    ids=["primes", "integers-from-2", "half-odds", "principal"])
+def test_generating_series_identity_for_qp(alphabet):
     # sum over n of qp_n^(r) (-t)^(n-r) times E(t) equals the r-th
     # q-derivative of E(t) divided by [r]!, order 7
     order = 7
-    a = SymAlphabet.primes(order)
-    b = SymSeriesBundle.from_alphabet(a, order)
-    E = b.e_series()
+    b = SymSeriesBundle.from_alphabet(alphabet(order), order)
+    E = TruncSeries(b.e)
     for r in range(1, order + 1):
         lhs_coeffs = []
         for m in range(order - r + 1):
@@ -195,13 +185,6 @@ def test_generating_series_identity_for_qp():
         fr = qfactorial(r)
         rhs = TruncSeries([exact_div(c, fr) for c in rhs_scaled.coeffs])
         assert lhs == rhs
-
-
-def test_qp_lambda_product_is_order_free():
-    b = SymSeriesBundle.from_alphabet(SymAlphabet.primes(6), 6)
-    assert qp_lambda(b, (3, 2, 1)) == qp_lambda(b, (1, 2, 3))
-    assert qp_lambda(b, (2,)) == qp_nr_direct(b, 2, 1)
-    assert (qp_lambda(b, (2, 2)) == qp_nr_direct(b, 2, 1) * qp_nr_direct(b, 2, 1))
 
 
 def test_transfer_theorem_check_passes():
