@@ -18,9 +18,8 @@ _EXPORTS = {
     "qstirling": ("StirlingTriangle qstirling1 qstirling1_triangle qstirling2 "
                   "qstirling2_triangle"),
     "symfunc": ("SymAlphabet SymSeriesBundle complete_from_elementary "
-                "elementary elementary_sequence j_from_specialized_symfunc "
-                "p_nr_monomial qp_nr_determinant qp_nr_direct "
-                "transfer_theorem_check"),
+                "elementary_sequence exp_bundle j_from_specialized_symfunc "
+                "qp_nr_determinant qp_nr_direct transfer_theorem_check"),
     "jpoly": ("JTable build_jtable j_explicit_composition "
               "j_explicit_sequences reciprocal"),
     "report": ("kung_yan_check reciprocal_recurrence_check "

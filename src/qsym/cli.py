@@ -156,11 +156,15 @@ def _verify_report(suite: str, n_max: int, seed: int, cap: int):
     if suite in ("symfunc", "all"):
         from .symfunc import symfunc_suite_report
         report.merge(symfunc_suite_report(min(n_max, 6)))
+    if suite in ("jpoly", "oracles", "all"):    # one J table for the batteries
+        from .jpoly import build_jtable
+        table = build_jtable(n_max)
     if suite in ("jpoly", "all"):
-        report.merge(jpoly_suite_report(n_max))
+        report.merge(jpoly_suite_report(table))
     if suite in ("oracles", "all"):
-        oracle_n_max = min(n_max, 7) if suite == "all" else n_max
-        report.merge(oracle_suite_report(oracle_n_max, seed=seed, cap=cap))
+        if suite == "all" and n_max > 7:        # under all, oracles stop at 7
+            table = build_jtable(7)
+        report.merge(oracle_suite_report(table, seed=seed, cap=cap))
     return report
 
 
@@ -216,8 +220,12 @@ def _cmd_query(args, out) -> int:
         _require(args, "n")
         from .oracles import (_poly_from_counts, forest_enumerator_poly,
                               forest_records, make_ranking)
-        if args.roots:
-            roots = tuple(int(v) for v in args.roots.split(","))
+        if args.roots is not None:
+            try:
+                roots = tuple(map(int, args.roots.split(",") if args.roots else ()))
+            except ValueError:
+                raise ValueError("--roots takes comma-separated integer "
+                                 f"labels, not {args.roots!r}") from None
         elif args.r is not None:
             roots = tuple(range(1, args.r + 1))
         else:

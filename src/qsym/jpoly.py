@@ -15,7 +15,6 @@ chain among all compositions extending it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby, repeat
 from math import comb, factorial
 from operator import add, itemgetter, mul
@@ -72,7 +71,6 @@ def _validate_entry(n: int, r: int, poly: UniPoly):
         raise JTableShapeError(f"J({n},{r}) has a non positive-integer coefficient")
 
 
-@lru_cache(maxsize=1)
 def build_jtable(n_max: int) -> JTable:
     """Fill the triangle from the row recurrence.
 
@@ -82,8 +80,8 @@ def build_jtable(n_max: int) -> JTable:
     f_j = C(m, j) J(m, j) + q^j [r] f_(j+1) and J(n, r) = [r] f_1, so every
     bracket product is one bracket_mul window sum on int coefficient lists.
     Every entry is checked against the shape invariants (monic, positive
-    integer coefficients, degree, constant term).  The last table built is
-    cached: the batteries of one verify run all ask for the same size.
+    integer coefficients, degree, constant term).  Nothing is cached:
+    verify builds a table once per size and hands it to the batteries.
     """
     if n_max < 1:
         raise ValueError("table size must be >= 1")

@@ -50,30 +50,20 @@ def _mix64(z: int) -> int:
 
 
 class Ranking:
-    """Deterministic per-subset rank assignment, memoized by subset."""
-
-    def __init__(self):
-        self._memo = {}
+    """Deterministic per-subset rank assignment."""
 
     def ranks(self, subset: tuple) -> dict:
         """Map each element of the (ascending) subset tuple to its rank."""
-        table = self._memo.get(subset)
-        if table is None:
-            table = self._build(subset)
-            self._memo[subset] = table
-        return table
-
-    def _build(self, subset):
         raise NotImplementedError
 
 
 class IncreasingRanking(Ranking):
-    def _build(self, subset):
+    def ranks(self, subset):
         return {v: i + 1 for i, v in enumerate(subset)}
 
 
 class DecreasingRanking(Ranking):
-    def _build(self, subset):
+    def ranks(self, subset):
         p = len(subset)
         return {v: p - i for i, v in enumerate(subset)}
 
@@ -87,10 +77,9 @@ class SeededRanking(Ranking):
     """
 
     def __init__(self, seed: int):
-        super().__init__()
         self.seed = seed & _MASK64
 
-    def _build(self, subset):
+    def ranks(self, subset):
         fold = 0
         for v in subset:
             fold = _mix64(fold ^ (v & _MASK64))
@@ -316,11 +305,11 @@ _LEVEL_PARTS = {"standard": lambda sizes: sum(comb(u, 2) for u in sizes[1:]),
                 "reciprocal": sigma_statistic}
 
 
-def _forest_statistic(forest: Forest, ranking: Ranking, variant: str) -> int:
+def _forest_statistic(forest: Forest, ranks, variant: str) -> int:
     """The level part of the variant plus the parent-rank shortfall: the sum
-    over non-roots of (parent's rank within its level - 1)."""
+    over non-roots of (ranks(level)[parent] - 1), level the parent's level."""
     depth = {v: i for i, level in enumerate(forest.levels) for v in level}
-    rank_tables = [ranking.ranks(l) for l in forest.levels]
+    rank_tables = [ranks(l) for l in forest.levels]
     shortfall = sum(rank_tables[depth[p]][p] - 1 for p in forest.parent.values())
     return _LEVEL_PARTS[variant](forest.level_sizes()) + shortfall
 
@@ -336,14 +325,14 @@ def level_statistic(forest: Forest, ranking: Ranking) -> int:
     shortfall (4-1) + 2(1-1) + 3(4-1) + (2-1) + (3-1) + 2(1-1) = 15, the
     statistic is 31.
     """
-    return _forest_statistic(forest, ranking, "standard")
+    return _forest_statistic(forest, ranking.ranks, "standard")
 
 
 def reciprocal_level_statistic(forest: Forest, ranking: Ranking) -> int:
     """Companion statistic whose enumerator is the reciprocal polynomial:
     the distance-2 product sum of the level sizes (roots included) plus the
     same parent-rank shortfall."""
-    return _forest_statistic(forest, ranking, "reciprocal")
+    return _forest_statistic(forest, ranking.ranks, "reciprocal")
 
 
 def _poly_from_counts(counter: dict) -> UniPoly:
@@ -359,6 +348,14 @@ def _poly_from_counts(counter: dict) -> UniPoly:
 _TALLY_KEYS = 1024
 
 
+def _levels(n: int, roots: tuple) -> list:
+    """Every level a forest on {1..n} with root set roots can have: the
+    roots and each nonempty subset of the non-roots, as ascending tuples."""
+    nonroots = [v for v in range(1, n + 1) if v not in roots]
+    return [roots] + [level for size in range(1, len(nonroots) + 1)
+                      for level in itertools.combinations(nonroots, size)]
+
+
 def _packed_weights(n: int, roots: tuple, rankings):
     """(width, weight): weight[p][mask] packs, for every ranking, the rank
     of vertex p within the level with bitmask mask, less 1.
@@ -370,11 +367,8 @@ def _packed_weights(n: int, roots: tuple, rankings):
     maps the root set to 0.
     """
     width = (n * n).bit_length() + 1
-    nonroots = [v for v in range(1, n + 1) if v not in roots]
     weight = [{} for _ in range(n + 1)]
-    levels = [roots] + [level for size in range(1, len(nonroots) + 1)
-                        for level in itertools.combinations(nonroots, size)]
-    for level in levels:
+    for level in _levels(n, roots):
         mask = sum(1 << v for v in level)
         tables = [ranking.ranks(level) for ranking in rankings]
         for p in level:
@@ -537,8 +531,10 @@ def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
 def forest_records(n: int, roots, ranking: Ranking,
                    variant: str = "standard", cap: int = DEFAULT_CAP):
     """(statistic, JSON object) per accepted forest, the object carrying
-    the statistic too."""
+    the statistic too; each possible level is ranked once, up front."""
     import json
+    roots = _capped_roots(n, roots, cap)
+    ranks = {level: ranking.ranks(level) for level in _levels(n, roots)}
     for forest in enumerate_forests(n, roots, cap):
-        stat = _forest_statistic(forest, ranking, variant)
+        stat = _forest_statistic(forest, ranks.__getitem__, variant)
         yield stat, json.dumps(forest.to_json_dict(stat), separators=(",", ":"))

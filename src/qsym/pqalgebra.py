@@ -8,11 +8,12 @@ command compiles.  Coefficients follow the ``exactpoly`` rules.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
 from operator import add, sub
 
 from .exactpoly import (InexactDivisionError, UniPoly, _add, _coerce, _convolve,
                         _power, zero)
+from .qcalc import triangle_rows
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +285,13 @@ def det_hessenberg(first_col, band, superdiag):
 # zero, so the one-parameter degeneration is a plain p = 1 specialization.
 
 
-@lru_cache(maxsize=None)
 def pq_binomial(n: int, k: int) -> BiPoly:
-    """Two-parameter Gaussian binomial, by the (p,q)-triangular recurrence."""
+    """Two-parameter Gaussian binomial, by the (p,q)-triangular recurrence
+    [n k] = p^(n-k) [n-1 k-1] + q^k [n-1 k], rows built bottom-up.  Being
+    homogeneous of degree k(n-k), [n k] is fixed by its q-coefficients c:
+    the triangle_rows rows of weight q^k, in the band up to min(k, n - k)."""
     if k < 0 or n < 0 or k > n:
         return BiPoly()
-    if k == 0 or k == n:
-        return BiPoly.constant(1)
-    return (BiPoly.monomial(k, 0) * pq_binomial(n - 1, k)
-            + BiPoly.monomial(0, n - k) * pq_binomial(n - 1, k - 1))
-
+    band, d = min(k, n - k), k * (n - k)
+    c = next(islice(triangle_rows(lambda m, j: (1, j), band), n, None))[band]
+    return BiPoly([0] * j + [c[j]] for j in range(d, -1, -1))   # p^(d-j) q^j

@@ -8,7 +8,7 @@ pqalgebra.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate
 from math import comb
 from operator import sub
@@ -51,7 +51,6 @@ def triangle_rows(weight, k_max: int):
         row = tuple(nxt)
 
 
-@lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> UniPoly:
     """Gaussian binomial coefficient, zero outside 0 <= k <= n.
 
@@ -60,8 +59,8 @@ def qbinomial(n: int, k: int) -> UniPoly:
     product is [n i+1], a polynomial with integer coefficients, so each
     division by 1 - q^(i+1) is exact; both steps run on one int list in
     O(degree), and a division that leaves a remainder raises
-    InexactDivisionError.  Only final answers are cached, and each is fully
-    constructed before it is published.
+    InexactDivisionError.  Each call computes its answer afresh; nothing is
+    cached.
     """
     if k < 0 or n < 0 or k > n:
         return zero

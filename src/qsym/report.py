@@ -5,7 +5,8 @@ Failure is data, not an exception: callers inspect .passed and
 .first_failure.  A skipped instance is neither a pass nor a failure.
 The q-Stirling, J and oracle batteries live here, apart from the objects
 they check, so only verify compiles them; each imports its layers as it
-runs.  The symmetric-function batteries stay in symfunc.
+runs.  The J and oracle batteries are handed the J table and run to its
+n_max.  The symmetric-function batteries stay in symfunc.
 """
 
 from __future__ import annotations
@@ -190,13 +191,12 @@ def stirling_suite_report(n_max: int) -> CheckReport:
     return report
 
 
-def reciprocal_recurrence_check(n_max: int) -> CheckReport:
+def reciprocal_recurrence_check(table) -> CheckReport:
     """The reciprocal satisfies the horizontal recurrence with coefficients
     [r]^j q^(r (n-r-j)) C(n-r, j) against row n-r of the reciprocal table."""
-    from .jpoly import build_jtable, reciprocal
+    from .jpoly import reciprocal
     report = CheckReport()
-    table = build_jtable(n_max)
-    for n in range(2, n_max + 1):
+    for n in range(2, table.n_max + 1):
         for r in range(1, n):
             m = n - r
             br = qbracket(r)
@@ -211,15 +211,14 @@ def reciprocal_recurrence_check(n_max: int) -> CheckReport:
     return report
 
 
-def kung_yan_check(n_max: int) -> CheckReport:
+def kung_yan_check(table) -> CheckReport:
     """The vertical recurrence down column r of the reciprocal table:
     (1-q)^(n-r) Jbar(n, r) = 1 - sum over l < n of C(n-r, l-r) q^(l(n-l))
     (1-q)^(l-r) Jbar(l, r); coefficients live in Z[q] with signs."""
-    from .jpoly import build_jtable, reciprocal
+    from .jpoly import reciprocal
     report = CheckReport()
-    table = build_jtable(n_max)
-    omq = powers(one - q, n_max)
-    for n in range(2, n_max + 1):
+    omq = powers(one - q, table.n_max)
+    for n in range(2, table.n_max + 1):
         for r in range(1, n):
             lhs = omq[n - r] * reciprocal(n, r, table)
             rhs = one - sum((UniPoly.monomial(l * (n - l), comb(n - r, l - r))
@@ -230,13 +229,11 @@ def kung_yan_check(n_max: int) -> CheckReport:
     return report
 
 
-def extended_recurrence_check(n_max: int) -> CheckReport:
+def extended_recurrence_check(table) -> CheckReport:
     """The recurrence extended to n >= r >= 0 with J(n, 0) = [n == 0] and
     the empty bracket power [0]^0 = 1."""
-    from .jpoly import build_jtable
     report = CheckReport()
-    table = build_jtable(max(n_max, 1))
-    for n in range(0, n_max + 1):
+    for n in range(0, table.n_max + 1):
         for r in range(0, n + 1):
             m = n - r
             acc = sum((UniPoly.monomial(comb(j, 2), comb(m, j)) * qbracket(r) ** j
@@ -247,13 +244,16 @@ def extended_recurrence_check(n_max: int) -> CheckReport:
     return report
 
 
-def jpoly_suite_report(n_max: int) -> CheckReport:
-    """Cross-formula equivalence plus the recurrence and shift batteries."""
-    from .jpoly import build_jtable, j_explicit_composition, j_explicit_sequences
-    from .symfunc import (exp_shift_check, j_from_specialized_symfunc,
+def jpoly_suite_report(table) -> CheckReport:
+    """Cross-formula equivalence plus the recurrence and shift batteries;
+    the bracket shift stops at 7."""
+    from .jpoly import j_explicit_composition, j_explicit_sequences
+    from .symfunc import (exp_bundle, exp_shift_check,
+                          j_from_specialized_symfunc,
                           specialization_bracket_shift_check)
     report = CheckReport()
-    table = build_jtable(n_max)
+    n_max = table.n_max
+    bundle = exp_bundle(n_max)
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
             expected = table.entry(n, r)
@@ -265,15 +265,15 @@ def jpoly_suite_report(n_max: int) -> CheckReport:
                       and j_explicit_sequences(n, 0) == table.entry(n, 0))
             report.check("table-vs-sequence-formula", ok, n=n, r=r)
             try:
-                ok, detail = j_from_specialized_symfunc(n, r) == expected, ""
+                ok, detail = j_from_specialized_symfunc(bundle, n, r) == expected, ""
             except InexactDivisionError as exc:     # the claimed divisibility fails
                 ok, detail = False, str(exc)
             report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
-    report.merge(reciprocal_recurrence_check(n_max))
-    report.merge(kung_yan_check(n_max))
-    report.merge(exp_shift_check(max(n_max, 2), min(n_max, 8)))
+    report.merge(reciprocal_recurrence_check(table))
+    report.merge(kung_yan_check(table))
+    report.merge(exp_shift_check(n_max))
     report.merge(specialization_bracket_shift_check(min(n_max, 7)))
-    report.merge(extended_recurrence_check(min(n_max, 9)))
+    report.merge(extended_recurrence_check(table))
     return report
 
 
@@ -293,12 +293,11 @@ def reciprocal_composition_forms(m: int, r: int):
     return UniPoly(form_one), UniPoly(form_two)
 
 
-def reciprocal_explicit_check(n_max: int) -> CheckReport:
+def reciprocal_explicit_check(table) -> CheckReport:
     """Both composition sums for the reciprocal against the table's."""
-    from .jpoly import build_jtable, reciprocal
+    from .jpoly import reciprocal
     report = CheckReport()
-    table = build_jtable(n_max)
-    for n in range(2, n_max + 1):
+    for n in range(2, table.n_max + 1):
         for r in range(1, n):
             expected = reciprocal(n, r, table)
             acc1, acc2 = reciprocal_composition_forms(n - r, r)
@@ -312,28 +311,27 @@ def reciprocal_explicit_check(n_max: int) -> CheckReport:
     return report
 
 
-def oracle_suite_report(n_max: int, seed: int = 0,
+def oracle_suite_report(table, seed: int = 0,
                         cap: int = DEFAULT_CAP) -> CheckReport:
     """Forest and parking enumerators against the closed-form table.
 
-    Every (n, r) with 1 <= r < n <= n_max whose forest count fits the cap
-    is enumerated; rankings are the increasing, the decreasing, and three
-    seeded ones (seeds seed, seed+1, seed+2).  Root sets are varied with n
-    to exercise label independence.  An (n, r) whose forest or parking count
-    exceeds the cap is recorded as skipped, not passed.
+    Every (n, r) with 1 <= r < n <= table.n_max whose forest count fits the
+    cap is enumerated; rankings are the increasing, the decreasing, and
+    three seeded ones (seeds seed, seed+1, seed+2).  Root sets are varied
+    with n to exercise label independence.  An (n, r) whose forest or
+    parking count exceeds the cap is recorded as skipped, not passed.
     """
-    from .jpoly import build_jtable, reciprocal
+    from .jpoly import reciprocal
     from .oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
                           _forest_enumerators, parking_enumerator_poly)
     report = CheckReport()
-    table = build_jtable(n_max)
     seeds = [seed, seed + 1, seed + 2]
     rankings = [IncreasingRanking(), DecreasingRanking()] + \
         [SeededRanking(s) for s in seeds]
     ranking_names = ["increasing", "decreasing"] + [f"seeded:{s}" for s in seeds]
     report.add_pass("ranking-seeds", seeds=",".join(str(s) for s in seeds))
 
-    for n in range(2, n_max + 1):
+    for n in range(2, table.n_max + 1):
         for r in range(1, n):
             # rotate the root labels so independence from the label choice
             # is exercised across the suite
@@ -355,7 +353,7 @@ def oracle_suite_report(n_max: int, seed: int = 0,
             report.check("forest-count", count == r * n ** (n - r - 1),
                          detail=lambda: f"got={count}", n=n, r=r)
 
-    for n in range(1, n_max + 1):
+    for n in range(1, table.n_max + 1):
         for r in range(1, n + 1):
             m = n - r
             try:
@@ -368,5 +366,5 @@ def oracle_suite_report(n_max: int, seed: int = 0,
                          detail=lambda: f"got={got} expected={expected}",
                          m=m, r=r)
 
-    report.merge(reciprocal_explicit_check(n_max))
+    report.merge(reciprocal_explicit_check(table))
     return report

@@ -19,7 +19,6 @@ transfer checks compare independent computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .exactpoly import Frozen, UniPoly, one, powers, q, set_field, zero
@@ -74,11 +73,6 @@ class SymAlphabet(Frozen):
     def half_odds(cls, n: int) -> "SymAlphabet":
         return cls.from_values(Fraction(2 * k + 3, 2) for k in range(n))
 
-    @classmethod
-    def principal(cls, n: int) -> "SymAlphabet":
-        """x_i = q^(i-1), exercising polynomial coefficients."""
-        return cls(tuple(UniPoly.monomial(i) for i in range(n)))
-
 
 def elementary_sequence(alphabet: SymAlphabet, order: int):
     """e_0..e_order of the alphabet, by expanding prod (1 + x_i t)."""
@@ -89,13 +83,6 @@ def elementary_sequence(alphabet: SymAlphabet, order: int):
         for k in range(top, 0, -1):
             e[k] = e[k] + x * e[k - 1]
     return e
-
-
-def elementary(alphabet: SymAlphabet, n: int) -> UniPoly:
-    """The n-th elementary symmetric function of the alphabet (0 past N)."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return elementary_sequence(alphabet, n)[n]
 
 
 def complete_from_elementary(e, order: int):
@@ -148,14 +135,6 @@ def p_nr_row(alphabet: SymAlphabet, n: int) -> list:
                 row[j] = sum((xp[a] * table[d - a][j - 1]
                               for a in range(1, d - j + 2)), row[j])
     return table[n]
-
-
-def p_nr_monomial(alphabet: SymAlphabet, n: int, r: int) -> UniPoly:
-    """Classical p_n^(r): the sum of the monomial symmetric functions over
-    partitions of n with exactly r parts, evaluated on the alphabet."""
-    if not 0 <= r <= n:
-        return zero
-    return p_nr_row(alphabet, n)[r]
 
 
 def _convolution(bundle: SymSeriesBundle, n: int, r: int, binom) -> UniPoly:
@@ -223,31 +202,24 @@ def en_factorial_determinant(p_list, n: int) -> UniPoly:
 # the exponential specialization e_k = q^C(k,2) / k!, a route to J(n, r)
 
 
-def exp_elementary(order: int):
-    """The elementary values of the deformed exponential: q^C(k,2) / k!."""
-    return tuple(UniPoly.monomial(comb(k, 2), Fraction(1, factorial(k)))
-                 for k in range(order + 1))
-
-
 def exp_series(order: int) -> TruncSeries:
-    """The q-deformed exponential sum q^C(k,2) t^k / k!, truncated."""
-    return TruncSeries(exp_elementary(order))
+    """The q-deformed exponential sum q^C(k,2) t^k / k!, truncated; its
+    coefficients are the elementary values of the specialization."""
+    return TruncSeries(UniPoly.monomial(comb(k, 2), Fraction(1, factorial(k)))
+                       for k in range(order + 1))
 
 
-def exp_shift_check(order: int, r_max: int) -> CheckReport:
+def exp_shift_check(order: int) -> CheckReport:
     """Ordinary r-th derivative of the deformed exponential equals
-    q^C(r,2) times the same series evaluated at q^r t, coefficientwise.
+    q^C(r,2) times the same series evaluated at q^r t, coefficientwise,
+    for r = 1..order.
 
     Equivalent to the exponent bookkeeping C(m+r,2) = C(m,2) + C(r,2) + mr.
     """
-    if r_max > order:
-        raise ValueError("need order >= r_max")
     report = CheckReport()
-    E = exp_series(order)
-    for r in range(1, r_max + 1):
-        lhs = E
-        for _ in range(r):
-            lhs = lhs.derivative()
+    lhs = exp_series(order)
+    for r in range(1, order + 1):
+        lhs = lhs.derivative()
         rhs = tuple(UniPoly.monomial(comb(r, 2) + comb(m, 2) + m * r,
                                      Fraction(1, factorial(m)))
                     for m in range(order - r + 1))
@@ -256,14 +228,16 @@ def exp_shift_check(order: int, r_max: int) -> CheckReport:
     return report
 
 
-@lru_cache(maxsize=None)
-def _exp_bundle(order: int):
-    return SymSeriesBundle.from_elementary(exp_elementary(order))
+def exp_bundle(order: int) -> SymSeriesBundle:
+    """The e and h rows of the exponential specialization up to order.  The
+    rows of a smaller order are their prefixes, so one bundle at the top
+    order serves every n up to it."""
+    return SymSeriesBundle.from_elementary(exp_series(order).coeffs)
 
 
-def j_from_specialized_symfunc(n: int, r: int) -> UniPoly:
+def j_from_specialized_symfunc(bundle, n: int, r: int) -> UniPoly:
     """Extract J(n, r) from the classical p_n^(r) of the exponential
-    specialization.
+    specialization, bundle being exp_bundle of order at least n.
 
     p_n^(r) there equals (1-q)^(n-r) q^C(r,2) / (r! (n-r)!) times J(n, r);
     both divisions are exact polynomial divisions and a nonzero remainder
@@ -271,7 +245,7 @@ def j_from_specialized_symfunc(n: int, r: int) -> UniPoly:
     """
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
-    p = p_nr_series(_exp_bundle(n), n, r)
+    p = p_nr_series(bundle, n, r)
     scaled = p * (factorial(r) * factorial(n - r))
     no_shift = exact_div(scaled, UniPoly.monomial(comb(r, 2)))
     return exact_div(no_shift, (one - q) ** (n - r))
@@ -283,8 +257,8 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
     p_n^(r) = (1 - q^r) / r! * q^C(r,2) * [p_(n-r)] with brackets in base q^r.
     """
     report = CheckReport()
+    bundle = exp_bundle(n_max)
     for n in range(2, n_max + 1):
-        bundle = _exp_bundle(n)
         for r in range(1, n):
             lhs = p_nr_series(bundle, n, r)
             bracket_pn = pn_bracket_determinant(bundle.e, n - r, power_base=r)
@@ -299,9 +273,9 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
 # verification reports
 
 
-def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
+def transfer_theorem_check(alphabet: SymAlphabet, bundle) -> CheckReport:
     """Exactly verify the q-Stirling transfer between the q-analog and the
-    classical p_n^(r), in all four printed forms.
+    classical p_n^(r) at n = bundle.order, in all four printed forms.
 
     (i)   q-analog from classical via second-kind numbers,
     (ii)  the inverse via first-kind numbers,
@@ -309,10 +283,10 @@ def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
     (iv)  the intermediate double sum over binomials times q-binomials.
     """
     from .qstirling import qstirling1_triangle, qstirling2_triangle
+    n = bundle.order
     if alphabet.size < n:
         raise ValueError("alphabet must have at least n variables")
     report = CheckReport()
-    bundle = SymSeriesBundle.from_alphabet(alphabet, n)
     classical = p_nr_row(alphabet, n)
     qanalog = {j: qp_nr_direct(bundle, n, j) for j in range(1, n + 1)}
     second_kind = qstirling2_triangle(n)
@@ -340,10 +314,10 @@ def transfer_theorem_check(alphabet: SymAlphabet, n: int) -> CheckReport:
     return report
 
 
-def determinant_vs_convolution_check(alphabet: SymAlphabet, n: int) -> CheckReport:
-    """The Hessenberg determinant and the convolution must agree exactly."""
+def determinant_vs_convolution_check(bundle) -> CheckReport:
+    """Determinant and convolution agree exactly at n = bundle.order."""
     report = CheckReport()
-    bundle = SymSeriesBundle.from_alphabet(alphabet, n)
+    n = bundle.order
     for r in range(1, n + 1):
         d = qp_nr_determinant(bundle, n, r)
         c = qp_nr_direct(bundle, n, r)
@@ -352,18 +326,16 @@ def determinant_vs_convolution_check(alphabet: SymAlphabet, n: int) -> CheckRepo
     return report
 
 
-def classical_pn_determinants_check(alphabet: SymAlphabet, n: int) -> CheckReport:
-    """The r = 1 determinant identities and the defining linear system.
+def classical_pn_determinants_check(bundle) -> CheckReport:
+    """The r = 1 determinant identities and the defining linear system, for
+    every n up to bundle.order.
 
     Checks the [p_n] determinant against the convolution, the [n]! e_n
     determinant built from the previously computed [p_k], and the linear
     system sum (-1)^(k-1) e_(n-k) [p_k] = [n] e_n.
     """
-    if alphabet.size < n:
-        raise ValueError("alphabet must have at least n variables")
     report = CheckReport()
-    bundle = SymSeriesBundle.from_alphabet(alphabet, n)
-    e = bundle.e
+    n, e = bundle.order, bundle.e
     p_list = [zero] + [qp_nr_direct(bundle, k, 1) for k in range(1, n + 1)]
     for m in range(1, n + 1):
         det = pn_bracket_determinant(e, m)
@@ -385,25 +357,27 @@ def classical_pn_determinants_check(alphabet: SymAlphabet, n: int) -> CheckRepor
     return report
 
 
-def pq_transfer_check(alphabet: SymAlphabet, n: int) -> CheckReport:
-    """Two-parameter extension: determinant versus double sum, and the p = 1
-    slice collapsing to the one-parameter q-analog.
+def pq_transfer_check(alphabet: SymAlphabet, bundle) -> CheckReport:
+    """Two-parameter extension at n = bundle.order: determinant versus
+    double sum, and the p = 1 slice collapsing to the one-parameter q-analog.
 
     Both routes evaluate the same formal identity, so they agree on every
     alphabet, even one with fewer variables than n (where faithfulness, not
     validity, is lost)."""
     report = CheckReport()
-    bundle = SymSeriesBundle.from_alphabet(alphabet, n)
+    n = bundle.order
     e_bi = [BiPoly.from_unipoly(c) for c in bundle.e]
     classical = p_nr_row(alphabet, n)
+    rows = [[pq_binomial(m, k) for k in range(m + 1)] for m in range(n + 1)]
+    binom = lambda m, k: rows[m][k]             # 0 <= k <= m <= n throughout
 
     for r in range(1, n + 1):
-        det = _determinant(e_bi, n, r, pq_binomial)
+        det = _determinant(e_bi, n, r, binom)
 
         dbl = BiPoly()
         for j in range(r, n + 1):
             dbl = dbl + (BiPoly.from_unipoly(classical[j])
-                         * alternating_binomial_sum(pq_binomial, j, r, BiPoly()))
+                         * alternating_binomial_sum(binom, j, r, BiPoly()))
         report.check("pq-double-sum-vs-determinant", det == dbl,
                      detail=lambda: f"det={det!r} sum={dbl!r}", n=n, r=r)
 
@@ -423,16 +397,21 @@ def default_alphabets(n: int):
 
 def symfunc_suite_report(n_max: int) -> CheckReport:
     """Transfer, determinant, and two-parameter batteries on the default
-    alphabets."""
+    alphabets, each (alphabet, size) bundle built once."""
     report = CheckReport()
-    for n in range(1, n_max + 1):
-        for alphabet in default_alphabets(n):
-            report.merge(transfer_theorem_check(alphabet, n))
-            report.merge(determinant_vs_convolution_check(alphabet, n))
-    for n in range(1, min(n_max, DETERMINANT_N_MAX) + 1):
-        for alphabet in default_alphabets(n):
-            report.merge(classical_pn_determinants_check(alphabet, n))
+    # by size, then in the order of default_alphabets: three per size
+    sized = [(alphabet, SymSeriesBundle.from_alphabet(alphabet, n))
+             for n in range(1, n_max + 1) for alphabet in default_alphabets(n)]
+    for alphabet, bundle in sized:
+        report.merge(transfer_theorem_check(alphabet, bundle))
+        report.merge(determinant_vs_convolution_check(bundle))
+    for _alphabet, bundle in sized[:3 * DETERMINANT_N_MAX]:
+        report.merge(classical_pn_determinants_check(bundle))
     for n in range(1, min(n_max, PQ_N_MAX) + 1):
-        alphabet = SymAlphabet.primes(max(n, 3))
-        report.merge(pq_transfer_check(alphabet, n))
+        if n >= 3:      # primes(n) is the first default alphabet of size n
+            alphabet, bundle = sized[3 * (n - 1)]
+        else:
+            alphabet = SymAlphabet.primes(3)
+            bundle = SymSeriesBundle.from_alphabet(alphabet, n)
+        report.merge(pq_transfer_check(alphabet, bundle))
     return report

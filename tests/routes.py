@@ -8,7 +8,9 @@ determinant with ordinary binomials.  The parking sum by every ordered
 prefix of the first m - 1 values, each sorted on its own, and the literal
 parking condition that both parking walks are tested against.  Cofactor
 expansion, the reference for det_hessenberg, and the q-derivative of a
-truncated series, the operator of the generating-series identity."""
+truncated series, the operator of the generating-series identity.  Test
+helpers no battery reads: one elementary value, one classical p_n^(r), and
+the principal alphabet x_i = q^(i-1)."""
 
 import itertools
 from math import comb, factorial
@@ -18,6 +20,7 @@ from qsym.exactpoly import UniPoly, one, zero
 from qsym.oracles import sigma_statistic
 from qsym.pqalgebra import TruncSeries, det_hessenberg
 from qsym.qcalc import qbinomial, qbracket, qfactorial
+from qsym.symfunc import SymAlphabet, elementary_sequence, p_nr_row
 
 
 def dense_jtable(n_max: int) -> dict:
@@ -169,6 +172,26 @@ def monomial_sum_by_permutations(values, n: int, r: int) -> UniPoly:
                     term = term * x ** a
             total = total + term
     return total
+
+
+def principal(n: int) -> SymAlphabet:
+    """x_i = q^(i-1), exercising polynomial coefficients."""
+    return SymAlphabet(tuple(UniPoly.monomial(i) for i in range(n)))
+
+
+def elementary(alphabet: SymAlphabet, n: int) -> UniPoly:
+    """The n-th elementary symmetric function of the alphabet (0 past N)."""
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    return elementary_sequence(alphabet, n)[n]
+
+
+def p_nr_monomial(alphabet: SymAlphabet, n: int, r: int) -> UniPoly:
+    """Classical p_n^(r): the sum of the monomial symmetric functions over
+    partitions of n with exactly r parts, evaluated on the alphabet."""
+    if not 0 <= r <= n:
+        return zero
+    return p_nr_row(alphabet, n)[r]
 
 
 def p_nr_determinant(bundle, n: int, r: int) -> UniPoly:

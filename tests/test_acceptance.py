@@ -20,8 +20,9 @@ from qsym.oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
 from qsym.report import (kung_yan_check, reciprocal_recurrence_check,
                          verify_carlitz_identities, verify_conjugated_inverse,
                          verify_triangle_inverse)
-from qsym.symfunc import (SymAlphabet, classical_pn_determinants_check,
-                          default_alphabets, determinant_vs_convolution_check,
+from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
+                          classical_pn_determinants_check, default_alphabets,
+                          determinant_vs_convolution_check, exp_bundle,
                           exp_shift_check, j_from_specialized_symfunc,
                           pq_transfer_check, specialization_bracket_shift_check,
                           transfer_theorem_check)
@@ -84,13 +85,15 @@ def test_criterion_02_cross_formula_equivalence():
     with criterion(2, "recurrence, both explicit sums, and the "
                       "specialization route agree for n <= 9", 10.0):
         table = build_jtable(9)
+        bundle = exp_bundle(9)
         for n in range(1, 10):
             for r in range(1, n + 1):
                 expected = table.entry(n, r)
                 if n > r:
                     assert j_explicit_composition(n, r) == expected, (n, r)
                 assert j_explicit_sequences(n, r) == expected, (n, r)
-                assert j_from_specialized_symfunc(n, r) == expected, (n, r)
+                assert (j_from_specialized_symfunc(bundle, n, r)
+                        == expected), (n, r)
 
 
 def test_criterion_03_forest_oracle():
@@ -128,8 +131,9 @@ def test_criterion_04_parking_oracle():
 def test_criterion_05_reciprocal_recurrences():
     with criterion(5, "row and column recurrences of the reciprocals on the "
                       "full table, n <= 9", 5.0):
-        row = reciprocal_recurrence_check(9)
-        col = kung_yan_check(9)
+        table = build_jtable(9)
+        row = reciprocal_recurrence_check(table)
+        col = kung_yan_check(table)
         assert row.passed and col.passed
         worked = [r for r in row.records
                   if r.params.get("n") == 6 and r.params.get("r") == 2]
@@ -153,18 +157,18 @@ def test_criterion_07_transfer_theorems():
                       "classical determinant identities for n <= 5", 30.0):
         for n in range(1, 7):
             for alphabet in default_alphabets(n):
-                assert transfer_theorem_check(alphabet, n).passed
-                assert determinant_vs_convolution_check(alphabet, n).passed
-        for n in range(1, 6):
-            for alphabet in default_alphabets(n):
-                assert classical_pn_determinants_check(alphabet, n).passed
+                bundle = SymSeriesBundle.from_alphabet(alphabet, n)
+                assert transfer_theorem_check(alphabet, bundle).passed
+                assert determinant_vs_convolution_check(bundle).passed
+                if n <= 5:
+                    assert classical_pn_determinants_check(bundle).passed
 
 
 def test_criterion_08_specialization_shift_suite():
     with criterion(8, "bracket-shift collapse of the specialization for "
                       "n <= 7 and the derivative shift law to order 8", 5.0):
         assert specialization_bracket_shift_check(7).passed
-        assert exp_shift_check(8, 8).passed
+        assert exp_shift_check(8).passed
         for m in range(9):
             for r in range(9):
                 assert comb(m + r, 2) == comb(m, 2) + comb(r, 2) + m * r
@@ -176,7 +180,8 @@ def test_criterion_09_pq_extension():
                    10.0):
         alphabet = SymAlphabet.from_values([1, 2, 3])
         for n in range(1, 5):
-            assert pq_transfer_check(alphabet, n).passed
+            bundle = SymSeriesBundle.from_alphabet(alphabet, n)
+            assert pq_transfer_check(alphabet, bundle).passed
 
 
 def test_criterion_10_shape_properties():

@@ -342,7 +342,7 @@ def test_usage_error_on_unknown_command():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, says", [(argv, "") for argv in [
     ("export", "jtable", "--n-max", "3", "-o", "{tmp}/missing/x.csv"),
     ("export", "stirling", "--n-max", "3", "-o", "{tmp}/missing/x.csv"),
     ("export", "jtable", "--n-max", "3", "-o", "{tmp}"),      # a directory
@@ -363,13 +363,21 @@ def test_usage_error_on_unknown_command():
     ("verify", "oracles", "--n-max", "3", "--cap", "-1"),
     ("query", "parking", "--m", "2", "--r", "1", "--cap", "-1"),
     ("query", "forest-stat", "--n", "3", "--r", "1", "--cap", "-1"),
+]] + [      # rows whose error line must say what is wrong
+    (("query", "forest-stat", "--n", "3", "--roots", ""),
+     "error: roots must be a nonempty subset of {1..n}"),
+    (("query", "forest-stat", "--n", "3", "--roots", ","),
+     "error: --roots takes comma-separated integer labels, not ','"),
+    (("query", "forest-stat", "--n", "3", "--roots", "1,x"),
+     "error: --roots takes comma-separated integer labels, not '1,x'"),
 ], ids=["missing-dir", "missing-dir-stirling", "is-a-directory",
         "range-violation", "jtable-n-max", "verify-n-max",
         "export-stirling-latex", "export-plain", "export-json", "export-seed",
         "export-ascii", "verify-latex", "verify-csv", "verify-ascii",
         "jtable-seed", "jtable-cap", "verify-negative-cap",
-        "parking-negative-cap", "forest-negative-cap"])
-def test_usage_faults_exit_two(argv, tmp_path, capsys):
+        "parking-negative-cap", "forest-negative-cap", "forest-empty-roots",
+        "forest-empty-labels", "forest-non-integer-label"])
+def test_usage_faults_exit_two(argv, says, tmp_path, capsys):
     try:
         code, text = run(*(a.format(tmp=tmp_path) for a in argv))
     except SystemExit as exc:           # argparse rejected the option itself
@@ -377,6 +385,7 @@ def test_usage_faults_exit_two(argv, tmp_path, capsys):
     assert code == 2 and text == ""
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(("error: ", f"qsym {argv[0]}: error: ", "qsym: error: "))
+    assert says in last
 
 
 class ClosedPipe:
@@ -404,7 +413,7 @@ def test_closed_stdout_exits_141_in_a_process():
 
 
 def test_inexact_division_is_a_fail_record(monkeypatch):
-    def inexact(n, r):
+    def inexact(bundle, n, r):
         raise InexactDivisionError(f"J({n}, {r}) left a remainder")
 
     monkeypatch.setattr("qsym.symfunc.j_from_specialized_symfunc", inexact)
@@ -421,11 +430,7 @@ def test_jtable_shape_failure_is_an_error_line(monkeypatch, capsys):
         return bracket_mul(c, a + 1, *args, **kwargs)
 
     monkeypatch.setattr(jpoly, "bracket_mul", long_bracket_mul)
-    jpoly.build_jtable.cache_clear()
-    try:
-        code, text = run("jtable", "--n-max", "4")
-    finally:
-        jpoly.build_jtable.cache_clear()
+    code, text = run("jtable", "--n-max", "4")
     assert code == 1 and text == ""
     assert capsys.readouterr().err == "error: J(2,1) degree 1 != 0\n"
 

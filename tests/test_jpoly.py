@@ -13,7 +13,8 @@ from qsym.jpoly import (build_jtable, composition_sum, j_explicit_composition,
 from qsym.report import (extended_recurrence_check, kung_yan_check,
                          reciprocal_composition_forms,
                          reciprocal_recurrence_check)
-from qsym.symfunc import exp_series, exp_shift_check, j_from_specialized_symfunc
+from qsym.symfunc import (exp_bundle, exp_series, exp_shift_check,
+                          j_from_specialized_symfunc, p_nr_series)
 from routes import (COMPOSITION_EXPONENTS, compositions, dense_composition_sum,
                     dense_jtable, multinomial, p_nr_determinant)
 
@@ -121,26 +122,29 @@ def test_explicit_sequences_values():
 
 def test_four_routes_agree():
     table = build_jtable(7)
+    bundle = exp_bundle(7)
     for n in range(1, 8):
         for r in range(1, n + 1):
             expected = table.entry(n, r)
             if n > r:
                 assert j_explicit_composition(n, r) == expected
             assert j_explicit_sequences(n, r) == expected
-            assert j_from_specialized_symfunc(n, r) == expected
+            assert j_from_specialized_symfunc(bundle, n, r) == expected
 
 
 def test_from_specialized_symfunc_small():
-    assert j_from_specialized_symfunc(3, 3) == one
-    assert j_from_specialized_symfunc(4, 2) == GOLDEN[(4, 2)]
-    assert j_from_specialized_symfunc(6, 2) == J62
+    # a bundle of the entry's own order and one of a larger order agree
+    for order in (6, 9):
+        bundle = exp_bundle(order)
+        assert j_from_specialized_symfunc(bundle, 3, 3) == one
+        assert j_from_specialized_symfunc(bundle, 4, 2) == GOLDEN[(4, 2)]
+        assert j_from_specialized_symfunc(bundle, 6, 2) == J62
 
 
 def test_specialized_bundle_determinant_route():
     # on the exponential-specialization bundle the determinant and the
     # convolution compute the same classical values
-    from qsym.symfunc import _exp_bundle, p_nr_series
-    bundle = _exp_bundle(6)
+    bundle = exp_bundle(6)
     for n in range(1, 7):
         for r in range(1, n + 1):
             assert p_nr_determinant(bundle, n, r) == p_nr_series(bundle, n, r)
@@ -206,9 +210,10 @@ def test_column_recurrence_worked_instance():
 
 
 def test_recurrence_checks_pass():
-    assert reciprocal_recurrence_check(3).passed
-    assert reciprocal_recurrence_check(9).passed
-    assert kung_yan_check(9).passed
+    assert reciprocal_recurrence_check(build_jtable(3)).passed
+    table = build_jtable(9)
+    assert reciprocal_recurrence_check(table).passed
+    assert kung_yan_check(table).passed
 
 
 def test_column_recurrence_first_step():
@@ -244,11 +249,11 @@ def test_exp_series_coefficients():
 
 
 def test_exp_shift_check():
-    assert exp_shift_check(6, 1).passed
-    assert exp_shift_check(8, 3).passed
-    assert exp_shift_check(8, 8).passed
-    with pytest.raises(ValueError):
-        exp_shift_check(3, 5)
+    # one record per r = 1..order
+    for order in (1, 3, 8, 12):
+        report = exp_shift_check(order)
+        assert report.passed
+        assert [rec.params["r"] for rec in report.records] == list(range(1, order + 1))
 
 
 def test_exponent_bookkeeping_identity():
@@ -258,7 +263,9 @@ def test_exponent_bookkeeping_identity():
 
 
 def test_extended_recurrence_with_zero_conventions():
-    assert extended_recurrence_check(9).passed
+    report = extended_recurrence_check(build_jtable(12))
+    assert report.passed
+    assert len(report.records) == 13 * 14 // 2       # 0 <= r <= n <= 12
 
 
 def test_csv_rows():

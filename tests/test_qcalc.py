@@ -53,6 +53,19 @@ def test_qfactorial_needs_no_recursion():
     assert poly.evaluate(1) == factorial(150)
 
 
+def test_pq_binomial_needs_no_recursion():
+    # rows are built bottom-up, so the depth of calls does not grow with n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        poly = pq_binomial(1200, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    # [1200 1] = p^1199 + p^1198 q + ... + q^1199
+    assert all(poly.coeff(i, 1199 - i) == 1 for i in range(1200))
+    assert poly.at_p_one() == UniPoly((1,) * 1200)
+
+
 def test_qbinomial_values():
     assert qbinomial(4, 2) == P(1, 1, 2, 1, 1)
     assert qbinomial(7, 0) == one

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import qsym.cli as cli
+import qsym.jpoly as jpoly
 import qsym.oracles as oracles
 from qsym.exactpoly import BiPoly, UniPoly
 from qsym.jpoly import build_jtable
@@ -148,8 +149,17 @@ def test_dump_forests_walks_the_candidates_once(monkeypatch, variant):
 
 # -- the J table is built once per verify run -----------------------------------
 
-def test_verify_all_builds_one_jtable():
-    build_jtable.cache_clear()
+def test_verify_all_builds_one_jtable(monkeypatch):
+    sizes = []
+
+    def counted(n_max):
+        sizes.append(n_max)
+        return build_jtable(n_max)
+
+    monkeypatch.setattr(jpoly, "build_jtable", counted)
     code, _ = run("verify", "all", "--n-max", "4")
-    assert code == 0
-    assert build_jtable.cache_info().misses == 1
+    assert code == 0 and sizes == [4]
+    # above the oracle battery's size under all, it gets a table of its own
+    sizes.clear()
+    code, _ = run("verify", "all", "--n-max", "8")
+    assert code == 0 and sizes == [8, 7]

@@ -93,9 +93,9 @@ PUBLIC = {
     "qstirling": ["StirlingTriangle", "qstirling1", "qstirling1_triangle",
                   "qstirling2", "qstirling2_triangle"],
     "symfunc": ["SymAlphabet", "SymSeriesBundle",
-                "complete_from_elementary", "elementary", "elementary_sequence",
-                "j_from_specialized_symfunc", "p_nr_monomial",
-                "qp_nr_determinant", "qp_nr_direct", "transfer_theorem_check"],
+                "complete_from_elementary", "elementary_sequence", "exp_bundle",
+                "j_from_specialized_symfunc", "qp_nr_determinant",
+                "qp_nr_direct", "transfer_theorem_check"],
     "jpoly": ["JTable", "build_jtable", "j_explicit_composition",
               "j_explicit_sequences", "reciprocal"],
     "report": ["kung_yan_check", "reciprocal_recurrence_check",
@@ -122,6 +122,23 @@ def test_public_names_are_listed_and_star_importable():
     exec("from qsym import *", namespace)
     assert all(namespace[name] is getattr(qsym, name) for name in PUBLIC_NAMES)
     assert qsym.__version__ == "0.1.0"
+
+
+def test_no_module_keeps_a_memo_table():
+    # Batteries get the tables and bundles they check from their caller, so
+    # no function result or ranking is cached for the life of the process.
+    import pkgutil
+    for info in pkgutil.iter_modules(qsym.__path__):
+        module = importlib.import_module(f"qsym.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            assert not hasattr(obj, "cache_info"), f"{info.name}.{name}"
+            if isinstance(obj, type):
+                for attr, fn in vars(obj).items():
+                    code = getattr(fn, "__code__", None)
+                    assert code is None or "_memo" not in code.co_names, \
+                        f"{info.name}.{name}.{attr}"
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -12,13 +12,19 @@ from qsym.qcalc import qfactorial
 from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
                           classical_pn_determinants_check,
                           complete_from_elementary,
-                          determinant_vs_convolution_check, elementary,
-                          elementary_sequence, p_nr_monomial, p_nr_series,
+                          determinant_vs_convolution_check,
+                          elementary_sequence, p_nr_series,
                           pq_transfer_check, qp_nr_determinant,
                           qp_nr_direct, transfer_theorem_check)
 
-from routes import (monomial_sum_by_permutations, partitions_with_length,
-                    q_derivative)
+from routes import (elementary, monomial_sum_by_permutations, p_nr_monomial,
+                    partitions_with_length, principal, q_derivative)
+
+
+def bundle_of(alphabet, order=None):
+    """The alphabet's e and h rows, to its own size unless order is given."""
+    return SymSeriesBundle.from_alphabet(
+        alphabet, alphabet.size if order is None else order)
 
 
 def test_partitions_with_length():
@@ -38,7 +44,7 @@ def test_elementary_values():
 
 def test_elementary_on_principal_alphabet():
     # x_i = q^(i-1): e_2 of (1, q, q^2) is q + q^2 + q^3
-    a = SymAlphabet.principal(3)
+    a = principal(3)
     assert elementary(a, 2) == UniPoly((0, 1, 1, 1))
 
 
@@ -80,7 +86,7 @@ def test_p_nr_monomial_values():
 
 @pytest.mark.parametrize("make", [SymAlphabet.primes,
                                   lambda size: SymAlphabet.integers(size, start=2),
-                                  SymAlphabet.half_odds, SymAlphabet.principal],
+                                  SymAlphabet.half_odds, principal],
                          ids=["primes", "integers", "half_odds", "principal"])
 def test_p_nr_monomial_matches_permutation_route(make):
     # N < n occurs, and r runs one past each end of 0..n
@@ -133,7 +139,7 @@ def test_determinant_matches_convolution():
 
 
 def test_determinant_on_principal_alphabet():
-    a = SymAlphabet.principal(5)
+    a = principal(5)
     b = SymSeriesBundle.from_alphabet(a, 5)
     for n in range(1, 6):
         for r in range(1, n + 1):
@@ -167,7 +173,7 @@ def test_e_times_h_expands_in_p():
 
 @pytest.mark.parametrize("alphabet", [
     SymAlphabet.primes, lambda n: SymAlphabet.integers(n, start=2),
-    SymAlphabet.half_odds, SymAlphabet.principal],
+    SymAlphabet.half_odds, principal],
     ids=["primes", "integers-from-2", "half-odds", "principal"])
 def test_generating_series_identity_for_qp(alphabet):
     # sum over n of qp_n^(r) (-t)^(n-r) times E(t) equals the r-th
@@ -188,41 +194,46 @@ def test_generating_series_identity_for_qp(alphabet):
 
 
 def test_transfer_theorem_check_passes():
-    assert transfer_theorem_check(SymAlphabet.primes(1), 1).passed
-    assert transfer_theorem_check(SymAlphabet.from_values([1, 2, 3, 5, 7]), 5).passed
-    six = SymAlphabet.from_values([Fraction(1, 2), 2, 3, Fraction(7, 3), 11, 13])
-    assert transfer_theorem_check(six, 6).passed
+    for alphabet in (SymAlphabet.primes(1),
+                     SymAlphabet.from_values([1, 2, 3, 5, 7]),
+                     SymAlphabet.from_values([Fraction(1, 2), 2, 3,
+                                              Fraction(7, 3), 11, 13])):
+        assert transfer_theorem_check(alphabet, bundle_of(alphabet)).passed
 
 
 def test_transfer_on_principal_alphabet():
     # x_i = q^(i-1) stresses polynomial coefficients through the transfer
-    assert transfer_theorem_check(SymAlphabet.principal(5), 5).passed
-    assert classical_pn_determinants_check(SymAlphabet.principal(4), 4).passed
+    assert transfer_theorem_check(principal(5), bundle_of(principal(5))).passed
+    assert classical_pn_determinants_check(bundle_of(principal(4))).passed
 
 
 def test_transfer_requires_enough_variables():
+    two = SymAlphabet.primes(2)
     with pytest.raises(ValueError):
-        transfer_theorem_check(SymAlphabet.primes(2), 5)
+        transfer_theorem_check(two, bundle_of(two, 5))
 
 
 def test_classical_determinants_check():
-    assert classical_pn_determinants_check(SymAlphabet.primes(1), 1).passed
-    assert classical_pn_determinants_check(SymAlphabet.primes(2), 2).passed
+    assert classical_pn_determinants_check(bundle_of(SymAlphabet.primes(1))).passed
+    assert classical_pn_determinants_check(bundle_of(SymAlphabet.primes(2))).passed
     rng = random.Random(17)
     a = SymAlphabet.from_values([Fraction(rng.randint(1, 20), rng.randint(1, 5))
                                  for _ in range(5)])
-    assert classical_pn_determinants_check(a, 5).passed
+    assert classical_pn_determinants_check(bundle_of(a)).passed
 
 
 def test_pq_transfer_check():
-    assert pq_transfer_check(SymAlphabet.primes(1), 1).passed
-    assert pq_transfer_check(SymAlphabet.from_values([1, 2, 3]), 3).passed
+    one_prime = SymAlphabet.primes(1)
+    assert pq_transfer_check(one_prime, bundle_of(one_prime)).passed
+    abc = SymAlphabet.from_values([1, 2, 3])
+    assert pq_transfer_check(abc, bundle_of(abc)).passed
     for n in range(1, 5):
-        assert pq_transfer_check(SymAlphabet.primes(max(n, 3)), n).passed
+        a = SymAlphabet.primes(max(n, 3))
+        assert pq_transfer_check(a, bundle_of(a, n)).passed
 
 
 def test_determinant_vs_convolution_check_report():
-    report = determinant_vs_convolution_check(SymAlphabet.primes(4), 4)
+    report = determinant_vs_convolution_check(bundle_of(SymAlphabet.primes(4)))
     assert report.passed
     assert {"determinant-vs-convolution"} == {r.identity for r in report.records}
 
