@@ -6,11 +6,16 @@ Failure is data, not an exception: callers inspect .passed and
 The q-Stirling, J and oracle batteries live here, apart from the objects
 they check, so only verify compiles them; each imports its layers as it
 runs.  The J and oracle batteries are handed the J table and run to its
-n_max.  The symmetric-function batteries stay in symfunc.
+n_max.  The symmetric-function batteries stay in symfunc.  run_batteries
+merges the reports of several batteries and can run the last one in a
+forked child, beside the others.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
 from itertools import islice
 from math import comb
 
@@ -103,6 +108,81 @@ class CheckReport:
                 mark = "ok  "
             lines.append(f"{mark} {name} ({passes}/{len(recs)} instances)")
         return lines
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked child could run beside this process: os.fork exists
+    and the process may run on more than one CPU."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _fork_battery(battery):
+    """Fork a child that runs battery() and sends its records back as
+    (identity, status, params, detail) tuples, marshalled over a pipe;
+    returns the child's pid and the read end as a file.
+
+    The child never writes to stdout.  An exception prints its traceback
+    to stderr (fd 2, past the stdio buffers) and the child exits 1.  It
+    always leaves by os._exit, so it runs no atexit handler and never
+    flushes the stdio buffers it inherited.
+    """
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            rows = [(r.identity, r.status, r.params, r.detail)
+                    for r in battery().records]
+            with os.fdopen(wfd, "wb") as pipe:
+                marshal.dump(rows, pipe)
+            status = 0
+        except BaseException:
+            import traceback
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    return pid, os.fdopen(rfd, "rb")
+
+
+def run_batteries(batteries, last_aside: bool = False) -> CheckReport:
+    """Merge the reports of the batteries (functions of no arguments), in
+    order.
+
+    With last_aside, and where _spare_cpu allows, the last battery runs in
+    a forked child while this process runs the others, and its records are
+    merged last, as if it had run here.  A fault in the child raises
+    ChildProcessError here.  If a battery here raises first, the child is
+    killed and reaped before the exception leaves.  Fork only from a
+    process with one thread, as the CLI is.
+    """
+    report = CheckReport()
+    if not (last_aside and _spare_cpu()):
+        for battery in batteries:
+            report.merge(battery())
+        return report
+    *here, last = batteries
+    pid, pipe = _fork_battery(last)
+    try:
+        for battery in here:
+            report.merge(battery())
+        data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise ChildProcessError(f"the forked battery exited with status "
+                                f"{os.waitstatus_to_exitcode(status)}")
+    return report.merge(CheckReport(CheckRecord(*row)
+                                    for row in marshal.loads(data)))
 
 
 CONJUGATION_N_MAX = 8      # largest size of the scaled-triangle inverse check

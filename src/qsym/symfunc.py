@@ -19,12 +19,13 @@ transfer checks compare independent computations.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 from .exactpoly import Frozen, UniPoly, one, powers, q, set_field, zero
 from .pqalgebra import BiPoly, TruncSeries, det_hessenberg, exact_div, pq_binomial
 from .qcalc import (alternating_binomial_sum, qbinomial, qbracket,
-                    qbracket_power_base, qfactorial)
+                    qbracket_power_base, qfactorial, triangle_rows)
 from .report import CheckReport
 
 # Largest sizes of the r = 1 determinant and two-parameter batteries in the
@@ -150,6 +151,14 @@ def _convolution(bundle: SymSeriesBundle, n: int, r: int, binom) -> UniPoly:
         term = binom(r + k, r) * bundle.e[r + k] * bundle.h[n - r - k]
         acc = acc + (term if k % 2 == 0 else -term)
     return acc
+
+
+def _qbinomial_lookup(n: int):
+    """[l k] for 0 <= k <= l <= n, read from rows 0..n built once by
+    [l k] = [l-1 k-1] + q^k [l-1 k]."""
+    rows = [tuple(map(UniPoly, row))
+            for row in islice(triangle_rows(lambda l, k: (1, k), n), n + 1)]
+    return lambda l, k: rows[l][k]
 
 
 def qp_nr_direct(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
@@ -288,7 +297,8 @@ def transfer_theorem_check(alphabet: SymAlphabet, bundle) -> CheckReport:
         raise ValueError("alphabet must have at least n variables")
     report = CheckReport()
     classical = p_nr_row(alphabet, n)
-    qanalog = {j: qp_nr_direct(bundle, n, j) for j in range(1, n + 1)}
+    binom = _qbinomial_lookup(n)
+    qanalog = {j: _convolution(bundle, n, j, binom) for j in range(1, n + 1)}
     second_kind = qstirling2_triangle(n)
     first_kind = qstirling1_triangle(n)
     omq = powers(one - q, n)
@@ -303,7 +313,7 @@ def transfer_theorem_check(alphabet: SymAlphabet, bundle) -> CheckReport:
             report.check(identity, lhs == rhs,
                          detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
 
-        dbl = sum((classical[j] * alternating_binomial_sum(qbinomial, j, r, zero)
+        dbl = sum((classical[j] * alternating_binomial_sum(binom, j, r, zero)
                    for j in range(r, n + 1)), zero)
         report.check("transfer-double-sum", qanalog[r] == dbl,
                      detail=lambda: f"lhs={qanalog[r]} rhs={dbl}", n=n, r=r)
@@ -318,9 +328,10 @@ def determinant_vs_convolution_check(bundle) -> CheckReport:
     """Determinant and convolution agree exactly at n = bundle.order."""
     report = CheckReport()
     n = bundle.order
+    binom = _qbinomial_lookup(n)
     for r in range(1, n + 1):
-        d = qp_nr_determinant(bundle, n, r)
-        c = qp_nr_direct(bundle, n, r)
+        d = _determinant(bundle.e, n, r, binom)
+        c = _convolution(bundle, n, r, binom)
         report.check("determinant-vs-convolution", d == c,
                      detail=lambda: f"det={d} conv={c}", n=n, r=r)
     return report

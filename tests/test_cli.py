@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import qsym.cli as cli
 import qsym.jpoly as jpoly
+import qsym.symfunc as symfunc
 from qsym.exactpoly import (EnumerationCapExceeded, InexactDivisionError,
                             UniPoly, bracket_mul)
 from qsym.report import CheckReport
@@ -23,6 +25,16 @@ def run(*argv):
     out = io.StringIO()
     code = cli.main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def process_env() -> dict:
+    """The environment of a `python -m qsym.cli` process on these sources,
+    its output buffered until exit."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 TABLE1 = {
@@ -307,6 +319,116 @@ def test_verify_failure_exits_one_with_counterexample(monkeypatch):
     assert any(r["status"] == "fail" for r in records)
 
 
+def test_verify_symfunc_reads_q_binomials_from_rows(monkeypatch):
+    # the transfer and determinant checks read [l k] from rows built once
+    # per call; only the r = 1 determinants and the (p, q) slice call
+    # qbinomial (one call per term made 1007 calls for 21 values)
+    calls = []
+    qbinomial = symfunc.qbinomial
+
+    def counted(n, k):
+        calls.append((n, k))
+        return qbinomial(n, k)
+
+    monkeypatch.setattr(symfunc, "qbinomial", counted)
+    code, _ = run("verify", "symfunc", "--n-max", "6")
+    assert code == 0 and 0 < len(calls) <= 125
+
+
+# -- verify all runs the oracle battery in a child process ----------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make verify all start its child whatever this host's CPU count, and
+    list the pids of the children it starts."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1},
+                        raising=False)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_verify_all_is_the_same_with_and_without_the_child(monkeypatch, forks,
+                                                           fmt):
+    argv = ("verify", "all", "--n-max", "5", "--seed", "3", "--format", fmt)
+    with_child = run(*argv)
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert run(*argv) == with_child
+    assert with_child[0] == 0 and with_child[1]
+
+
+def test_fault_in_the_child_exits_four(monkeypatch, forks, capfd):
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the child")
+
+    monkeypatch.setattr("qsym.report.oracle_suite_report", broken)
+    code, text = run("verify", "all", "--n-max", "4")
+    assert code == cli.EXIT_INTERNAL and text == "" and len(forks) == 1
+    err = capfd.readouterr().err
+    assert "TypeError: a fault in the child\n" in err
+    assert err.rstrip().endswith("exited with status 1")
+    assert_no_child_left()
+
+
+def test_failed_identity_in_the_child_exits_one(monkeypatch, forks):
+    def failing(*args, **kwargs):
+        report = CheckReport()
+        report.add_fail("child-identity", detail="lhs=0 rhs=1", n=3, r=1)
+        return report
+
+    monkeypatch.setattr("qsym.report.oracle_suite_report", failing)
+    code, text = run("verify", "all", "--n-max", "4")
+    assert code == 1 and len(forks) == 1
+    assert text.splitlines()[-1] == (
+        'first counterexample: {"identity":"child-identity","n":3,"r":1,'
+        '"status":"fail","detail":"lhs=0 rhs=1"}')
+
+
+def test_fault_before_the_child_is_done_kills_and_reaps_it(monkeypatch, forks,
+                                                           capsys):
+    def broken(table):
+        raise TypeError("a fault in the parent")
+
+    # a child left to finish would keep this test waiting for a minute
+    monkeypatch.setattr("qsym.report.oracle_suite_report",
+                        lambda *args, **kwargs: time.sleep(60))
+    monkeypatch.setattr("qsym.report.jpoly_suite_report", broken)
+    started = time.monotonic()
+    code, text = run("verify", "all", "--n-max", "4")
+    assert code == cli.EXIT_INTERNAL and text == "" and len(forks) == 1
+    assert time.monotonic() - started < 30
+    assert capsys.readouterr().err.endswith("TypeError: a fault in the parent\n")
+    assert_no_child_left()
+
+
+def test_verify_all_in_a_process_prints_one_line():
+    argv = ("verify", "all", "--n-max", "4", "--format", "json")
+    proc = subprocess.run([sys.executable, "-m", "qsym.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=process_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("\n") == 1
+    assert proc.stdout == run(*argv)[1]
+
+
 def test_export_stirling_csv(tmp_path):
     target = tmp_path / "triangle.csv"
     code, _ = run("export", "stirling", "--kind", "first", "--n-max", "3",
@@ -401,12 +523,9 @@ def test_closed_stdout_exits_141(capsys):
 
 
 def test_closed_stdout_exits_141_in_a_process():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    env.pop("PYTHONUNBUFFERED", None)   # keep output buffered until exit
     proc = subprocess.Popen([sys.executable, "-m", "qsym.cli", "jtable", "--n-max", "5"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=process_env())
     proc.stdout.close()                 # no reader is left before the first write
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141 and err == b""
