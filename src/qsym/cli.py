@@ -230,6 +230,8 @@ def _cmd_query(args, out) -> int:
             except ValueError:
                 raise ValueError("--roots takes comma-separated integer "
                                  f"labels, not {args.roots!r}") from None
+            if len(set(roots)) < len(roots):
+                raise ValueError(f"--roots repeats a label: {args.roots!r}")
         elif args.r is not None:
             roots = tuple(range(1, args.r + 1))
         else:

@@ -17,11 +17,15 @@ prefix stands for all of its orderings.  The forest walk stops at the last
 non-root v and groups the parents that close no cycle, the vertices of
 known depth, by depth: v and the subtree hanging under it take the same
 depths under every member of a group, so the group's forests share depths
-and level masks and differ only in v's parent.  _forest_enumerators scores
-each group once, for every ranking, by one sum of packed table lookups,
-each member adding one weight for v's parent; level_statistic and
-reciprocal_level_statistic remain the literal per-forest scorers, used for
---dump-forests.
+and level masks and differ only in v's parent.  The scoring walk also takes
+the r roots as one parent, "some root": the choice of root changes no depth
+and no level mask, only a parent weight, so a forest with j vertices at
+depth 1 stands for r^j forests.  _forest_enumerators scores each group once,
+for every ranking, by one sum of packed table lookups, then adds each
+member's weight for v's parent and each root choice's weights.
+level_statistic and reciprocal_level_statistic remain the literal
+per-forest scorers, used for --dump-forests, which walks each root, as it
+streams every forest in product order.
 
 Agreement of these enumerators with the closed-form polynomials is the
 strongest correctness evidence the package produces.
@@ -137,7 +141,7 @@ def _check_roots(n: int, roots) -> tuple:
     return rs
 
 
-def _raw_forests(n: int, roots: tuple):
+def _raw_forests(n: int, roots: tuple, some_root: bool = False):
     """Yield (parent_array, depth_array, level_masks, sizes, group) for each
     depth group of acyclic parent maps.
 
@@ -163,15 +167,18 @@ def _raw_forests(n: int, roots: tuple):
     Ordering each frame's forests by v's parent gives the order of the full
     product of parent choices, the last non-root varying fastest.
 
-    parent_array and depth_array are indexed by vertex; slot 0 stands for
-    the missing parent of a root, with parent 0 and depth 0.  With no
-    non-root at all, the edgeless forest is yielded as the one group (0,).
-    All the arrays are reused between iterations: consumers keep a copy of
-    anything they hold past the current step.
+    With some_root, each non-root tries 0, "some root", then the non-roots:
+    a group stands for its forests over every choice of root at depth 1,
+    and the roots' group is (0,).  parent_array and depth_array are indexed
+    by vertex; slot 0 stands for the missing parent of a root, and for some
+    root, with parent 0 and depth 0.  With no non-root at all, the edgeless
+    forest is yielded as the one group (0,).  All the arrays are reused
+    between iterations: consumers keep a copy of anything they hold past
+    the current step.
     """
     nonroots = [v for v in range(1, n + 1) if v not in roots]
     k = len(nonroots)
-    parent = [0] * (n + 1)          # 0 for a root or an unassigned non-root
+    parent = [0] * (n + 1)          # 0 for a root, some root or no parent yet
     depth = [-1] * (n + 1)
     depth[0] = 0
     lvl = [0] * (k + 1)             # a forest is at most k levels deep
@@ -187,9 +194,11 @@ def _raw_forests(n: int, roots: tuple):
     children = [[] for _ in range(n + 1)]
     placed = []         # the vertices given a depth, in the order they got it
     marks = [0] * k     # len(placed) before the i-th non-root was assigned
-    next_parent = [1] * k
+    parents = [0] + nonroots if some_root else list(range(1, n + 1))
+    stop = len(parents)
+    next_parent = [0] * k           # index into parents; 0 while unassigned
     last = nonroots[-1]
-    members = {}        # a level mask's vertices, ascending
+    members = {lvl[0]: [0]} if some_root else {}    # a level mask's vertices
     i = 0
     while i >= 0:
         if i == k - 1:
@@ -216,7 +225,7 @@ def _raw_forests(n: int, roots: tuple):
             i -= 1
             continue
         v = nonroots[i]
-        if parent[v]:                   # backtracking: undo v's last edge
+        if next_parent[i]:              # backtracking: undo v's last edge
             children[parent[v]].pop()
             parent[v] = 0
             for u in placed[marks[i]:]:
@@ -227,20 +236,20 @@ def _raw_forests(n: int, roots: tuple):
         # A parent of unknown depth hangs, through its chain, below an
         # unassigned non-root; the edge v -> p closes a cycle exactly when
         # that non-root is v itself.
-        p = next_parent[i]
-        while p <= n and depth[p] < 0:
-            x = p
+        c = next_parent[i]
+        while c < stop and depth[parents[c]] < 0:
+            x = parents[c]
             while parent[x]:
                 x = parent[x]
             if x != v:
                 break
-            p += 1
-        if p > n:
-            next_parent[i] = 1
+            c += 1
+        if c == stop:
+            next_parent[i] = 0
             i -= 1
             continue
-        next_parent[i] = p + 1
-        parent[v] = p
+        next_parent[i] = c + 1
+        parent[v] = p = parents[c]
         children[p].append(v)
         marks[i] = j = len(placed)
         if depth[p] >= 0:
@@ -387,8 +396,11 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     vertices' parents, each looked up by the mask of the parent's level,
     sum to every ranking's parent-rank shortfall at once, one per lane.
     That sum leaves out the last non-root, whose parent is what the members
-    of a group differ in, so each member adds its own weight.  Forests are
-    tallied by (level sizes, packed shortfalls), both packed into one int,
+    of a group differ in, so each member adds its own weight.  The roots
+    count as one parent of weight 0, so as the tally folds, a key with j
+    vertices at depth 1, its level-1 size, is spread over choices[j]: the
+    packed sums of the roots' weights over the r^j root choices.  Forests
+    are tallied by (level sizes, packed shortfalls), both packed into one int,
     and the tally is folded into per-ranking shortfall counts for each
     level-size sequence whenever it reaches _TALLY_KEYS keys.  Every
     variant's statistic is its level part plus one lane, so the polynomials
@@ -405,22 +417,33 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     size_bits = n.bit_length()
     size_mask = (1 << size_bits) - 1
     shortfalls = {}     # key >> low -> per ranking, {shortfall: count}
+    picks = [weight[rt][sum(1 << v for v in roots)] for rt in roots]
+    choices = [{0: 1}]      # choices[j]: {packed sum: ways to pick j roots}
+    for _ in range(k):
+        step = {}
+        for s, c in choices[-1].items():
+            for w in picks:
+                step[s + w] = step.get(s + w, 0) + c
+        choices.append(step)
 
     def fold(tally):
         for key, count in tally.items():
             lanes = shortfalls.get(key >> low)
             if lanes is None:
                 lanes = shortfalls[key >> low] = [{} for _ in rankings]
-            for counter in lanes:
-                s = key & lane
-                counter[s] = counter.get(s, 0) + count
-                key >>= width
+            for w, c in choices[key >> low & size_mask].items():
+                part, c = key + w, count * c
+                for counter in lanes:
+                    s = part & lane
+                    counter[s] = counter.get(s, 0) + c
+                    part >>= width
         tally.clear()
 
     tally = {}
     lookup = dict.__getitem__
-    for parent, depth, lvl, sizes, group in _raw_forests(n, roots):
-        # parent[v] = 0 for the last non-root v adds nothing to the base
+    for parent, depth, lvl, sizes, group in _raw_forests(n, roots,
+                                                         some_root=True):
+        # parent 0, some root and the last non-root's, adds nothing to base
         base = (sum(map(lookup, map(weight.__getitem__, parent),
                         map(lvl.__getitem__, map(depth.__getitem__, parent))))
                 + (sizes << low))

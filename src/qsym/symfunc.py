@@ -347,7 +347,9 @@ def classical_pn_determinants_check(bundle) -> CheckReport:
     """
     report = CheckReport()
     n, e = bundle.order, bundle.e
-    p_list = [zero] + [qp_nr_direct(bundle, k, 1) for k in range(1, n + 1)]
+    binom = _qbinomial_lookup(n)
+    p_list = [zero] + [_convolution(bundle, k, 1, binom)
+                       for k in range(1, n + 1)]
     for m in range(1, n + 1):
         det = pn_bracket_determinant(e, m)
         report.check("p-bracket-determinant", det == p_list[m],
@@ -381,6 +383,7 @@ def pq_transfer_check(alphabet: SymAlphabet, bundle) -> CheckReport:
     classical = p_nr_row(alphabet, n)
     rows = [[pq_binomial(m, k) for k in range(m + 1)] for m in range(n + 1)]
     binom = lambda m, k: rows[m][k]             # 0 <= k <= m <= n throughout
+    qbinom = _qbinomial_lookup(n)
 
     for r in range(1, n + 1):
         det = _determinant(e_bi, n, r, binom)
@@ -393,7 +396,7 @@ def pq_transfer_check(alphabet: SymAlphabet, bundle) -> CheckReport:
                      detail=lambda: f"det={det!r} sum={dbl!r}", n=n, r=r)
 
         slice_q = det.at_p_one()
-        direct = qp_nr_direct(bundle, n, r)
+        direct = _convolution(bundle, n, r, qbinom)
         report.check("pq-degenerates-to-q", slice_q == direct,
                      detail=lambda: f"slice={slice_q} direct={direct}", n=n, r=r)
     return report

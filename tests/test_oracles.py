@@ -192,6 +192,34 @@ def test_pruned_forest_walk_matches_product_filter():
                 assert list(enumerate_forests(n, roots)) == forests, roots
 
 
+def test_some_root_walk_stands_for_every_root_choice():
+    # parent 0 is "some root": expanded over its members and over the r^j
+    # root choices of its j depth-1 vertices, each group gives its forests,
+    # with the depths and levels the walk reports, and together every
+    # forest once
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for roots in itertools.combinations(range(1, n + 1), r):
+                nonroots = [v for v in range(1, n + 1) if v not in roots]
+                last = nonroots[-1] if nonroots else 0
+                got = []
+                for parent, depth, lvl, _sizes, group in _raw_forests(
+                        n, roots, some_root=True):
+                    levels = levels_of(lvl, n)
+                    assert list(group) == [0] or 0 not in group
+                    for p in group:
+                        expanded = list(parent)
+                        expanded[last] = p
+                        top = [v for v in nonroots if expanded[v] == 0]
+                        assert top == sorted(levels[1] if n > r else ())
+                        for pick in itertools.product(roots, repeat=len(top)):
+                            for v, rt in zip(top, pick):
+                                expanded[v] = rt
+                            got.append((list(expanded), depth[1:], levels))
+                want = list(product_filter_forests(n, roots))
+                assert sorted(got) == sorted(want), roots
+
+
 @pytest.mark.parametrize("variant", ["standard", "reciprocal"])
 def test_dump_forests_matches_reference_rendering(variant):
     n, roots, ranking = 5, (2, 4), SeededRanking(3)
