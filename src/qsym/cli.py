@@ -5,8 +5,10 @@ query (one exact object), export (CSV / LaTeX dumps).  Each command accepts
 only the options it reads.  Exit codes are a stable contract: 0 success, 1 a
 mathematical identity failed, 2 usage error (a bad argument, or an output
 file that cannot be written), 3 enumeration cap exceeded, 4 an internal
-error (any other exception, also one in the child process that runs the
-oracle battery under verify all; its traceback goes to stderr), 141 the reader
+error (any other exception, also one in the forked child of verify, which
+runs the last battery of the suite: the inverse checks under qstirling, the
+column recurrence, shift and extended recurrence checks under jpoly, the
+oracle battery under all; its traceback goes to stderr), 141 the reader
 closed stdout early (128 + SIGPIPE, what a shell reports for other writers
 cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output
 is byte-deterministic for fixed flags and seed.  Each command imports only
@@ -149,27 +151,26 @@ def _cmd_jtable(args, out) -> int:
 
 
 def _verify_report(suite: str, n_max: int, seed: int, cap: int):
-    from .report import (jpoly_suite_report, oracle_suite_report,
-                         run_batteries, stirling_suite_report)
+    from .report import (jpoly_batteries, oracle_suite_report, run_batteries,
+                         stirling_batteries)
     if suite in ("jpoly", "oracles", "all"):    # the J tables come first
         from .jpoly import build_jtable
         table = build_jtable(n_max)
         # under all, oracles stop at 7
         oracle_table = build_jtable(7) if suite == "all" and n_max > 7 else table
-    batteries = []
+    batteries = []      # in record order; the last may run in a child process
     if suite in ("qstirling", "all"):
-        batteries.append(lambda: stirling_suite_report(n_max))
+        batteries += stirling_batteries(n_max)
     if suite in ("symfunc", "all"):
         def symfunc_battery():      # imported after the child has started
             from .symfunc import symfunc_suite_report
             return symfunc_suite_report(min(n_max, 6))
         batteries.append(symfunc_battery)
     if suite in ("jpoly", "all"):
-        batteries.append(lambda: jpoly_suite_report(table))
+        batteries += jpoly_batteries(table)
     if suite in ("oracles", "all"):
         batteries.append(lambda: oracle_suite_report(oracle_table, seed=seed, cap=cap))
-    # under all, the oracle battery may run in a child process, beside the rest
-    return run_batteries(batteries, last_aside=suite == "all")
+    return run_batteries(batteries)
 
 
 def _cmd_verify(args, out) -> int:

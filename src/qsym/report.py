@@ -6,9 +6,15 @@ Failure is data, not an exception: callers inspect .passed and
 The q-Stirling, J and oracle batteries live here, apart from the objects
 they check, so only verify compiles them; each imports its layers as it
 runs.  The J and oracle batteries are handed the J table and run to its
-n_max.  The symmetric-function batteries stay in symfunc.  run_batteries
-merges the reports of several batteries and can run the last one in a
-forked child, beside the others.
+n_max.  The symmetric-function batteries stay in symfunc.
+
+Each verify suite is a list of batteries in record order; the q-Stirling
+and J suites are two batteries each, of about equal time.  run_batteries
+merges their reports and, given two or more and a spare CPU, runs the last
+one in a forked child beside the others: the two inverse checks under
+verify qstirling; the column recurrence, the two shift checks and the
+extended recurrence under verify jpoly; the oracle battery under verify
+all.  The output is the same either way.
 """
 
 from __future__ import annotations
@@ -150,19 +156,21 @@ def _fork_battery(battery):
     return pid, os.fdopen(rfd, "rb")
 
 
-def run_batteries(batteries, last_aside: bool = False) -> CheckReport:
+def run_batteries(batteries) -> CheckReport:
     """Merge the reports of the batteries (functions of no arguments), in
     order.
 
-    With last_aside, and where _spare_cpu allows, the last battery runs in
-    a forked child while this process runs the others, and its records are
-    merged last, as if it had run here.  A fault in the child raises
-    ChildProcessError here.  If a battery here raises first, the child is
-    killed and reaped before the exception leaves.  Fork only from a
-    process with one thread, as the CLI is.
+    Where there are at least two and _spare_cpu allows, the last battery
+    runs in a forked child while this process runs the others, and its
+    records are merged last, as if it had run here; so the report is the
+    same either way.  Which battery that is for each verify suite is in the
+    module docstring; symfunc and oracles are one battery and fork nothing.
+    A fault in the child raises ChildProcessError here.  If a battery here
+    raises first, the child is killed and reaped before the exception
+    leaves.  Fork only from a process with one thread, as the CLI is.
     """
     report = CheckReport()
-    if not (last_aside and _spare_cpu()):
+    if len(batteries) < 2 or not _spare_cpu():
         for battery in batteries:
             report.merge(battery())
         return report
@@ -262,13 +270,13 @@ def verify_conjugated_inverse(n_max: int) -> CheckReport:
                                  powers(one - q, n_max))
 
 
-def stirling_suite_report(n_max: int) -> CheckReport:
-    """The full q-Stirling verification battery; the conjugated-inverse check
-    stops at CONJUGATION_N_MAX."""
-    report = verify_carlitz_identities(n_max)
-    report.merge(verify_triangle_inverse(n_max))
-    report.merge(verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))
-    return report
+def stirling_batteries(n_max: int) -> list:
+    """The q-Stirling battery as two batteries of about equal time, in
+    record order: the Carlitz expansions, then the inverse and conjugated
+    inverse checks; the latter stops at CONJUGATION_N_MAX."""
+    return [lambda: verify_carlitz_identities(n_max),
+            lambda: verify_triangle_inverse(n_max).merge(
+                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))]
 
 
 def reciprocal_recurrence_check(table) -> CheckReport:
@@ -316,21 +324,23 @@ def extended_recurrence_check(table) -> CheckReport:
     for n in range(0, table.n_max + 1):
         for r in range(0, n + 1):
             m = n - r
-            acc = sum((UniPoly.monomial(comb(j, 2), comb(m, j)) * qbracket(r) ** j
-                       * table.entry(m, j) for j in range(m + 1)), zero)
+            br = qbracket(r)
+            acc, bpow = table.entry(m, 0), one      # the j = 0 term
+            for j in range(1, m + 1):
+                bpow = bpow * br
+                acc = acc + (UniPoly.monomial(comb(j, 2), comb(m, j)) * bpow
+                             * table.entry(m, j))
             lhs = table.entry(n, r)
             report.check("extended-row-recurrence", lhs == acc,
                          detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
     return report
 
 
-def jpoly_suite_report(table) -> CheckReport:
-    """Cross-formula equivalence plus the recurrence and shift batteries;
-    the bracket shift stops at 7."""
+def cross_formula_check(table) -> CheckReport:
+    """The table against the composition and sequence formulas and against
+    the symmetric-function specialization."""
     from .jpoly import j_explicit_composition, j_explicit_sequences
-    from .symfunc import (exp_bundle, exp_shift_check,
-                          j_from_specialized_symfunc,
-                          specialization_bracket_shift_check)
+    from .symfunc import exp_bundle, j_from_specialized_symfunc
     report = CheckReport()
     n_max = table.n_max
     bundle = exp_bundle(n_max)
@@ -349,12 +359,23 @@ def jpoly_suite_report(table) -> CheckReport:
             except InexactDivisionError as exc:     # the claimed divisibility fails
                 ok, detail = False, str(exc)
             report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
-    report.merge(reciprocal_recurrence_check(table))
-    report.merge(kung_yan_check(table))
-    report.merge(exp_shift_check(n_max))
-    report.merge(specialization_bracket_shift_check(min(n_max, 7)))
-    report.merge(extended_recurrence_check(table))
     return report
+
+
+def jpoly_batteries(table) -> list:
+    """The J battery as two batteries of about equal time, in record order:
+    the cross formulas and the reciprocal's row recurrence; then its column
+    recurrence, the two shifts of the exponential specialization and the
+    extended recurrence.  The bracket shift stops at 7."""
+    def shifts_and_recurrences():
+        from .symfunc import exp_shift_check, specialization_bracket_shift_check
+        report = kung_yan_check(table)
+        report.merge(exp_shift_check(table.n_max))
+        report.merge(specialization_bracket_shift_check(min(table.n_max, 7)))
+        return report.merge(extended_recurrence_check(table))
+    return [lambda: cross_formula_check(table).merge(
+                reciprocal_recurrence_check(table)),
+            shifts_and_recurrences]
 
 
 def reciprocal_composition_forms(m: int, r: int):

@@ -335,12 +335,12 @@ def test_verify_symfunc_reads_q_binomials_from_rows(monkeypatch):
     assert code == 0 and calls == []
 
 
-# -- verify all runs the oracle battery in a child process ----------------------
+# -- verify runs the last battery of a suite in a child process -----------------
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Make verify all start its child whatever this host's CPU count, and
-    list the pids of the children it starts."""
+    """Make verify start its child whatever this host's CPU count, and list
+    the pids of the children it starts."""
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
     pids = []
@@ -363,10 +363,16 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+FORKING_SUITES = {"qstirling": ("verify", "qstirling", "--n-max", "12"),
+                  "jpoly": ("verify", "jpoly", "--n-max", "9"),
+                  "all": ("verify", "all", "--n-max", "5", "--seed", "3")}
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json"])
-def test_verify_all_is_the_same_with_and_without_the_child(monkeypatch, forks,
-                                                           fmt):
-    argv = ("verify", "all", "--n-max", "5", "--seed", "3", "--format", fmt)
+@pytest.mark.parametrize("suite", FORKING_SUITES)
+def test_verify_is_the_same_with_and_without_the_child(monkeypatch, forks,
+                                                       suite, fmt):
+    argv = FORKING_SUITES[suite] + ("--format", fmt)
     with_child = run(*argv)
     assert len(forks) == 1
     assert_no_child_left()
@@ -375,12 +381,32 @@ def test_verify_all_is_the_same_with_and_without_the_child(monkeypatch, forks,
     assert with_child[0] == 0 and with_child[1]
 
 
-def test_fault_in_the_child_exits_four(monkeypatch, forks, capfd):
-    def broken(*args, **kwargs):
-        raise TypeError("a fault in the child")
+@pytest.mark.parametrize("suite", ["symfunc", "oracles"])
+def test_one_battery_suites_fork_nothing(forks, suite):
+    code, text = run("verify", suite, "--n-max", "5")
+    assert code == 0 and text and forks == []
 
-    monkeypatch.setattr("qsym.report.oracle_suite_report", broken)
-    code, text = run("verify", "all", "--n-max", "4")
+
+@pytest.mark.parametrize("suite", ["qstirling", "symfunc", "jpoly", "oracles",
+                                   "all"])
+def test_one_cpu_forks_nothing(monkeypatch, forks, suite):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
+    code, text = run("verify", suite, "--n-max", "4")
+    assert code == 0 and text and forks == []
+
+
+def broken_battery(*args, **kwargs):
+    raise TypeError("a fault in the child")
+
+
+def failing_battery(*args, **kwargs):
+    report = CheckReport()
+    report.add_fail("child-identity", detail="lhs=0 rhs=1", n=3, r=1)
+    return report
+
+
+def assert_child_fault_exits_four(argv, forks, capfd):
+    code, text = run(*argv)
     assert code == cli.EXIT_INTERNAL and text == "" and len(forks) == 1
     err = capfd.readouterr().err
     assert "TypeError: a fault in the child\n" in err
@@ -388,18 +414,33 @@ def test_fault_in_the_child_exits_four(monkeypatch, forks, capfd):
     assert_no_child_left()
 
 
-def test_failed_identity_in_the_child_exits_one(monkeypatch, forks):
-    def failing(*args, **kwargs):
-        report = CheckReport()
-        report.add_fail("child-identity", detail="lhs=0 rhs=1", n=3, r=1)
-        return report
-
-    monkeypatch.setattr("qsym.report.oracle_suite_report", failing)
-    code, text = run("verify", "all", "--n-max", "4")
+def assert_child_failure_exits_one(argv, forks):
+    code, text = run(*argv)
     assert code == 1 and len(forks) == 1
     assert text.splitlines()[-1] == (
         'first counterexample: {"identity":"child-identity","n":3,"r":1,'
         '"status":"fail","detail":"lhs=0 rhs=1"}')
+
+
+def test_fault_in_the_child_exits_four(monkeypatch, forks, capfd):
+    monkeypatch.setattr("qsym.report.oracle_suite_report", broken_battery)
+    assert_child_fault_exits_four(("verify", "all", "--n-max", "4"), forks, capfd)
+
+
+def test_failed_identity_in_the_child_exits_one(monkeypatch, forks):
+    monkeypatch.setattr("qsym.report.oracle_suite_report", failing_battery)
+    assert_child_failure_exits_one(("verify", "all", "--n-max", "4"), forks)
+
+
+def test_fault_in_the_jpoly_child_exits_four(monkeypatch, forks, capfd):
+    monkeypatch.setattr("qsym.report.extended_recurrence_check", broken_battery)
+    assert_child_fault_exits_four(("verify", "jpoly", "--n-max", "4"), forks,
+                                  capfd)
+
+
+def test_failed_identity_in_the_jpoly_child_exits_one(monkeypatch, forks):
+    monkeypatch.setattr("qsym.report.extended_recurrence_check", failing_battery)
+    assert_child_failure_exits_one(("verify", "jpoly", "--n-max", "4"), forks)
 
 
 def test_fault_before_the_child_is_done_kills_and_reaps_it(monkeypatch, forks,
@@ -410,7 +451,7 @@ def test_fault_before_the_child_is_done_kills_and_reaps_it(monkeypatch, forks,
     # a child left to finish would keep this test waiting for a minute
     monkeypatch.setattr("qsym.report.oracle_suite_report",
                         lambda *args, **kwargs: time.sleep(60))
-    monkeypatch.setattr("qsym.report.jpoly_suite_report", broken)
+    monkeypatch.setattr("qsym.report.cross_formula_check", broken)
     started = time.monotonic()
     code, text = run("verify", "all", "--n-max", "4")
     assert code == cli.EXIT_INTERNAL and text == "" and len(forks) == 1
