@@ -19,6 +19,7 @@ all.  The output is the same either way.
 
 from __future__ import annotations
 
+import gc
 import marshal
 import os
 import signal
@@ -135,7 +136,13 @@ def _fork_battery(battery):
     to stderr (fd 2, past the stdio buffers) and the child exits 1.  It
     always leaves by os._exit, so it runs no atexit handler and never
     flushes the stdio buffers it inherited.
+
+    Before the fork the objects the collector tracks are frozen, so the
+    collection at this process's exit passes them by.  After a fork the
+    first write to each page faults, and that pass cost about 8 ms per
+    verify call (2 cores, Python 3.11).
     """
+    gc.freeze()
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:
