@@ -137,10 +137,11 @@ def _fork_battery(battery):
     always leaves by os._exit, so it runs no atexit handler and never
     flushes the stdio buffers it inherited.
 
-    Before the fork the objects the collector tracks are frozen, so the
-    collection at this process's exit passes them by.  After a fork the
+    Before the fork the objects the collector tracks are frozen, so its
+    collection at this process's exit passes them by: after a fork the
     first write to each page faults, and that pass cost about 8 ms per
-    verify call (2 cores, Python 3.11).
+    verify call (2 cores, Python 3.11).  The CLI exits soon after, so
+    leaving those objects uncollected costs it nothing.
     """
     gc.freeze()
     rfd, wfd = os.pipe()
