@@ -71,17 +71,31 @@ def _validate_entry(n: int, r: int, poly: UniPoly):
         raise JTableShapeError(f"J({n},{r}) has a non positive-integer coefficient")
 
 
-def build_jtable(n_max: int) -> JTable:
-    """Fill the triangle from the row recurrence.
+def _recurrence_step(row: dict, m: int, r: int) -> UniPoly:
+    """J(m + r, r) from row m, {j: J(m, j)} for 1 <= j <= m, by one step of
+    the row recurrence, checked against the shape invariants.
 
-    J(n, r) = sum_j [r]^j q^C(j,2) C(n-r, j) J(n-r, j) for n > r, with
-    J(r, r) = 1; row n only reads the earlier row m = n-r, so rows are built
-    in increasing n.  The sum is taken in Horner form, f_m = J(m, m),
-    f_j = C(m, j) J(m, j) + q^j [r] f_(j+1) and J(n, r) = [r] f_1, so every
-    bracket product is one bracket_mul window sum on int coefficient lists.
-    Every entry is checked against the shape invariants (monic, positive
-    integer coefficients, degree, constant term).  Nothing is cached:
-    verify builds a table once per size and hands it to the batteries.
+    J(n, r) = sum_j [r]^j q^C(j,2) C(m, j) J(m, j) with m = n - r >= 1.  The
+    sum is taken in Horner form, f_m = J(m, m), f_j = C(m, j) J(m, j) +
+    q^j [r] f_(j+1) and J(n, r) = [r] f_1, so every bracket product is one
+    bracket_mul window sum on int coefficient lists.
+    """
+    f = row[m].coeffs
+    for j in range(m - 1, 0, -1):
+        cm = comb(m, j)
+        f = bracket_mul(f, r, j, plus=[cm * c for c in row[j].coeffs])
+    entry = UniPoly(bracket_mul(f, r))
+    _validate_entry(m + r, r, entry)
+    return entry
+
+
+def build_jtable(n_max: int) -> JTable:
+    """Fill the triangle from the row recurrence (_recurrence_step), with
+    J(r, r) = 1.  Row n only reads the earlier row m = n-r, so rows are
+    built in increasing n.  Every entry is checked against the shape
+    invariants (monic, positive integer coefficients, degree, constant
+    term).  Nothing is cached: verify builds a table once per size and
+    hands it to the batteries.
     """
     if n_max < 1:
         raise ValueError("table size must be >= 1")
@@ -89,16 +103,17 @@ def build_jtable(n_max: int) -> JTable:
     for n in range(1, n_max + 1):
         rows[n] = {n: one}
         for r in range(1, n):
-            m = n - r
-            prev = rows[m]
-            f = prev[m].coeffs
-            for j in range(m - 1, 0, -1):
-                cm = comb(m, j)
-                f = bracket_mul(f, r, j, plus=[cm * c for c in prev[j].coeffs])
-            entry = UniPoly(bracket_mul(f, r))
-            _validate_entry(n, r, entry)
-            rows[n][r] = entry
+            rows[n][r] = _recurrence_step(rows[n - r], n - r, r)
     return JTable(n_max, rows)
+
+
+def j_entry(n: int, r: int) -> UniPoly:
+    """J(n, r) alone: one recurrence step past the table to m = n - r, so a
+    near-diagonal entry costs a small table, and J(r, r) = 1."""
+    if not (n >= r >= 1):
+        raise ValueError("need n >= r >= 1")
+    m = n - r
+    return one if m == 0 else _recurrence_step(build_jtable(m)._rows[m], m, r)
 
 
 def composition_sum(m: int, r: int, step) -> list:

@@ -19,7 +19,6 @@ all.  The output is the same either way.
 
 from __future__ import annotations
 
-import gc
 import marshal
 import os
 import signal
@@ -136,14 +135,7 @@ def _fork_battery(battery):
     to stderr (fd 2, past the stdio buffers) and the child exits 1.  It
     always leaves by os._exit, so it runs no atexit handler and never
     flushes the stdio buffers it inherited.
-
-    Before the fork the objects the collector tracks are frozen, so its
-    collection at this process's exit passes them by: after a fork the
-    first write to each page faults, and that pass cost about 8 ms per
-    verify call (2 cores, Python 3.11).  The CLI exits soon after, so
-    leaving those objects uncollected costs it nothing.
     """
-    gc.freeze()
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:

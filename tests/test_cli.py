@@ -105,6 +105,20 @@ def test_query_jpoly():
     assert code == 0 and text == "1+2q+3q^2+2q^3\n"
 
 
+def test_query_jpoly_is_the_table_entry():
+    # query jpoly takes one recurrence step past the table to n - r
+    table = jpoly.build_jtable(20)
+    for n in range(1, 21):
+        for r in range(1, n + 1):
+            for variant, expected in [
+                    ("standard", table.entry(n, r)),
+                    ("reciprocal", jpoly.reciprocal(n, r, table))]:
+                code, text = run("query", "jpoly", "--n", str(n), "--r", str(r),
+                                 "--variant", variant, "--format", "json")
+                assert code == 0 and text == expected.to_json() + "\n", \
+                    (n, r, variant)
+
+
 def test_query_qbinomial_and_stirling():
     code, text = run("query", "qbinomial", "--n", "2", "--k", "3")
     assert code == 0 and text == "0\n"

@@ -4,10 +4,13 @@ Each command imports only the modules it uses, no module imports
 ``dataclasses`` (and with it ``inspect``), a command whose output holds no
 JSON does not load ``json``, no query, export or jtable loads ``fractions``,
 and ``import qsym`` still offers every public name of the package, resolved
-on first access.
+on first access.  Run as a program, the CLI freezes the collector's objects
+as it ends, so the collection at interpreter exit passes them by.
 """
 
+import gc
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -82,6 +85,44 @@ def test_each_command_loads_only_its_modules(argv, expected, writes_json):
         assert "json" not in modules
     if argv[0] != "verify":
         assert "fractions" not in modules and "decimal" not in modules
+
+
+# Run main() as the program does, on argv[1:], and at exit print the
+# collector's freeze count from before main and from after it to stderr.
+EXIT_PROBE = ("import atexit, gc, sys\n"
+              "from qsym.cli import main\n"
+              "before = gc.get_freeze_count()\n"
+              "atexit.register(lambda: print('freeze', before,\n"
+              "                              gc.get_freeze_count(), file=sys.stderr))\n"
+              "sys.exit(main())\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("query", "qbinomial", "--n", "5", "--k", "2"), 0),
+    (("export", "jtable", "--n-max", "4"), 0),
+    (("export", "jtable", "--n-max", "0"), 2),
+    (("query", "no-such-kind"), 2),
+], ids=["query", "export", "usage-error", "argparse-usage-error"])
+def test_the_program_freezes_the_collector_as_it_ends(argv, code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    label, before, after = proc.stderr.splitlines()[-1].split()
+    assert label == "freeze" and int(before) == 0 and int(after) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "jpoly", "--n", "6", "--r", "2"),
+    ("export", "stirling", "--n-max", "5"),
+    ("jtable", "--n-max", "5"),
+], ids=["query", "export", "jtable"])
+def test_callers_with_argv_keep_their_collector(argv):
+    from qsym.cli import main
+    before = gc.get_freeze_count()
+    assert main(list(argv), out=io.StringIO()) == 0
+    assert gc.get_freeze_count() == before
 
 
 # The public names of the package, by defining module.
