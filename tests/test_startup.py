@@ -42,10 +42,13 @@ JTABLE = BASE | {"qsym.jpoly"}
 ORACLES = BASE | {"qsym.oracles"}
 
 
-def loaded_modules(*argv) -> set:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+
+
+def loaded_modules(*argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=src_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     return set(json.loads(proc.stdout))
 
@@ -104,9 +107,7 @@ EXIT_PROBE = ("import atexit, gc, sys\n"
     (("query", "no-such-kind"), 2),
 ], ids=["query", "export", "usage-error", "argparse-usage-error"])
 def test_the_program_freezes_the_collector_as_it_ends(argv, code):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code
     label, before, after = proc.stderr.splitlines()[-1].split()
