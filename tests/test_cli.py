@@ -283,6 +283,20 @@ def test_verify_n_max_one_reports_nothing_larger():
     assert [r for r in records if r.get("n", 0) > 1 or r.get("r", 0) > 1] == []
 
 
+def test_verify_all_is_its_suites_in_order_at_their_caps():
+    # under all, symfunc stops at 6 and the oracle battery at 7: at 8 both
+    # caps take effect
+    def records(*argv):
+        code, text = run("verify", *argv, "--format", "json")
+        assert code == 0
+        return json.loads(text)
+
+    assert records("all", "--n-max", "8", "--seed", "3") == (
+        records("qstirling", "--n-max", "8") + records("symfunc", "--n-max", "6")
+        + records("jpoly", "--n-max", "8")
+        + records("oracles", "--n-max", "7", "--seed", "3"))
+
+
 def test_verify_symfunc_coverage():
     # three alphabets at each n <= 6, the r = 1 determinants to n = 5 and the
     # (p, q) battery to n = 4
