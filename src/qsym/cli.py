@@ -6,9 +6,8 @@ only the options it reads.  Exit codes are a stable contract: 0 success, 1 a
 mathematical identity failed, 2 usage error (a bad argument, or an output
 file that cannot be written), 3 enumeration cap exceeded, 4 an internal
 error (any other exception, also one in the forked child of verify, which
-runs the last battery of the suite: the inverse checks under qstirling, the
-column recurrence, shift and extended recurrence checks under jpoly, the
-oracle battery under all; its traceback goes to stderr), 141 the reader
+runs a battery of the suite as report.verify_suite says; its traceback goes
+to stderr), 141 the reader
 closed stdout early (128 + SIGPIPE, what a shell reports for other writers
 cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output
 is byte-deterministic for fixed flags and seed.  Each command imports only
@@ -161,31 +160,9 @@ def _cmd_jtable(args, out) -> int:
     return EXIT_OK
 
 
-def _verify_report(suite: str, n_max: int, seed: int, cap: int):
-    from .report import (jpoly_batteries, oracle_suite_report, run_batteries,
-                         stirling_batteries)
-    if suite in ("jpoly", "oracles", "all"):    # the J tables come first
-        from .jpoly import build_jtable
-        table = build_jtable(n_max)
-        # under all, oracles stop at 7
-        oracle_table = build_jtable(7) if suite == "all" and n_max > 7 else table
-    batteries = []      # in record order; the last may run in a child process
-    if suite in ("qstirling", "all"):
-        batteries += stirling_batteries(n_max)
-    if suite in ("symfunc", "all"):
-        def symfunc_battery():      # imported after the child has started
-            from .symfunc import symfunc_suite_report
-            return symfunc_suite_report(min(n_max, 6))
-        batteries.append(symfunc_battery)
-    if suite in ("jpoly", "all"):
-        batteries += jpoly_batteries(table)
-    if suite in ("oracles", "all"):
-        batteries.append(lambda: oracle_suite_report(oracle_table, seed=seed, cap=cap))
-    return run_batteries(batteries)
-
-
 def _cmd_verify(args, out) -> int:
-    report = _verify_report(args.suite, args.n_max, args.seed, args.cap)
+    from .report import verify_suite
+    report = verify_suite(args.suite, args.n_max, args.seed, args.cap)
     if args.format == "json":
         out.write(report.to_json() + "\n")
     else:
@@ -242,6 +219,9 @@ def _cmd_query(args, out) -> int:
                                  f"labels, not {args.roots!r}") from None
             if len(set(roots)) < len(roots):
                 raise ValueError(f"--roots repeats a label: {args.roots!r}")
+            if args.r not in (None, len(roots)):
+                raise ValueError(f"--r {args.r} is not the number of --roots "
+                                 f"labels: {args.roots!r}")
         elif args.r is not None:
             roots = tuple(range(1, args.r + 1))
         else:

@@ -51,6 +51,9 @@ class JTable:
     def degree(self, n: int, r: int) -> int:
         return j_degree(n, r)
 
+    def head(self, n_max: int) -> "JTable":     # the first n_max rows
+        return JTable(min(n_max, self.n_max), self._rows)
+
     def entries(self, use_reciprocal: bool = False):
         """(n, r, J(n, r) or its reciprocal) for 1 <= r <= n <= n_max, row by row."""
         for n in range(1, self.n_max + 1):
@@ -94,8 +97,8 @@ def build_jtable(n_max: int) -> JTable:
     J(r, r) = 1.  Row n only reads the earlier row m = n-r, so rows are
     built in increasing n.  Every entry is checked against the shape
     invariants (monic, positive integer coefficients, degree, constant
-    term).  Nothing is cached: verify builds a table once per size and
-    hands it to the batteries.
+    term).  Nothing is cached: verify builds one table and hands it
+    to the batteries.
     """
     if n_max < 1:
         raise ValueError("table size must be >= 1")

@@ -8,13 +8,9 @@ they check, so only verify compiles them; each imports its layers as it
 runs.  The J and oracle batteries are handed the J table and run to its
 n_max.  The symmetric-function batteries stay in symfunc.
 
-Each verify suite is a list of batteries in record order; the q-Stirling
-and J suites are two batteries each, of about equal time.  run_batteries
-merges their reports and, given two or more and a spare CPU, runs the last
-one in a forked child beside the others: the two inverse checks under
-verify qstirling; the column recurrence, the two shift checks and the
-extended recurrence under verify jpoly; the oracle battery under verify
-all.  The output is the same either way.
+verify_suite is the one plan of the verify suites: which batteries each
+runs and in what order, their size caps, the one J table, and which
+battery runs in a forked child; its docstring states them.
 """
 
 from __future__ import annotations
@@ -163,8 +159,7 @@ def run_batteries(batteries) -> CheckReport:
     Where there are at least two and _spare_cpu allows, the last battery
     runs in a forked child while this process runs the others, and its
     records are merged last, as if it had run here; so the report is the
-    same either way.  Which battery that is for each verify suite is in the
-    module docstring; symfunc and oracles are one battery and fork nothing.
+    same either way; verify_suite's docstring says which battery that is.
     A fault in the child raises ChildProcessError here.  If a battery here
     raises first, the child is killed and reaped before the exception
     leaves.  Fork only from a process with one thread, as the CLI is.
@@ -191,9 +186,6 @@ def run_batteries(batteries) -> CheckReport:
                                 f"{os.waitstatus_to_exitcode(status)}")
     return report.merge(CheckReport(CheckRecord(*row)
                                     for row in marshal.loads(data)))
-
-
-CONJUGATION_N_MAX = 8      # largest size of the scaled-triangle inverse check
 
 
 def verify_carlitz_identities(n_max: int) -> CheckReport:
@@ -268,15 +260,6 @@ def verify_conjugated_inverse(n_max: int) -> CheckReport:
     """
     return _scaled_inverse_check("scaled-triangle-inverse", n_max,
                                  powers(one - q, n_max))
-
-
-def stirling_batteries(n_max: int) -> list:
-    """The q-Stirling battery as two batteries of about equal time, in
-    record order: the Carlitz expansions, then the inverse and conjugated
-    inverse checks; the latter stops at CONJUGATION_N_MAX."""
-    return [lambda: verify_carlitz_identities(n_max),
-            lambda: verify_triangle_inverse(n_max).merge(
-                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))]
 
 
 def reciprocal_recurrence_check(table) -> CheckReport:
@@ -360,22 +343,6 @@ def cross_formula_check(table) -> CheckReport:
                 ok, detail = False, str(exc)
             report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
     return report
-
-
-def jpoly_batteries(table) -> list:
-    """The J battery as two batteries of about equal time, in record order:
-    the cross formulas and the reciprocal's row recurrence; then its column
-    recurrence, the two shifts of the exponential specialization and the
-    extended recurrence.  The bracket shift stops at 7."""
-    def shifts_and_recurrences():
-        from .symfunc import exp_shift_check, specialization_bracket_shift_check
-        report = kung_yan_check(table)
-        report.merge(exp_shift_check(table.n_max))
-        report.merge(specialization_bracket_shift_check(min(table.n_max, 7)))
-        return report.merge(extended_recurrence_check(table))
-    return [lambda: cross_formula_check(table).merge(
-                reciprocal_recurrence_check(table)),
-            shifts_and_recurrences]
 
 
 def reciprocal_composition_forms(m: int, r: int):
@@ -469,3 +436,57 @@ def oracle_suite_report(table, seed: int = 0,
 
     report.merge(reciprocal_explicit_check(table))
     return report
+
+
+CONJUGATION_N_MAX = 8       # the scaled-triangle inverse check
+BRACKET_SHIFT_N_MAX = 7     # the bracket shift of the specialization
+SYMFUNC_N_MAX = 6           # the symmetric-function batteries
+ORACLE_N_MAX = 7            # the oracle battery under verify all
+
+
+def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
+    """Run verify suite qstirling, symfunc, jpoly, oracles or all (those
+    four in order) to n_max, symfunc to SYMFUNC_N_MAX at most and, under
+    all, the oracle battery to ORACLE_N_MAX; seed and cap go to the latter.
+
+    A suite is a list of batteries in record order, of about equal time
+    where there are two, and the last runs in run_batteries' forked child:
+    qstirling: the Carlitz expansions | the inverse and conjugated inverse
+    checks; jpoly: the cross formulas and the reciprocal's row recurrence |
+    its column recurrence, both specialization shifts and the extended
+    recurrence; all: the rest | the oracle battery.  The J table is built
+    once, before the fork.  Each battery imports its layers, and looks up
+    its checks in this module, as it runs.
+    """
+    if suite in ("jpoly", "oracles", "all"):
+        from .jpoly import build_jtable
+        table = build_jtable(n_max)
+
+    def symfunc_battery():
+        from .symfunc import symfunc_suite_report
+        return symfunc_suite_report(min(n_max, SYMFUNC_N_MAX))
+
+    def shifts_and_recurrences():
+        from .symfunc import exp_shift_check, specialization_bracket_shift_check
+        report = kung_yan_check(table)
+        report.merge(exp_shift_check(n_max))
+        report.merge(specialization_bracket_shift_check(
+            min(n_max, BRACKET_SHIFT_N_MAX)))
+        return report.merge(extended_recurrence_check(table))
+
+    plan = {
+        "qstirling": [
+            lambda: verify_carlitz_identities(n_max),
+            lambda: verify_triangle_inverse(n_max).merge(
+                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))],
+        "symfunc": [symfunc_battery],
+        "jpoly": [
+            lambda: cross_formula_check(table).merge(
+                reciprocal_recurrence_check(table)),
+            shifts_and_recurrences],
+        "oracles": [lambda: oracle_suite_report(
+            table.head(ORACLE_N_MAX) if suite == "all" else table,
+            seed=seed, cap=cap)],
+    }
+    names = list(plan) if suite == "all" else [suite]
+    return run_batteries([battery for name in names for battery in plan[name]])

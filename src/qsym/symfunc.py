@@ -422,10 +422,7 @@ def symfunc_suite_report(n_max: int) -> CheckReport:
     for _alphabet, bundle in sized[:3 * DETERMINANT_N_MAX]:
         report.merge(classical_pn_determinants_check(bundle))
     for n in range(1, min(n_max, PQ_N_MAX) + 1):
-        if n >= 3:      # primes(n) is the first default alphabet of size n
-            alphabet, bundle = sized[3 * (n - 1)]
-        else:
-            alphabet = SymAlphabet.primes(3)
-            bundle = SymSeriesBundle.from_alphabet(alphabet, n)
-        report.merge(pq_transfer_check(alphabet, bundle))
+        # primes(n), the first default alphabet of size n: n variables
+        # suffice for degree n
+        report.merge(pq_transfer_check(*sized[3 * (n - 1)]))
     return report

@@ -335,7 +335,7 @@ def test_verify_failure_exits_one_with_counterexample(monkeypatch):
     broken.add_pass("fine", n=1)
     broken.add_fail("broken-identity", detail="lhs=0 rhs=1", n=3, r=2)
 
-    monkeypatch.setattr(cli, "_verify_report", lambda *a, **k: broken)
+    monkeypatch.setattr("qsym.report.verify_suite", lambda *a, **k: broken)
     code, text = run("verify", "jpoly", "--n-max", "3")
     assert code == 1
     assert "FAIL broken-identity" in text
@@ -563,6 +563,8 @@ def test_usage_error_on_unknown_command():
      "error: --roots takes comma-separated integer labels, not '1,x'"),
     (("query", "forest-stat", "--n", "4", "--roots", "1,1"),
      "error: --roots repeats a label: '1,1'"),
+    (("query", "forest-stat", "--n", "4", "--roots", "1,2", "--r", "3"),
+     "error: --r 3 is not the number of --roots labels: '1,2'"),
 ], ids=["missing-dir", "missing-dir-stirling", "is-a-directory",
         "range-violation", "jtable-n-max", "verify-n-max",
         "export-stirling-latex", "export-plain", "export-json", "export-seed",
@@ -570,7 +572,7 @@ def test_usage_error_on_unknown_command():
         "jtable-seed", "jtable-cap", "verify-negative-cap",
         "parking-negative-cap", "forest-negative-cap", "forest-empty-roots",
         "forest-empty-labels", "forest-non-integer-label",
-        "forest-repeated-label"])
+        "forest-repeated-label", "forest-r-is-not-the-root-count"])
 def test_usage_faults_exit_two(argv, says, tmp_path, capsys):
     try:
         code, text = run(*(a.format(tmp=tmp_path) for a in argv))

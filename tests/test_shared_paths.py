@@ -159,7 +159,7 @@ def test_verify_all_builds_one_jtable(monkeypatch):
     monkeypatch.setattr(jpoly, "build_jtable", counted)
     code, _ = run("verify", "all", "--n-max", "4")
     assert code == 0 and sizes == [4]
-    # above the oracle battery's size under all, it gets a table of its own
+    # above the oracle battery's size under all, it reads the first rows
     sizes.clear()
     code, _ = run("verify", "all", "--n-max", "8")
-    assert code == 0 and sizes == [8, 7]
+    assert code == 0 and sizes == [8]
