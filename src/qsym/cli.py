@@ -7,12 +7,12 @@ mathematical identity failed, 2 usage error (a bad argument, or an output
 file that cannot be written), 3 enumeration cap exceeded, 4 an internal
 error (any other exception, also one in the forked child of verify, which
 runs a battery of the suite as report.verify_suite says; its traceback goes
-to stderr), 141 the reader
-closed stdout early (128 + SIGPIPE, what a shell reports for other writers
-cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output
-is byte-deterministic for fixed flags and seed.  Each command imports only
-the modules it uses, inside its handler, and the parser is filled in for
-that one command, so a small query starts fast.
+to stderr), 141 the reader closed stdout early (128 + SIGPIPE, what a shell
+reports for other writers cut off the same way, as in ``qsym jtable
+--n-max 14 | head -1``).  Output is byte-deterministic for fixed flags and
+seed.  Each command imports only the modules it uses, inside its handler,
+and the parser is filled in for that one command, so a small query starts
+fast.
 
 When main runs the process's own command line (called with no argv, as
 ``python -m qsym.cli`` and the ``qsym`` script call it), its last step on

@@ -446,17 +446,18 @@ ORACLE_N_MAX = 7            # the oracle battery under verify all
 
 def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
     """Run verify suite qstirling, symfunc, jpoly, oracles or all (those
-    four in order) to n_max, symfunc to SYMFUNC_N_MAX at most and, under
-    all, the oracle battery to ORACLE_N_MAX; seed and cap go to the latter.
+    four in order) to n_max, but symfunc to SYMFUNC_N_MAX at most and,
+    under all, the oracle battery to ORACLE_N_MAX; seed and cap go to it.
 
-    A suite is a list of batteries in record order, of about equal time
-    where there are two, and the last runs in run_batteries' forked child:
-    qstirling: the Carlitz expansions | the inverse and conjugated inverse
-    checks; jpoly: the cross formulas and the reciprocal's row recurrence |
-    its column recurrence, both specialization shifts and the extended
-    recurrence; all: the rest | the oracle battery.  The J table is built
-    once, before the fork.  Each battery imports its layers, and looks up
-    its checks in this module, as it runs.
+    A suite is a list of batteries in record order, two of about equal time
+    for qstirling and jpoly, and run_batteries runs the last in a forked
+    child where there are two or more: qstirling: the Carlitz expansions |
+    the inverse and conjugated inverse checks; jpoly: the cross formulas
+    and the reciprocal's row recurrence | its column recurrence, both
+    specialization shifts and the extended recurrence; all: the rest | the
+    oracle battery.  symfunc and oracles fork nothing.  The J table is
+    built once, before the fork.  Each battery imports its layers, and
+    looks up its checks in this module, as it runs.
     """
     if suite in ("jpoly", "oracles", "all"):
         from .jpoly import build_jtable
@@ -474,19 +475,15 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
             min(n_max, BRACKET_SHIFT_N_MAX)))
         return report.merge(extended_recurrence_check(table))
 
-    plan = {
-        "qstirling": [
-            lambda: verify_carlitz_identities(n_max),
-            lambda: verify_triangle_inverse(n_max).merge(
-                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))],
-        "symfunc": [symfunc_battery],
-        "jpoly": [
-            lambda: cross_formula_check(table).merge(
-                reciprocal_recurrence_check(table)),
-            shifts_and_recurrences],
-        "oracles": [lambda: oracle_suite_report(
-            table.head(ORACLE_N_MAX) if suite == "all" else table,
-            seed=seed, cap=cap)],
-    }
-    names = list(plan) if suite == "all" else [suite]
-    return run_batteries([battery for name in names for battery in plan[name]])
+    plan = [("qstirling", lambda: verify_carlitz_identities(n_max)),
+            ("qstirling", lambda: verify_triangle_inverse(n_max).merge(
+                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))),
+            ("symfunc", symfunc_battery),
+            ("jpoly", lambda: cross_formula_check(table).merge(
+                reciprocal_recurrence_check(table))),
+            ("jpoly", shifts_and_recurrences),
+            ("oracles", lambda: oracle_suite_report(
+                table.head(ORACLE_N_MAX) if suite == "all" else table,
+                seed=seed, cap=cap))]
+    return run_batteries([battery for name, battery in plan
+                          if suite in (name, "all")])

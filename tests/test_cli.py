@@ -284,7 +284,7 @@ def test_verify_n_max_one_reports_nothing_larger():
 
 
 def test_verify_all_is_its_suites_in_order_at_their_caps():
-    # under all, symfunc stops at 6 and the oracle battery at 7: at 8 both
+    # symfunc stops at 6 and, under all, the oracle battery at 7: at 8 both
     # caps take effect
     def records(*argv):
         code, text = run("verify", *argv, "--format", "json")
