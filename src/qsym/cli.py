@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Commands: jtable (print the triangle), verify (run an identity battery),
-query (one exact object), export (CSV / LaTeX dumps).  Each command accepts
-only the options it reads.  Exit codes are a stable contract: 0 success, 1 a
-mathematical identity failed, 2 usage error (a bad argument, or an output
-file that cannot be written), 3 enumeration cap exceeded, 4 an internal
-error (any other exception, also one in the forked child of verify, which
-runs a battery of the suite as report.verify_suite says; its traceback goes
-to stderr), 141 the reader closed stdout early (128 + SIGPIPE, what a shell
-reports for other writers cut off the same way, as in ``qsym jtable
---n-max 14 | head -1``).  Output is byte-deterministic for fixed flags and
-seed.  Each command imports only the modules it uses, inside its handler,
-and the parser is filled in for that one command, so a small query starts
-fast.
+query (one exact object), export (CSV / LaTeX dumps).  Each command, and each
+kind of verify, query and export, accepts only the options it reads.  Exit
+codes are a stable contract: 0 success, 1 a mathematical identity failed, 2
+usage error (a bad argument, or an output file that cannot be written), 3
+enumeration cap exceeded, 4 an internal error (any other exception, also one
+in the forked child of verify, which runs a battery of the suite as
+report.verify_suite says; its traceback goes to stderr), 141 the reader
+closed stdout early (128 + SIGPIPE, what a shell reports for other writers
+cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output is
+byte-deterministic for fixed flags and seed.  Each command imports only the
+modules it uses, inside its handler, and the parser is filled in for that one
+command and kind, so a small query starts fast.
 
 When main runs the process's own command line (called with no argv, as
 ``python -m qsym.cli`` and the ``qsym`` script call it), its last step on
@@ -48,22 +48,64 @@ EXIT_BROKEN_PIPE = 141
 ALL_FORMATS = ["plain", "json", "csv", "latex"]
 
 
-def _add_ascii(parser):
-    parser.add_argument("--ascii", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="render powers as q^2; --no-ascii uses superscripts")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def _add_enumeration(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="cap on the forests or parking functions enumerated")
+_N, _R, _K, _M = (_arg(f"--{size}", type=int, required=True) for size in "nrkm")
+_N_MAX = _arg("--n-max", type=int, required=True)
+_FORMAT = _arg("--format", choices=ALL_FORMATS, default="plain")
+_ASCII = _arg("--ascii", action=argparse.BooleanOptionalAction, default=True,
+              help="render powers as q^2; --no-ascii uses superscripts")
+_SEED = _arg("--seed", type=int, default=0)
+_CAP = _arg("--cap", type=int, default=DEFAULT_CAP,
+            help="cap on the forests or parking functions enumerated")
+_VARIANT = _arg("--variant", choices=["standard", "reciprocal"],
+                default="standard")
+_RECIPROCAL = _arg("--reciprocal", action="store_true")
+_VERIFY = [_arg("--n-max", type=int, default=7),
+           _arg("--format", choices=["plain", "json"], default="plain")]
+_EXPORT = [_N_MAX, _arg("-o", "--output", default="-",
+                        help="output file, - for stdout")]
+
+# The options each (command, kind) reads, and no others.  The kind is the
+# verify suite, the query kind or the export kind; jtable has none.
+OPTIONS = {
+    ("jtable", None): [_N_MAX, _RECIPROCAL, _FORMAT, _ASCII],
+    ("verify", "qstirling"): _VERIFY,
+    ("verify", "symfunc"): _VERIFY,
+    ("verify", "jpoly"): _VERIFY,
+    ("verify", "oracles"): [*_VERIFY, _SEED, _CAP],
+    ("verify", "all"): [*_VERIFY, _SEED, _CAP],
+    ("query", "jpoly"): [_N, _R, _VARIANT, _FORMAT, _ASCII],
+    ("query", "qstirling2"): [_N, _K, _FORMAT, _ASCII],
+    ("query", "qstirling1"): [_N, _K, _FORMAT, _ASCII],
+    ("query", "qbinomial"): [_N, _K, _FORMAT, _ASCII],
+    ("query", "parking"): [_M, _R, _CAP, _FORMAT, _ASCII],
+    ("query", "forest-stat"): [
+        _N, _arg("--r", type=int),
+        _arg("--roots", help="comma-separated root labels, e.g. 1,3"),
+        _arg("--ranking", default="increasing",
+             help="increasing, decreasing, or seeded"),
+        _VARIANT, _arg("--dump-forests", action="store_true",
+                       help="stream accepted forests as JSON lines"),
+        _SEED, _CAP, _FORMAT, _ASCII],
+    ("export", "jtable"): [
+        *_EXPORT, _RECIPROCAL,
+        _arg("--format", choices=["csv", "latex"], default="csv")],
+    ("export", "stirling"): [
+        *_EXPORT, _arg("--kind", choices=["first", "second"], default="second",
+                       help="stirling triangle kind"),
+        _arg("--format", choices=["csv"], default="csv")],
+}
+KIND_DEST = {"verify": "suite", "query": "kind", "export": "what"}
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for argv: every command is registered, but only the one
-    argv names gets its arguments.  That is its first word not starting with
-    "-", since the top level takes no option with a value."""
+    argv names gets arguments, and of verify, query and export only those
+    its kind reads.  Command and kind are argv's first two words not
+    starting with "-", so the kind comes before any option with a value."""
     parser = argparse.ArgumentParser(
         prog="qsym",
         description="Exact q-analog toolkit: q-Stirling triangles, q-analogs "
@@ -71,50 +113,21 @@ def build_parser(argv) -> argparse.ArgumentParser:
                     "parking-function enumerator polynomials with brute-force "
                     "combinatorial certifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_jtable = sub.add_parser("jtable", help="print the J triangle")
-    p_verify = sub.add_parser("verify", help="run an identity battery")
-    p_query = sub.add_parser("query", help="print one exact object")
-    p_export = sub.add_parser("export", help="dump tables to CSV or LaTeX")
-    command = next((a for a in argv if not a.startswith("-")), None)
-    if command == "jtable":
-        p_jtable.add_argument("--n-max", type=int, required=True)
-        p_jtable.add_argument("--reciprocal", action="store_true")
-        p_jtable.add_argument("--format", choices=ALL_FORMATS, default="plain")
-        _add_ascii(p_jtable)
-    elif command == "verify":
-        p_verify.add_argument("suite", choices=["qstirling", "symfunc", "jpoly",
-                                                "oracles", "all"])
-        p_verify.add_argument("--n-max", type=int, default=7)
-        p_verify.add_argument("--format", choices=["plain", "json"], default="plain")
-        _add_enumeration(p_verify)
-    elif command == "query":
-        p_query.add_argument("kind",
-                             choices=["jpoly", "qstirling2", "qstirling1",
-                                      "qbinomial", "parking", "forest-stat"])
-        p_query.add_argument("--n", type=int)
-        p_query.add_argument("--r", type=int)
-        p_query.add_argument("--k", type=int)
-        p_query.add_argument("--m", type=int)
-        p_query.add_argument("--roots", type=str,
-                             help="comma-separated root labels, e.g. 1,3")
-        p_query.add_argument("--ranking", default="increasing",
-                             help="increasing, decreasing, or seeded")
-        p_query.add_argument("--variant", choices=["standard", "reciprocal"],
-                             default="standard")
-        p_query.add_argument("--dump-forests", action="store_true",
-                             help="stream accepted forests as JSON lines")
-        p_query.add_argument("--format", choices=ALL_FORMATS, default="plain")
-        _add_enumeration(p_query)
-        _add_ascii(p_query)
-    elif command == "export":
-        p_export.add_argument("what", choices=["jtable", "stirling"])
-        p_export.add_argument("--n-max", type=int, required=True)
-        p_export.add_argument("--kind", choices=["first", "second"],
-                              default="second", help="stirling triangle kind")
-        p_export.add_argument("--reciprocal", action="store_true")
-        p_export.add_argument("-o", "--output", default="-",
-                              help="output file, - for stdout")
-        p_export.add_argument("--format", choices=["csv", "latex"], default="csv")
+    commands = {name: sub.add_parser(name, help=text, allow_abbrev=False)
+                for name, text in [("jtable", "print the J triangle"),
+                                   ("verify", "run an identity battery"),
+                                   ("query", "print one exact object"),
+                                   ("export", "dump tables to CSV or LaTeX")]}
+    words = [a for a in argv if not a.startswith("-")] + [None, None]
+    command, kind = words[0], words[1] if words[0] in KIND_DEST else None
+    if command in KIND_DEST:
+        commands[command].add_argument(
+            KIND_DEST[command], choices=[k for c, k in OPTIONS if c == command],
+            help="comes before its options; add --help after it to list them")
+    if command == "verify":        # verify_suite takes them for every suite
+        commands[command].set_defaults(seed=0, cap=DEFAULT_CAP)
+    for flags, kwargs in OPTIONS.get((command, kind), ()):
+        commands[command].add_argument(*flags, **kwargs)
     return parser
 
 
@@ -177,38 +190,26 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if report.passed else EXIT_IDENTITY_FAILURE
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"query requires --{name}")
-
-
 def _cmd_query(args, out) -> int:
     kind = args.kind
     if kind == "jpoly":
-        _require(args, "n", "r")
         from .jpoly import j_degree, j_entry
         poly = j_entry(args.n, args.r)
         if args.variant == "reciprocal":
             poly = poly.reversed_to(j_degree(args.n, args.r))
     elif kind == "qstirling2":
-        _require(args, "n", "k")
         from .qstirling import qstirling2
         poly = qstirling2(args.n, args.k)
     elif kind == "qstirling1":
-        _require(args, "n", "k")
         from .qstirling import qstirling1
         poly = qstirling1(args.n, args.k)
     elif kind == "qbinomial":
-        _require(args, "n", "k")
         from .qcalc import qbinomial
         poly = qbinomial(args.n, args.k)
     elif kind == "parking":
-        _require(args, "m", "r")
         from .oracles import parking_enumerator_poly
         poly = parking_enumerator_poly(args.m, args.r, cap=args.cap)
     else:  # forest-stat
-        _require(args, "n")
         from .oracles import (_poly_from_counts, forest_enumerator_poly,
                               forest_records, make_ranking)
         if args.roots is not None:
@@ -246,8 +247,6 @@ def _cmd_export(args, out) -> int:
     if args.what == "jtable":
         from .jpoly import build_jtable
         _write_jtable_export(build_jtable(args.n_max), args, buf)
-    elif args.format != "csv":
-        raise ValueError("export stirling writes CSV only")
     else:
         import csv
         from .qstirling import qstirling1_triangle, qstirling2_triangle
@@ -286,10 +285,11 @@ def main(argv=None, out=None) -> int:
 def _run(argv, out) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
-        if getattr(args, "n_max", 1) < 1:      # jtable, verify and export
-            raise ValueError("--n-max must be >= 1")
-        if getattr(args, "cap", 0) < 0:        # verify and query
-            raise ValueError("--cap must be >= 0")
+        for name, low in (("n_max", 1), ("cap", 0), ("n", 0), ("r", 0),
+                          ("k", 0), ("m", 0)):      # every number but --seed
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
         code = COMMANDS[args.command](args, out)
         out.flush()          # a reader gone early shows here, not at exit
         return code

@@ -97,9 +97,9 @@ class SeededRanking(Ranking):
 
 
 def make_ranking(kind: str, seed: int = 0) -> Ranking:
-    if kind in ("increasing", "plus", "+"):
+    if kind == "increasing":
         return IncreasingRanking()
-    if kind in ("decreasing", "minus", "-"):
+    if kind == "decreasing":
         return DecreasingRanking()
     if kind == "seeded":
         return SeededRanking(seed)

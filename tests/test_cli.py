@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -192,8 +193,9 @@ def test_query_json_format():
 
 
 def test_query_missing_parameter_is_usage_error():
-    code, _ = run("query", "jpoly", "--n", "5")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run("query", "jpoly", "--n", "5")
+    assert exc.value.code == 2
 
 
 def test_query_range_violation_is_usage_error():
@@ -565,6 +567,16 @@ def test_usage_error_on_unknown_command():
      "error: --roots repeats a label: '1,1'"),
     (("query", "forest-stat", "--n", "4", "--roots", "1,2", "--r", "3"),
      "error: --r 3 is not the number of --roots labels: '1,2'"),
+    (("query", "qbinomial", "--n", "-1", "--k", "0"), "error: --n must be >= 0"),
+    (("query", "qbinomial", "--n", "3", "--k", "-1"), "error: --k must be >= 0"),
+    (("query", "qstirling2", "--n", "-2", "--k", "-1"),
+     "error: --n must be >= 0"),
+    (("query", "parking", "--m", "-1", "--r", "1"), "error: --m must be >= 0"),
+    (("query", "forest-stat", "--n", "3", "--r", "-1"),
+     "error: --r must be >= 0"),
+    (("query", "forest-stat", "--n", "3", "--r", "1", "--ranking", "plus"),
+     "error: unknown ranking kind 'plus'"),
+    (("query", "--n", "3", "jpoly", "--r", "1"), "invalid choice: '3'"),
 ], ids=["missing-dir", "missing-dir-stirling", "is-a-directory",
         "range-violation", "jtable-n-max", "verify-n-max",
         "export-stirling-latex", "export-plain", "export-json", "export-seed",
@@ -572,7 +584,10 @@ def test_usage_error_on_unknown_command():
         "jtable-seed", "jtable-cap", "verify-negative-cap",
         "parking-negative-cap", "forest-negative-cap", "forest-empty-roots",
         "forest-empty-labels", "forest-non-integer-label",
-        "forest-repeated-label", "forest-r-is-not-the-root-count"])
+        "forest-repeated-label", "forest-r-is-not-the-root-count",
+        "qbinomial-negative-n", "qbinomial-negative-k",
+        "qstirling2-negative-n", "parking-negative-m", "forest-negative-r",
+        "ranking-alias", "kind-after-an-option"])
 def test_usage_faults_exit_two(argv, says, tmp_path, capsys):
     try:
         code, text = run(*(a.format(tmp=tmp_path) for a in argv))
@@ -582,6 +597,73 @@ def test_usage_faults_exit_two(argv, says, tmp_path, capsys):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(("error: ", f"qsym {argv[0]}: error: ", "qsym: error: "))
     assert says in last
+
+
+# The options each command and kind reads: the only ones it accepts, and all
+# of them.  -o is --output, and --no-ascii the negation of --ascii.
+READS = {
+    ("jtable",): "--n-max --reciprocal --format --ascii --no-ascii",
+    ("verify", "qstirling"): "--n-max --format",
+    ("verify", "symfunc"): "--n-max --format",
+    ("verify", "jpoly"): "--n-max --format",
+    ("verify", "oracles"): "--n-max --format --seed --cap",
+    ("verify", "all"): "--n-max --format --seed --cap",
+    ("query", "jpoly"): "--n --r --variant --format --ascii --no-ascii",
+    ("query", "qstirling2"): "--n --k --format --ascii --no-ascii",
+    ("query", "qstirling1"): "--n --k --format --ascii --no-ascii",
+    ("query", "qbinomial"): "--n --k --format --ascii --no-ascii",
+    ("query", "parking"): "--m --r --cap --format --ascii --no-ascii",
+    ("query", "forest-stat"): "--n --r --roots --ranking --variant "
+                              "--dump-forests --seed --cap --format --ascii "
+                              "--no-ascii",
+    ("export", "jtable"): "--n-max -o --output --reciprocal --format",
+    ("export", "stirling"): "--n-max -o --output --kind --format",
+}
+# A value of each option that takes one, valid wherever the option is read.
+VALUES = {"--n-max": "2", "--n": "3", "--r": "1", "--k": "1", "--m": "1",
+          "--roots": "1", "--ranking": "seeded", "--variant": "reciprocal",
+          "--seed": "5", "--cap": "100", "--kind": "first", "-o": "-",
+          "--output": "-"}
+FORMATS = {"jtable": "csv", "verify": "json", "query": "csv", "export": "csv"}
+
+
+def with_values(command, options) -> list:
+    argv = []
+    for option in options:
+        value = FORMATS[command] if option == "--format" else VALUES.get(option)
+        argv += [option] if value is None else [option, value]
+    return argv
+
+
+@pytest.mark.parametrize("kind", READS, ids=" ".join)
+def test_each_kind_accepts_exactly_the_options_it_reads(kind, capsys):
+    reads = READS[kind].split()
+    line = [*kind, *with_values(kind[0], reads)]
+    assert run(*line)[0] == 0
+    others = {option for (command, *_), options in READS.items()
+              if command == kind[0] for option in options.split()}
+    for option in sorted(others - set(reads)):
+        for extra in ([option], with_values(kind[0], [option])):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                run(*line, *extra)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == \
+                "qsym: error: unrecognized arguments: " + " ".join(extra)
+
+
+def readme_cli_lines() -> list:
+    """The argv of every qsym line in the README's CLI block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [words[1:] for words in lines if words[:1] == ["qsym"]]
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)        # -o files land here
+    assert run(*argv)[0] == 0
 
 
 class ClosedPipe:

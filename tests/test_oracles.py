@@ -62,10 +62,11 @@ def test_seeded_ranking_is_reproducible():
 
 def test_make_ranking():
     assert isinstance(make_ranking("increasing"), IncreasingRanking)
-    assert isinstance(make_ranking("-"), DecreasingRanking)
+    assert isinstance(make_ranking("decreasing"), DecreasingRanking)
     assert make_ranking("seeded", seed=5).seed == 5
-    with pytest.raises(ValueError):
-        make_ranking("sideways")
+    for kind in ("sideways", "-"):
+        with pytest.raises(ValueError):
+            make_ranking(kind)
 
 
 # -- forest enumeration --------------------------------------------------------

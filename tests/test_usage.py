@@ -6,7 +6,9 @@ they did when every subparser was built on every call.  usage_golden.json
 holds stdout, stderr and the exit code of each case below, captured from
 the parser that built all four subparsers (Python 3.11, 80 columns); the
 verify and query help were captured again when the --cap help changed to
-name what the cap counts.
+name what the cap counts.  The cases whose usage text lists the options of
+verify, query or export were captured again, and the help of one kind of
+each added, when each kind came to take only the options it reads.
 """
 
 import json
@@ -40,6 +42,11 @@ CASES = [
     ("query",),
     ("export", "jtable", "--format", "plain"),
     ("query", "jpoly", "--n", "x"),
+    ("query", "jpoly", "--help"),
+    ("query", "forest-stat", "--help"),
+    ("export", "stirling", "--help"),
+    ("verify", "oracles", "--help"),
+    ("query", "qbinomial", "--n", "3", "--k", "1", "--r", "4"),
 ]
 
 
