@@ -20,8 +20,7 @@ _EXPORTS = {
     "symfunc": ("SymAlphabet SymSeriesBundle complete_from_elementary "
                 "elementary_sequence exp_bundle j_from_specialized_symfunc "
                 "qp_nr_determinant qp_nr_direct transfer_theorem_check"),
-    "jpoly": ("JTable build_jtable j_explicit_composition "
-              "j_explicit_sequences reciprocal"),
+    "jpoly": "JTable build_jtable j_explicit_composition reciprocal",
     "report": ("kung_yan_check reciprocal_recurrence_check "
                "verify_carlitz_identities"),
     "oracles": ("DecreasingRanking EnumerationCapExceeded Forest "

@@ -85,8 +85,8 @@ OPTIONS = {
     ("query", "forest-stat"): [
         _N, _arg("--r", type=int),
         _arg("--roots", help="comma-separated root labels, e.g. 1,3"),
-        _arg("--ranking", default="increasing",
-             help="increasing, decreasing, or seeded"),
+        _arg("--ranking", choices=["increasing", "decreasing", "seeded"],
+             default="increasing"),
         _VARIANT, _arg("--dump-forests", action="store_true",
                        help="stream accepted forests as JSON lines"),
         _SEED, _CAP, _FORMAT, _ASCII],
@@ -210,8 +210,8 @@ def _cmd_query(args, out) -> int:
         from .oracles import parking_enumerator_poly
         poly = parking_enumerator_poly(args.m, args.r, cap=args.cap)
     else:  # forest-stat
-        from .oracles import (_poly_from_counts, forest_enumerator_poly,
-                              forest_records, make_ranking)
+        from .oracles import (forest_enumerator_poly, forest_records,
+                              make_ranking, poly_from_counts)
         if args.roots is not None:
             try:
                 roots = tuple(map(int, args.roots.split(",") if args.roots else ()))
@@ -234,7 +234,7 @@ def _cmd_query(args, out) -> int:
                                              variant=args.variant, cap=args.cap):
                 out.write(line + "\n")
                 counts[stat] = counts.get(stat, 0) + 1
-            poly = _poly_from_counts(counts)
+            poly = poly_from_counts(counts)
         else:
             poly = forest_enumerator_poly(args.n, roots, ranking,
                                           variant=args.variant, cap=args.cap)

@@ -5,9 +5,9 @@ parking functions.
 J(n, r) is monic with strictly positive integer coefficients, has constant
 term (n-r)! and degree C(n-1,2) - C(r-1,2), and J(r, r) = 1.  The whole
 triangle is generated row by row from a linear recurrence whose coefficients
-are bracket powers.  An explicit composition sum, and a route through the
-symmetric-function machinery specialized at e_k = q^C(k,2) / k! (in
-``symfunc``), produce the same polynomials as mutually checking code paths.
+are bracket powers.  An explicit composition sum for n > r, and a route
+through the symmetric-function machinery specialized at e_k = q^C(k,2) / k!
+(in ``symfunc``), produce the same polynomials as mutually checking code paths.
 The composition sums, of J and of both forms of its reciprocal, are one
 depth-first walk over the compositions that shares each prefix's bracket
 chain among all compositions extending it.
@@ -153,30 +153,12 @@ def j_explicit_composition(n: int, r: int) -> UniPoly:
 
     Each composition contributes the bracket chain [r]^(u1) [u1]^(u2) ...
     [u_(k-1)]^(uk), the monomial q^(sum C(u_i,2)), and a multinomial count.
+    The factorial-weighted sum over commencing sequences is this sum.
     """
     if not (n - 1 >= r >= 1):
         raise ValueError("need n - 1 >= r >= 1")
     return UniPoly(composition_sum(n - r, r,
                                    lambda e, a, last, done: e + comb(a, 2)))
-
-
-def j_explicit_sequences(n: int, r: int) -> UniPoly:
-    """J(n, r) as the factorial-weighted sum over commencing sequences.
-
-    A commencing sequence packs its nonzero terms at the front; all other
-    sequences contribute zero because they carry a factor [0]^positive.
-    The conventions J(r, r) = 1 and J(n, 0) = [n == 0] fall out of the empty
-    sequence and of [0]^positive = 0 respectively; the remaining sequences
-    are the compositions of n - r, whose factorial weight m!/prod u_i! is
-    the multinomial, so the sum is the composition sum.
-    """
-    if n < r or r < 0 or n < 0:
-        raise ValueError("need n >= r >= 0")
-    if n == r:
-        return one
-    if r == 0:
-        return zero
-    return j_explicit_composition(n, r)
 
 
 def reciprocal(n: int, r: int, table: JTable) -> UniPoly:

@@ -344,7 +344,7 @@ def reciprocal_level_statistic(forest: Forest, ranking: Ranking) -> int:
     return _forest_statistic(forest, ranking.ranks, "reciprocal")
 
 
-def _poly_from_counts(counter: dict) -> UniPoly:
+def poly_from_counts(counter: dict) -> UniPoly:
     """The polynomial sum of c q^s over the (s, c) items of counter."""
     coeffs = [0] * (max(counter) + 1 if counter else 0)
     for s, c in counter.items():
@@ -464,7 +464,7 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
             for counter, lane_counts in zip(counts, lanes):
                 for s, count in lane_counts.items():
                     counter[part + s] = counter.get(part + s, 0) + count
-        polys.append([_poly_from_counts(counter) for counter in counts])
+        polys.append([poly_from_counts(counter) for counter in counts])
     return polys
 
 

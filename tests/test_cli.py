@@ -315,6 +315,21 @@ def test_verify_symfunc_coverage():
         "pq-double-sum-vs-determinant": 10, "pq-degenerates-to-q": 10}
 
 
+def test_verify_jpoly_coverage():
+    # the composition formula and the three recurrences at each 1 <= r < n,
+    # the specialization at each 1 <= r <= n; the two shift checks run to
+    # n = 9 and to n = 7
+    code, text = run("verify", "jpoly", "--n-max", "9", "--format", "json")
+    assert code == 0
+    records = json.loads(text)
+    assert all(r["status"] == "pass" for r in records)
+    assert Counter(r["identity"] for r in records) == {
+        "table-vs-specialization": 45, "table-vs-composition-formula": 36,
+        "reciprocal-row-recurrence": 36, "reciprocal-column-recurrence": 36,
+        "extended-row-recurrence": 36, "exp-derivative-shift": 9,
+        "specialization-bracket-shift": 21}
+
+
 def test_verify_oracles_lists_seeds():
     code, text = run("verify", "oracles", "--n-max", "3", "--seed", "42",
                      "--format", "json")
@@ -575,7 +590,7 @@ def test_usage_error_on_unknown_command():
     (("query", "forest-stat", "--n", "3", "--r", "-1"),
      "error: --r must be >= 0"),
     (("query", "forest-stat", "--n", "3", "--r", "1", "--ranking", "plus"),
-     "error: unknown ranking kind 'plus'"),
+     "argument --ranking: invalid choice: 'plus'"),
     (("query", "--n", "3", "jpoly", "--r", "1"), "invalid choice: '3'"),
 ], ids=["missing-dir", "missing-dir-stirling", "is-a-directory",
         "range-violation", "jtable-n-max", "verify-n-max",

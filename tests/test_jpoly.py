@@ -7,11 +7,12 @@ import pytest
 
 from qsym.exactpoly import UniPoly, one, q, zero
 from qsym.qcalc import qbracket
-from qsym.jpoly import (build_jtable, composition_sum, j_explicit_composition,
-                        j_explicit_sequences, jtable_csv_rows, jtable_latex,
+from qsym.jpoly import (JTable, build_jtable, composition_sum,
+                        j_explicit_composition, jtable_csv_rows, jtable_latex,
                         reciprocal)
-from qsym.report import (extended_recurrence_check, kung_yan_check,
-                         reciprocal_composition_forms,
+from qsym.report import (cross_formula_check, extended_recurrence_check,
+                         kung_yan_check, reciprocal_composition_forms,
+                         reciprocal_explicit_check,
                          reciprocal_recurrence_check)
 from qsym.symfunc import (exp_bundle, exp_series, exp_shift_check,
                           j_from_specialized_symfunc, p_nr_series)
@@ -113,13 +114,6 @@ def test_explicit_composition_values():
         j_explicit_composition(3, 3)
 
 
-def test_explicit_sequences_values():
-    assert j_explicit_sequences(4, 4) == one
-    assert j_explicit_sequences(0, 0) == one
-    assert j_explicit_sequences(3, 0) == zero
-    assert j_explicit_sequences(5, 2) == GOLDEN[(5, 2)]
-
-
 def test_four_routes_agree():
     table = build_jtable(7)
     bundle = exp_bundle(7)
@@ -128,7 +122,6 @@ def test_four_routes_agree():
             expected = table.entry(n, r)
             if n > r:
                 assert j_explicit_composition(n, r) == expected
-            assert j_explicit_sequences(n, r) == expected
             assert j_from_specialized_symfunc(bundle, n, r) == expected
 
 
@@ -262,10 +255,29 @@ def test_exponent_bookkeeping_identity():
             assert comb(m + r, 2) == comb(m, 2) + comb(r, 2) + m * r
 
 
-def test_extended_recurrence_with_zero_conventions():
+def test_extended_recurrence_skips_the_conventions():
     report = extended_recurrence_check(build_jtable(12))
     assert report.passed
-    assert len(report.records) == 13 * 14 // 2       # 0 <= r <= n <= 12
+    assert len(report.records) == 12 * 11 // 2       # 1 <= r < n <= 12
+
+
+def test_each_j_record_checks_its_own_entry():
+    # a table with one entry off by one: every record names an entry of the
+    # triangle, and every record naming the wrong entry fails
+    table = build_jtable(6)
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            rows = {m: dict(row) for m, row in table._rows.items()}
+            rows[n][r] = rows[n][r] + one
+            wrong = JTable(6, rows)
+            for check in (cross_formula_check, reciprocal_recurrence_check,
+                          kung_yan_check, extended_recurrence_check,
+                          reciprocal_explicit_check):
+                for rec in check(wrong).records:
+                    at = (rec.params["n"], rec.params["r"])
+                    assert 1 <= at[1] <= at[0], (check.__name__, rec.identity, at)
+                    assert at != (n, r) or rec.status == "fail", (
+                        check.__name__, rec.identity, at)
 
 
 def test_csv_rows():

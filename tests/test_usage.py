@@ -8,7 +8,9 @@ the parser that built all four subparsers (Python 3.11, 80 columns); the
 verify and query help were captured again when the --cap help changed to
 name what the cap counts.  The cases whose usage text lists the options of
 verify, query or export were captured again, and the help of one kind of
-each added, when each kind came to take only the options it reads.
+each added, when each kind came to take only the options it reads.  The
+help of query forest-stat was captured again when --ranking came to list
+its choices.
 """
 
 import json
