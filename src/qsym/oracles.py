@@ -4,7 +4,10 @@ Nothing here reuses the recurrence or the explicit formulas: forests are
 generated as raw parent maps filtered by an acyclicity check (not built
 level by level, which would mirror the proof structure being certified),
 and parking functions as raw value tuples filtered by the sorted-prefix
-condition.  Both walks prune: a partial parent map is dropped at the first
+condition.  Both walks are plain recursive backtracking, a nested function
+making one choice, calling itself for the next and undoing its choice,
+n - r - 1 calls (forests) or m - 1 calls (parking) deep, at most 7 under
+the default cap.  Both prune: a partial parent map is dropped at the first
 edge that closes a cycle, and a value prefix that no last value completes
 is never visited, its admissible last values being counted directly.  The
 cap bounds what is enumerated, the r n^(n-r-1) forests and the
@@ -145,16 +148,18 @@ def _raw_forests(n: int, roots: tuple, some_root: bool = False):
     """Yield (parent_array, depth_array, level_masks, sizes, group) for each
     depth group of acyclic parent maps.
 
-    The non-roots but the last, v, are given parents in ascending vertex
-    order, each trying parents 1..n in ascending order.  A branch is dropped
-    as soon as its newest edge closes a cycle, which is when the parent
-    chain from the new parent returns to the new child; no extension of
-    that branch is acyclic.  Depths are kept along the way: when a vertex
-    attaches below one whose depth is known, it and the subtree already
-    hanging under it get theirs, and backtracking clears them again.
-    level_masks[d] is kept with them: the bitmask, bit v for vertex v, of
-    the vertices at depth d (0 past the deepest level).  So is sizes, which
-    packs the sizes of levels 1, 2, ..., n.bit_length() bits each.
+    A recursive backtracking walk: walk(i, sizes) gives the i-th non-root
+    but the last, v, each parent 1..n in ascending order, calls itself
+    for the next non-root, then undoes the edge; the recursion nests
+    n - r - 1 calls deep.  A parent is skipped when the edge to it closes a
+    cycle, which is when the parent chain from it returns to the child; no
+    extension of that branch is acyclic.  Depths are kept along the way:
+    when the child attaches below a vertex whose depth is known, place
+    gives it and the subtree already hanging under it theirs, and unplace
+    clears them again.  level_masks[d] is kept with them: the bitmask, bit
+    v for vertex v, of the vertices at depth d (0 past the deepest level).
+    So is sizes, which packs the sizes of levels 1, 2, ...,
+    n.bit_length() bits each.
 
     Once every non-root but v has a parent (a frame), the parents that close
     no cycle for v are exactly the vertices of known depth: every other
@@ -190,83 +195,61 @@ def _raw_forests(n: int, roots: tuple, some_root: bool = False):
         return
     size_bits = n.bit_length()
     unit = [0] + [1 << (d * size_bits) for d in range(k)]   # by depth
-    sizes = 0
     children = [[] for _ in range(n + 1)]
-    placed = []         # the vertices given a depth, in the order they got it
-    marks = [0] * k     # len(placed) before the i-th non-root was assigned
-    parents = [0] + nonroots if some_root else list(range(1, n + 1))
-    stop = len(parents)
-    next_parent = [0] * k           # index into parents; 0 while unassigned
+    parents = [0] + nonroots if some_root else range(1, n + 1)
     last = nonroots[-1]
     members = {lvl[0]: [0]} if some_root else {}    # a level mask's vertices
-    i = 0
-    while i >= 0:
+
+    def place(u, d):    # u at depth d, its subtree below: (placed, sizes)
+        placed, added = [u], 0
+        depth[u] = d
+        for x in placed:
+            dx = depth[x]
+            lvl[dx] |= 1 << x
+            added += unit[dx]
+            for c in children[x]:
+                depth[c] = dx + 1
+                placed.append(c)
+        return placed, added
+
+    def unplace(placed):
+        for u in placed:
+            lvl[depth[u]] ^= 1 << u
+            depth[u] = -1
+
+    def walk(i, sizes):
         if i == k - 1:
-            # v and what hangs under it, with their depths below v
-            hang, below = [last], [0]
-            for u, du in zip(hang, below):
-                hang.extend(children[u])
-                below.extend([du + 1] * len(children[u]))
-            for d, mask in enumerate(lvl[:lvl.index(0)]):
+            for d in range(lvl.index(0)):
+                mask = lvl[d]
                 group = members.get(mask)
                 if group is None:
                     group = members[mask] = [u for u in range(1, n + 1)
                                              if mask >> u & 1]
-                extra = 0
-                for u, du in zip(hang, below):
-                    du += d + 1
-                    depth[u] = du
-                    lvl[du] |= 1 << u
-                    extra += unit[du]
-                yield parent, depth, lvl, sizes + extra, group
-                for u in hang:
-                    lvl[depth[u]] ^= 1 << u
-                    depth[u] = -1
-            i -= 1
-            continue
+                placed, added = place(last, d + 1)
+                yield parent, depth, lvl, sizes + added, group
+                unplace(placed)
+            return
         v = nonroots[i]
-        if next_parent[i]:              # backtracking: undo v's last edge
-            children[parent[v]].pop()
+        for p in parents:
+            if depth[p] >= 0:
+                placed, added = place(v, depth[p] + 1)
+            else:
+                # p hangs, through its chain, below an unassigned non-root;
+                # the edge v -> p closes a cycle exactly when that is v
+                x = p
+                while parent[x]:
+                    x = parent[x]
+                if x == v:
+                    continue
+                placed, added = (), 0
+            parent[v] = p
+            children[p].append(v)
+            yield from walk(i + 1, sizes + added)
+            unplace(placed)
+            children[p].pop()
             parent[v] = 0
-            for u in placed[marks[i]:]:
-                lvl[depth[u]] ^= 1 << u
-                sizes -= unit[depth[u]]
-                depth[u] = -1
-            del placed[marks[i]:]
-        # A parent of unknown depth hangs, through its chain, below an
-        # unassigned non-root; the edge v -> p closes a cycle exactly when
-        # that non-root is v itself.
-        c = next_parent[i]
-        while c < stop and depth[parents[c]] < 0:
-            x = parents[c]
-            while parent[x]:
-                x = parent[x]
-            if x != v:
-                break
-            c += 1
-        if c == stop:
-            next_parent[i] = 0
-            i -= 1
-            continue
-        next_parent[i] = c + 1
-        parent[v] = p = parents[c]
-        children[p].append(v)
-        marks[i] = j = len(placed)
-        if depth[p] >= 0:
-            depth[v] = dv = depth[p] + 1
-            lvl[dv] |= 1 << v
-            sizes += unit[dv]
-            placed.append(v)
-            while j < len(placed):
-                u = placed[j]
-                du = depth[u] + 1
-                for c in children[u]:
-                    depth[c] = du
-                    lvl[du] |= 1 << c
-                    sizes += unit[du]
-                    placed.append(c)
-                j += 1
-        i += 1
+
+    yield from walk(0, 0)
 
 
 def _capped_roots(n: int, roots, cap: int) -> tuple:
@@ -508,13 +491,12 @@ def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
     condition, so they form an initial segment.  Every ordering of b has
     the same sum and the same t, so b adds its ordering count to the
     coefficients from q^sum(b) to q^(sum(b)+t-1), one difference-array
-    entry at each end.  The walk steps b like an odometer, the last
-    position fastest: the rightmost position below its bound goes up by one
-    and every later position takes its new value.  The sum, the product of
-    run-length factorials and t of each leading part of b are kept on an
-    explicit stack, so a step redoes only the positions it changed.  The
-    cap counts the parking functions, and the empty case m = 0 contributes
-    the empty sum 1.
+    entry at each end.  walk(j, low, total, denom, run, t) tries each value
+    b_j from low = b_(j-1) up and calls itself for position j + 1,
+    carrying the sum of b[:j], its product of run-length factorials, the
+    length of its last run and its t; the recursion nests m - 1 calls
+    deep.  The cap counts the parking functions, and the empty case m = 0
+    contributes the empty sum 1.
     """
     if m < 0 or r < 1:
         raise ValueError("need m >= 0 and r >= 1")
@@ -526,29 +508,21 @@ def parking_enumerator_poly(m: int, r: int, cap: int = DEFAULT_CAP) -> UniPoly:
     k = m - 1
     full = r + m - 1
     orderings = factorial(k)
-    b = [0] * k
-    # entry j: the sum, the run-length factorial product, the length of the
-    # last run and t of b[:j]
-    sums, denoms, runs, tight = [0] * m, [1] * m, [0] * m, [full] * m
     diff = [0] * (m * (full - 1) + 2)
-    j = 0
-    while True:
-        for i in range(j, k):
-            b[i] = v = b[j]
-            run = runs[i] + 1 if i and b[i - 1] == v else 1
-            runs[i + 1] = run
-            denoms[i + 1] = denoms[i] * run
-            sums[i + 1] = sums[i] + v
-            tight[i + 1] = r + i if tight[i] == full and v == r + i else tight[i]
-        w = orderings // denoms[k]
-        diff[sums[k]] += w
-        diff[sums[k] + tight[k]] -= w
-        j = k - 1
-        while j >= 0 and b[j] == r + j:
-            j -= 1
-        if j < 0:
-            return UniPoly(list(itertools.accumulate(diff[:-1])))
-        b[j] += 1
+
+    def walk(j, low, total, denom, run, t):
+        if j == k:
+            w = orderings // denom
+            diff[total] += w
+            diff[total + t] -= w
+            return
+        for v in range(low, r + j + 1):
+            step = run + 1 if v == low else 1
+            walk(j + 1, v, total + v, denom * step, step,
+                 r + j if t == full and v == r + j else t)
+
+    walk(0, 0, 0, 1, 0, full)
+    return UniPoly(list(itertools.accumulate(diff[:-1])))
 
 
 def forest_records(n: int, roots, ranking: Ranking,

@@ -8,12 +8,11 @@ command compiles.  Coefficients follow the ``exactpoly`` rules.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from operator import add, sub
 
 from .exactpoly import (InexactDivisionError, UniPoly, _add, _coerce, _convolve,
                         _power, zero)
-from .qcalc import triangle_rows
+from .qcalc import qbinomial
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +285,11 @@ def det_hessenberg(first_col, band, superdiag):
 
 
 def pq_binomial(n: int, k: int) -> BiPoly:
-    """Two-parameter Gaussian binomial, by the (p,q)-triangular recurrence
-    [n k] = p^(n-k) [n-1 k-1] + q^k [n-1 k], rows built bottom-up.  Being
-    homogeneous of degree k(n-k), [n k] is fixed by its q-coefficients c:
-    the triangle_rows rows of weight q^k, in the band up to min(k, n - k)."""
+    """Two-parameter Gaussian binomial, the solution of the (p,q)-triangular
+    recurrence [n k] = p^(n-k) [n-1 k-1] + q^k [n-1 k].  Being homogeneous
+    of degree k(n-k), [n k] is fixed by its q-coefficients c at p = 1: those
+    of the Gaussian binomial qbinomial(n, k)."""
     if k < 0 or n < 0 or k > n:
         return BiPoly()
-    band, d = min(k, n - k), k * (n - k)
-    c = next(islice(triangle_rows(lambda m, j: (1, j), band), n, None))[band]
+    d, c = k * (n - k), qbinomial(n, k).coeffs
     return BiPoly([0] * j + [c[j]] for j in range(d, -1, -1))   # p^(d-j) q^j

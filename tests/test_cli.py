@@ -688,8 +688,13 @@ class ClosedPipe:
         raise BrokenPipeError(32, "Broken pipe")
 
 
-def test_closed_stdout_exits_141(capsys):
-    assert cli.main(["jtable", "--n-max", "3"], out=ClosedPipe()) == 141
+@pytest.mark.parametrize("argv", [
+    ["jtable", "--n-max", "3"],
+    # the reader leaves in the middle of the forest walk
+    ["query", "forest-stat", "--n", "6", "--r", "1", "--dump-forests"],
+], ids=["jtable", "dump-forests"])
+def test_closed_stdout_exits_141(capsys, argv):
+    assert cli.main(argv, out=ClosedPipe()) == 141
     assert capsys.readouterr().err == ""
 
 

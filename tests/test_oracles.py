@@ -181,16 +181,20 @@ def expanded_walk(n, roots):
     yield from map(frame.pop, sorted(frame))
 
 
+# every root set up to n = 6, and two at n = 7 for deeper walks
+WALK_CASES = [(n, roots) for n in range(1, 7) for r in range(1, n + 1)
+              for roots in itertools.combinations(range(1, n + 1), r)]
+WALK_CASES += [(7, (2, 6)), (7, (1, 3, 7))]
+
+
 def test_pruned_forest_walk_matches_product_filter():
-    for n in range(1, 7):
-        for r in range(1, n + 1):
-            for roots in itertools.combinations(range(1, n + 1), r):
-                got = list(expanded_walk(n, roots))
-                assert got == list(product_filter_forests(n, roots)), roots
-                forests = [Forest(n, roots, {v: parent[v] for v in range(1, n + 1)
-                                             if v not in roots}, levels)
-                           for parent, _depth, levels in got]
-                assert list(enumerate_forests(n, roots)) == forests, roots
+    for n, roots in WALK_CASES:
+        got = list(expanded_walk(n, roots))
+        assert got == list(product_filter_forests(n, roots)), roots
+        forests = [Forest(n, roots, {v: parent[v] for v in range(1, n + 1)
+                                     if v not in roots}, levels)
+                   for parent, _depth, levels in got]
+        assert list(enumerate_forests(n, roots)) == forests, roots
 
 
 def test_some_root_walk_stands_for_every_root_choice():
@@ -198,27 +202,25 @@ def test_some_root_walk_stands_for_every_root_choice():
     # root choices of its j depth-1 vertices, each group gives its forests,
     # with the depths and levels the walk reports, and together every
     # forest once
-    for n in range(1, 7):
-        for r in range(1, n + 1):
-            for roots in itertools.combinations(range(1, n + 1), r):
-                nonroots = [v for v in range(1, n + 1) if v not in roots]
-                last = nonroots[-1] if nonroots else 0
-                got = []
-                for parent, depth, lvl, _sizes, group in _raw_forests(
-                        n, roots, some_root=True):
-                    levels = levels_of(lvl, n)
-                    assert list(group) == [0] or 0 not in group
-                    for p in group:
-                        expanded = list(parent)
-                        expanded[last] = p
-                        top = [v for v in nonroots if expanded[v] == 0]
-                        assert top == sorted(levels[1] if n > r else ())
-                        for pick in itertools.product(roots, repeat=len(top)):
-                            for v, rt in zip(top, pick):
-                                expanded[v] = rt
-                            got.append((list(expanded), depth[1:], levels))
-                want = list(product_filter_forests(n, roots))
-                assert sorted(got) == sorted(want), roots
+    for n, roots in WALK_CASES:
+        nonroots = [v for v in range(1, n + 1) if v not in roots]
+        last = nonroots[-1] if nonroots else 0
+        got = []
+        for parent, depth, lvl, _sizes, group in _raw_forests(
+                n, roots, some_root=True):
+            levels = levels_of(lvl, n)
+            assert list(group) == [0] or 0 not in group
+            for p in group:
+                expanded = list(parent)
+                expanded[last] = p
+                top = [v for v in nonroots if expanded[v] == 0]
+                assert top == sorted(levels[1] if nonroots else ())
+                for pick in itertools.product(roots, repeat=len(top)):
+                    for v, rt in zip(top, pick):
+                        expanded[v] = rt
+                    got.append((list(expanded), depth[1:], levels))
+        want = list(product_filter_forests(n, roots))
+        assert sorted(got) == sorted(want), roots
 
 
 @pytest.mark.parametrize("variant", ["standard", "reciprocal"])

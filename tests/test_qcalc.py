@@ -54,7 +54,7 @@ def test_qfactorial_needs_no_recursion():
 
 
 def test_pq_binomial_needs_no_recursion():
-    # rows are built bottom-up, so the depth of calls does not grow with n
+    # [n k] is read off a product, so the depth of calls does not grow with n
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
