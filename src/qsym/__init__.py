@@ -18,11 +18,11 @@ _EXPORTS = {
     "qstirling": ("StirlingTriangle qstirling1 qstirling1_triangle qstirling2 "
                   "qstirling2_triangle"),
     "symfunc": ("SymAlphabet SymSeriesBundle complete_from_elementary "
-                "elementary_sequence exp_bundle j_from_specialized_symfunc "
-                "qp_nr_determinant qp_nr_direct transfer_theorem_check"),
+                "elementary_sequence qp_nr_determinant qp_nr_direct "
+                "transfer_theorem_check"),
     "jpoly": "JTable build_jtable j_explicit_composition reciprocal",
-    "report": ("kung_yan_check reciprocal_recurrence_check "
-               "verify_carlitz_identities"),
+    "report": ("exp_rows j_from_scaled_p kung_yan_check scaled_p_nr "
+               "reciprocal_recurrence_check verify_carlitz_identities"),
     "oracles": ("DecreasingRanking EnumerationCapExceeded Forest "
                 "IncreasingRanking Ranking SeededRanking enumerate_forests "
                 "forest_enumerator_poly level_statistic "

@@ -6,8 +6,8 @@ J(n, r) is monic with strictly positive integer coefficients, has constant
 term (n-r)! and degree C(n-1,2) - C(r-1,2), and J(r, r) = 1.  The whole
 triangle is generated row by row from a linear recurrence whose coefficients
 are bracket powers.  An explicit composition sum for n > r, and a route
-through the symmetric-function machinery specialized at e_k = q^C(k,2) / k!
-(in ``symfunc``), produce the same polynomials as mutually checking code paths.
+through p_n^(r) specialized at e_k = q^C(k,2) / k! (in ``report``), give
+the same polynomials as mutually checking code paths.
 The composition sums, of J and of both forms of its reciprocal, are one
 depth-first walk over the compositions that shares each prefix's bracket
 chain among all compositions extending it.

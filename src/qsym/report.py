@@ -6,7 +6,8 @@ Failure is data, not an exception: callers inspect .passed and
 The q-Stirling, J and oracle batteries live here, apart from the objects
 they check, so only verify compiles them; each imports its layers as it
 runs.  The J and oracle batteries are handed the J table and run to its
-n_max.  The symmetric-function batteries stay in symfunc.
+n_max.  The J route through the exponential specialization is here too, on
+k!-scaled rows in Z[q]; the symmetric-function batteries stay in symfunc.
 
 verify_suite is the one plan of the verify suites: which batteries each
 runs and in what order, their size caps, the one J table, and which
@@ -18,13 +19,15 @@ from __future__ import annotations
 import marshal
 import os
 import signal
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from math import comb
+from operator import add, mul
 
 from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, Frozen,
                         InexactDivisionError, UniPoly, one, powers, q,
                         set_field, zero)
-from .qcalc import alternating_binomial_sum, qbracket, triangle_rows
+from .qcalc import (alternating_binomial_sum, qbracket, qbracket_power_base,
+                    triangle_rows)
 
 
 class CheckRecord(Frozen):
@@ -320,14 +323,105 @@ def extended_recurrence_check(table) -> CheckReport:
     return report
 
 
+# ---------------------------------------------------------------------------
+# the exponential specialization e_k = q^C(k,2) / k!, a route to J(n, r), on
+# rows scaled by k!: a_k = k! e_k = q^C(k,2) and b_k = k! h_k lie in Z[q]
+
+
+def _shifted_sum(terms) -> list:
+    """sum of c q^s f over the (c, s, f) in terms, f an int coefficient
+    list; the sum's trailing zeros are stripped."""
+    total = []
+    for c, s, f in terms:
+        end = s + len(f)
+        total.extend(repeat(0, end - len(total)))
+        total[s:end] = map(add, total[s:end], map(mul, f, repeat(c)))
+    while total and not total[-1]:
+        total.pop()
+    return total
+
+
+def exp_rows(order: int) -> list:
+    """b_0..b_order: b_0 = 1, b_n = sum over k = 1..n of (-1)^(k+1) C(n, k)
+    a_k b_(n-k), E(-t) H(t) = 1 scaled by n!; a smaller order's are a prefix."""
+    b = [[1]]
+    for n in range(1, order + 1):
+        b.append(_shifted_sum(((-1) ** (k + 1) * comb(n, k), comb(k, 2), b[n - k])
+                              for k in range(1, n + 1)))
+    return b
+
+
+def scaled_p_nr(b, n: int, r: int) -> list:
+    """n! p_n^(r), n < len(b): symfunc.p_nr_series scaled by n!, the sum over
+    k = 0..n-r of (-1)^k C(r+k, r) C(n, r+k) a_(r+k) b_(n-r-k)."""
+    return _shifted_sum(((-1) ** k * comb(r + k, r) * comb(n, r + k),
+                         comb(r + k, 2), b[n - r - k]) for k in range(n - r + 1))
+
+
+def j_from_scaled_p(c, n: int, r: int) -> UniPoly:
+    """J(n, r) = c / (C(n, r) q^C(r,2) (1-q)^(n-r)), c being n! p_n^(r):
+    coefficientwise by C(n, r), a shift past C(r, 2) zeros, and n - r
+    running sums, each undoing a factor 1 - q.  A remainder raises
+    InexactDivisionError: the claimed divisibility is checked too."""
+    if not (n >= r >= 1):
+        raise ValueError("need n >= r >= 1")
+    d, s = comb(n, r), comb(r, 2)
+    if any(c[:s]) or any(x % d for x in c):
+        raise InexactDivisionError(f"{d} q^{s} does not divide {n}! p_{n}^({r})")
+    c = [x // d for x in c[s:]]
+    for i in range(n - r):
+        c = list(accumulate(c))
+        if any(c[-1:]):
+            raise InexactDivisionError(f"(1-q)^{i + 1} does not divide {n}! p_{n}^({r})")
+        del c[-1:]
+    return UniPoly(c)
+
+
+def exp_shift_check(order: int) -> CheckReport:
+    """The r-th derivative of sum a_k t^k / k! is q^C(r,2) times the series
+    at q^r t, r = 1..order.  A derivative shifts the row, so this is a_(m+r)
+    = q^(C(r,2) + rm) a_m, the bookkeeping C(m+r,2) = C(m,2) + C(r,2) + mr."""
+    report = CheckReport()
+    a = [[0] * comb(k, 2) + [1] for k in range(order + 1)]
+    for r in range(1, order + 1):
+        report.check("exp-derivative-shift",
+                     all(a[m + r] == [0] * (comb(r, 2) + r * m) + a[m]
+                         for m in range(order - r + 1)),
+                     r=r, detail=lambda: f"order={order}")
+    return report
+
+
+def specialization_bracket_shift_check(n_max: int) -> CheckReport:
+    """p_n^(r) collapses to a scaled r = 1 analog with brackets in base q^r:
+    n! p_n^(r) = (1 - q^r) q^C(r,2) C(n, r) P_(n-r), P_m being m! times the
+    Hessenberg determinant of symfunc.pn_bracket_determinant in base q^r.
+    Along its last row, P_k = (-1)^(k-1) [k]_(q^r) a_k + sum over i < k of
+    (-1)^(i-1) C(k, i) a_i P_(k-i): the a's alone, no b."""
+    report = CheckReport()
+    b, bracket_p = exp_rows(n_max), {}
+    for r in range(1, n_max):
+        P = bracket_p[r] = [None]           # P_0 is never read
+        for k in range(1, n_max - r + 1):
+            P.append(_shifted_sum(
+                [((-1) ** (k - 1), comb(k, 2), qbracket_power_base(k, r).coeffs)]
+                + [((-1) ** (i - 1) * comb(k, i), comb(i, 2), P[k - i])
+                   for i in range(1, k)]))
+    for n in range(2, n_max + 1):
+        for r in range(1, n):
+            lhs, P, s = scaled_p_nr(b, n, r), bracket_p[r][n - r], comb(r, 2)
+            rhs = _shifted_sum(((comb(n, r), s, P), (-comb(n, r), s + r, P)))
+            report.check("specialization-bracket-shift", lhs == rhs, n=n, r=r,
+                         detail=lambda: f"lhs={UniPoly(lhs)} rhs={UniPoly(rhs)}")
+    return report
+
+
 def cross_formula_check(table) -> CheckReport:
     """The table against the composition formula (for n > r) and against
-    the symmetric-function specialization."""
+    the exponential specialization."""
     from .jpoly import j_explicit_composition
-    from .symfunc import exp_bundle, j_from_specialized_symfunc
     report = CheckReport()
     n_max = table.n_max
-    bundle = exp_bundle(n_max)
+    b = exp_rows(n_max)
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
             expected = table.entry(n, r)
@@ -335,7 +429,8 @@ def cross_formula_check(table) -> CheckReport:
                 report.check("table-vs-composition-formula",
                              j_explicit_composition(n, r) == expected, n=n, r=r)
             try:
-                ok, detail = j_from_specialized_symfunc(bundle, n, r) == expected, ""
+                ok, detail = (j_from_scaled_p(scaled_p_nr(b, n, r), n, r)
+                              == expected, "")
             except InexactDivisionError as exc:     # the claimed divisibility fails
                 ok, detail = False, str(exc)
             report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
@@ -465,7 +560,6 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
         return symfunc_suite_report(min(n_max, SYMFUNC_N_MAX))
 
     def shifts_and_recurrences():
-        from .symfunc import exp_shift_check, specialization_bracket_shift_check
         report = kung_yan_check(table)
         report.merge(exp_shift_check(n_max))
         report.merge(specialization_bracket_shift_check(

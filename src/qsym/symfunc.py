@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial
+from math import comb
 
 from .exactpoly import Frozen, UniPoly, one, powers, q, set_field, zero
-from .pqalgebra import BiPoly, TruncSeries, det_hessenberg, exact_div, pq_binomial
-from .qcalc import (alternating_binomial_sum, qbinomial, qbracket,
-                    qbracket_power_base, qfactorial, triangle_rows)
+from .pqalgebra import BiPoly, TruncSeries, det_hessenberg, pq_binomial
+from .qcalc import (alternating_binomial_sum, qbinomial, qbracket, qfactorial,
+                    triangle_rows)
 from .report import CheckReport
 
 # Largest sizes of the r = 1 determinant and two-parameter batteries in the
@@ -187,12 +187,9 @@ def qp_nr_determinant(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     return _determinant(bundle.e, n, r, qbinomial)
 
 
-def pn_bracket_determinant(e, n: int, power_base: int = 1) -> UniPoly:
-    """The r = 1 q-analog from the determinant whose first column is [k] e_k.
-
-    With power_base = s the brackets are [k] in base q^s.
-    """
-    return _determinant(e, n, 1, lambda k, _r: qbracket_power_base(k, power_base))
+def pn_bracket_determinant(e, n: int) -> UniPoly:
+    """The r = 1 q-analog from the determinant whose first column is [k] e_k."""
+    return _determinant(e, n, 1, lambda k, _r: qbracket(k))
 
 
 def en_factorial_determinant(p_list, n: int) -> UniPoly:
@@ -205,77 +202,6 @@ def en_factorial_determinant(p_list, n: int) -> UniPoly:
         raise ValueError("need n >= 1")
     return det_hessenberg(p_list[1:n + 1], p_list,
                           [qbracket(i + 1) for i in range(n)])
-
-
-# ---------------------------------------------------------------------------
-# the exponential specialization e_k = q^C(k,2) / k!, a route to J(n, r)
-
-
-def exp_series(order: int) -> TruncSeries:
-    """The q-deformed exponential sum q^C(k,2) t^k / k!, truncated; its
-    coefficients are the elementary values of the specialization."""
-    return TruncSeries(UniPoly.monomial(comb(k, 2), Fraction(1, factorial(k)))
-                       for k in range(order + 1))
-
-
-def exp_shift_check(order: int) -> CheckReport:
-    """Ordinary r-th derivative of the deformed exponential equals
-    q^C(r,2) times the same series evaluated at q^r t, coefficientwise,
-    for r = 1..order.
-
-    Equivalent to the exponent bookkeeping C(m+r,2) = C(m,2) + C(r,2) + mr.
-    """
-    report = CheckReport()
-    lhs = exp_series(order)
-    for r in range(1, order + 1):
-        lhs = lhs.derivative()
-        rhs = tuple(UniPoly.monomial(comb(r, 2) + comb(m, 2) + m * r,
-                                     Fraction(1, factorial(m)))
-                    for m in range(order - r + 1))
-        report.check("exp-derivative-shift", lhs.coeffs == rhs, r=r,
-                     detail=lambda: f"order={order}")
-    return report
-
-
-def exp_bundle(order: int) -> SymSeriesBundle:
-    """The e and h rows of the exponential specialization up to order.  The
-    rows of a smaller order are their prefixes, so one bundle at the top
-    order serves every n up to it."""
-    return SymSeriesBundle.from_elementary(exp_series(order).coeffs)
-
-
-def j_from_specialized_symfunc(bundle, n: int, r: int) -> UniPoly:
-    """Extract J(n, r) from the classical p_n^(r) of the exponential
-    specialization, bundle being exp_bundle of order at least n.
-
-    p_n^(r) there equals (1-q)^(n-r) q^C(r,2) / (r! (n-r)!) times J(n, r);
-    both divisions are exact polynomial divisions and a nonzero remainder
-    raises, which is itself a check of the claimed divisibility.
-    """
-    if not (n >= r >= 1):
-        raise ValueError("need n >= r >= 1")
-    p = p_nr_series(bundle, n, r)
-    scaled = p * (factorial(r) * factorial(n - r))
-    no_shift = exact_div(scaled, UniPoly.monomial(comb(r, 2)))
-    return exact_div(no_shift, (one - q) ** (n - r))
-
-
-def specialization_bracket_shift_check(n_max: int) -> CheckReport:
-    """Under the exponential specialization, p_n^(r) collapses to a scaled
-    r = 1 analog in bracket base q^r:
-    p_n^(r) = (1 - q^r) / r! * q^C(r,2) * [p_(n-r)] with brackets in base q^r.
-    """
-    report = CheckReport()
-    bundle = exp_bundle(n_max)
-    for n in range(2, n_max + 1):
-        for r in range(1, n):
-            lhs = p_nr_series(bundle, n, r)
-            bracket_pn = pn_bracket_determinant(bundle.e, n - r, power_base=r)
-            rhs = (bracket_pn * (one - UniPoly.monomial(r))
-                   * UniPoly.monomial(comb(r, 2), Fraction(1, factorial(r))))
-            report.check("specialization-bracket-shift", lhs == rhs,
-                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
-    return report
 
 
 # ---------------------------------------------------------------------------

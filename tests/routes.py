@@ -9,10 +9,12 @@ prefix of the first m - 1 values, each sorted on its own, and the literal
 parking condition that both parking walks are tested against.  Cofactor
 expansion, the reference for det_hessenberg, and the q-derivative of a
 truncated series, the operator of the generating-series identity.  Test
-helpers no battery reads: one elementary value, one classical p_n^(r), and
-the principal alphabet x_i = q^(i-1)."""
+helpers no battery reads: one elementary value, one classical p_n^(r), the
+principal alphabet x_i = q^(i-1), and the exponential specialization's
+elementary values e_k = q^C(k,2) / k! as Fractions, with their bundle."""
 
 import itertools
+from fractions import Fraction
 from math import comb, factorial
 from operator import sub
 
@@ -20,7 +22,8 @@ from qsym.exactpoly import UniPoly, one, zero
 from qsym.oracles import sigma_statistic
 from qsym.pqalgebra import TruncSeries, det_hessenberg
 from qsym.qcalc import qbinomial, qbracket, qfactorial
-from qsym.symfunc import SymAlphabet, elementary_sequence, p_nr_row
+from qsym.symfunc import (SymAlphabet, SymSeriesBundle, elementary_sequence,
+                          p_nr_row)
 
 
 def dense_jtable(n_max: int) -> dict:
@@ -177,6 +180,19 @@ def monomial_sum_by_permutations(values, n: int, r: int) -> UniPoly:
 def principal(n: int) -> SymAlphabet:
     """x_i = q^(i-1), exercising polynomial coefficients."""
     return SymAlphabet(tuple(UniPoly.monomial(i) for i in range(n)))
+
+
+def exp_elementary(order: int) -> list:
+    """e_0..e_order of the exponential specialization, e_k = q^C(k,2) / k!,
+    each coefficient a Fraction."""
+    return [UniPoly.monomial(comb(k, 2), Fraction(1, factorial(k)))
+            for k in range(order + 1)]
+
+
+def exp_bundle(order: int) -> SymSeriesBundle:
+    """The e and h rows of the exponential specialization over the
+    rationals, h by inverting the series E(-t)."""
+    return SymSeriesBundle.from_elementary(exp_elementary(order))
 
 
 def elementary(alphabet: SymAlphabet, n: int) -> UniPoly:

@@ -16,14 +16,14 @@ from qsym.jpoly import build_jtable, j_explicit_composition, reciprocal
 from qsym.oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
                           forest_enumerator_polys, parking_candidates,
                           parking_enumerator_poly)
-from qsym.report import (kung_yan_check, reciprocal_recurrence_check,
+from qsym.report import (exp_rows, exp_shift_check, j_from_scaled_p,
+                         kung_yan_check, reciprocal_recurrence_check,
+                         scaled_p_nr, specialization_bracket_shift_check,
                          verify_carlitz_identities, verify_conjugated_inverse,
                          verify_triangle_inverse)
 from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
                           classical_pn_determinants_check, default_alphabets,
-                          determinant_vs_convolution_check, exp_bundle,
-                          exp_shift_check, j_from_specialized_symfunc,
-                          pq_transfer_check, specialization_bracket_shift_check,
+                          determinant_vs_convolution_check, pq_transfer_check,
                           transfer_theorem_check)
 
 from polytext import parse_poly_text
@@ -84,13 +84,13 @@ def test_criterion_02_cross_formula_equivalence():
     with criterion(2, "recurrence, composition sum (n > r) and the "
                       "specialization route agree for n <= 9", 10.0):
         table = build_jtable(9)
-        bundle = exp_bundle(9)
+        b = exp_rows(9)
         for n in range(1, 10):
             for r in range(1, n + 1):
                 expected = table.entry(n, r)
                 if n > r:
                     assert j_explicit_composition(n, r) == expected, (n, r)
-                assert (j_from_specialized_symfunc(bundle, n, r)
+                assert (j_from_scaled_p(scaled_p_nr(b, n, r), n, r)
                         == expected), (n, r)
 
 

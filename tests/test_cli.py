@@ -708,10 +708,10 @@ def test_closed_stdout_exits_141_in_a_process():
 
 
 def test_inexact_division_is_a_fail_record(monkeypatch):
-    def inexact(bundle, n, r):
+    def inexact(c, n, r):
         raise InexactDivisionError(f"J({n}, {r}) left a remainder")
 
-    monkeypatch.setattr("qsym.symfunc.j_from_specialized_symfunc", inexact)
+    monkeypatch.setattr("qsym.report.j_from_scaled_p", inexact)
     code, text = run("verify", "jpoly", "--n-max", "3")
     assert code == 1
     lines = text.splitlines()

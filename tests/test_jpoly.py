@@ -5,19 +5,19 @@ from math import comb, factorial
 
 import pytest
 
-from qsym.exactpoly import UniPoly, one, q, zero
+from qsym.exactpoly import InexactDivisionError, UniPoly, one, q, zero
 from qsym.qcalc import qbracket
 from qsym.jpoly import (JTable, build_jtable, composition_sum,
                         j_explicit_composition, jtable_csv_rows, jtable_latex,
                         reciprocal)
-from qsym.report import (cross_formula_check, extended_recurrence_check,
+from qsym.report import (cross_formula_check, exp_rows, exp_shift_check,
+                         extended_recurrence_check, j_from_scaled_p,
                          kung_yan_check, reciprocal_composition_forms,
                          reciprocal_explicit_check,
-                         reciprocal_recurrence_check)
-from qsym.symfunc import (exp_bundle, exp_series, exp_shift_check,
-                          j_from_specialized_symfunc, p_nr_series)
+                         reciprocal_recurrence_check, scaled_p_nr)
+from qsym.symfunc import p_nr_series
 from routes import (COMPOSITION_EXPONENTS, compositions, dense_composition_sum,
-                    dense_jtable, multinomial, p_nr_determinant)
+                    dense_jtable, exp_bundle, multinomial, p_nr_determinant)
 
 
 def P(*coeffs):
@@ -114,24 +114,82 @@ def test_explicit_composition_values():
         j_explicit_composition(3, 3)
 
 
+def j_from_specialization(b, n, r):
+    return j_from_scaled_p(scaled_p_nr(b, n, r), n, r)
+
+
 def test_four_routes_agree():
     table = build_jtable(7)
-    bundle = exp_bundle(7)
+    b = exp_rows(7)
     for n in range(1, 8):
         for r in range(1, n + 1):
             expected = table.entry(n, r)
             if n > r:
                 assert j_explicit_composition(n, r) == expected
-            assert j_from_specialized_symfunc(bundle, n, r) == expected
+            assert j_from_specialization(b, n, r) == expected
 
 
-def test_from_specialized_symfunc_small():
-    # a bundle of the entry's own order and one of a larger order agree
+def test_from_specialization_small():
+    # rows of the entry's own order and of a larger order agree
     for order in (6, 9):
-        bundle = exp_bundle(order)
-        assert j_from_specialized_symfunc(bundle, 3, 3) == one
-        assert j_from_specialized_symfunc(bundle, 4, 2) == GOLDEN[(4, 2)]
-        assert j_from_specialized_symfunc(bundle, 6, 2) == J62
+        b = exp_rows(order)
+        assert j_from_specialization(b, 3, 3) == one
+        assert j_from_specialization(b, 4, 2) == GOLDEN[(4, 2)]
+        assert j_from_specialization(b, 6, 2) == J62
+
+
+def test_exp_rows_are_the_scaled_complete_values():
+    # b_k = k! h_k, h from inverting the Fraction series of e_k = q^C(k,2)/k!
+    bundle = exp_bundle(9)
+    b = exp_rows(9)
+    assert [UniPoly(row) for row in b[:4]] == [one, one, P(2, -1), P(6, -6, 0, 1)]
+    for k in range(10):
+        assert bundle.h[k] * factorial(k) == UniPoly(b[k]), k
+        assert all(type(c) is int for c in b[k])
+    assert exp_rows(5) == b[:6]
+
+
+def test_scaled_p_is_the_scaled_convolution():
+    bundle = exp_bundle(9)
+    b = exp_rows(9)
+    for n in range(1, 10):
+        for r in range(1, n + 1):
+            assert (p_nr_series(bundle, n, r) * factorial(n)
+                    == UniPoly(scaled_p_nr(b, n, r))), (n, r)
+
+
+def test_specialization_fails_at_the_moved_unit_only():
+    # one unit moved between two coefficients of J(6, 3) keeps its value
+    # at q = 1, yet the specialization route flags exactly that entry
+    table = build_jtable(7)
+    rows = {n: {r: table.entry(n, r) for r in range(1, n + 1)}
+            for n in range(1, 8)}
+    c = list(rows[6][3].coeffs)
+    c[1], c[2] = c[1] + 1, c[2] - 1
+    rows[6][3] = UniPoly(c)
+    assert rows[6][3].evaluate(1) == table.entry(6, 3).evaluate(1)
+    report = cross_formula_check(JTable(7, rows))
+    failed = [(rec.params["n"], rec.params["r"]) for rec in report.records
+              if rec.identity == "table-vs-specialization"
+              and rec.status == "fail"]
+    assert failed == [(6, 3)]
+
+
+def test_inexact_specialization_division_raises():
+    # J(3, 1) = 2 + q, so 3! p_3^(1) = C(3,1) (1-q)^2 (2 + q)
+    good = (3 * (one - q) ** 2 * P(2, 1)).coeffs
+    assert j_from_scaled_p(list(good), 3, 1) == P(2, 1)
+    not_by_binomial = [good[0] + 1] + list(good[1:])       # 7 is not 0 mod 3
+    not_by_one_minus_q = [good[0] + 3] + list(good[1:])    # value 3 at q = 1
+    for row in (not_by_binomial, not_by_one_minus_q):
+        with pytest.raises(InexactDivisionError):
+            j_from_scaled_p(row, 3, 1)
+    # a term below q^C(r,2) is not divisible by the shift
+    with pytest.raises(InexactDivisionError):
+        j_from_scaled_p([1, 0, 0, 1], 3, 3)
+    assert j_from_scaled_p([0, 0, 0, 1], 3, 3) == one
+    with pytest.raises(ValueError):
+        j_from_scaled_p([1], 2, 3)
 
 
 def test_specialized_bundle_determinant_route():
@@ -232,13 +290,6 @@ def test_table_at_one_matches_closed_form():
         for r in range(1, n + 1):
             count = 1 if r == n else r * n ** (n - r - 1)
             assert table.entry(n, r).evaluate(Fraction(1)) == count
-
-
-def test_exp_series_coefficients():
-    E = exp_series(5)
-    assert E.coeff(0) == one
-    assert E.coeff(3) == UniPoly.monomial(3, Fraction(1, 6))
-    assert E.coeff(5) == UniPoly.monomial(10, Fraction(1, 120))
 
 
 def test_exp_shift_check():

@@ -2,10 +2,11 @@
 
 Each command imports only the modules it uses, no module imports
 ``dataclasses`` (and with it ``inspect``), a command whose output holds no
-JSON does not load ``json``, no query, export or jtable loads ``fractions``,
-and ``import qsym`` still offers every public name of the package, resolved
-on first access.  Run as a program, the CLI freezes the collector's objects
-as it ends, so the collection at interpreter exit passes them by.
+JSON does not load ``json``, no query, export, jtable or verify of
+qstirling, jpoly or oracles loads ``fractions``, and ``import qsym`` still
+offers every public name of the package, resolved on first access.  Run as
+a program, the CLI freezes the collector's objects as it ends, so the
+collection at interpreter exit passes them by.
 """
 
 import gc
@@ -56,8 +57,9 @@ def loaded_modules(*argv) -> set:
 # writes_json: the output holds JSON, so the command may load json; plain
 # output and CSV exports (their cells are compact JSON arrays, written
 # without the json module) must not.  No query, export or jtable loads the
-# batteries (qsym.report), the verification algebra (qsym.pqalgebra) or
-# fractions and decimal; verify loads what its battery needs.
+# batteries (qsym.report) or the verification algebra (qsym.pqalgebra);
+# verify loads what its battery needs.  None of these commands loads
+# fractions or decimal: the J specialization runs on int rows.
 @pytest.mark.parametrize("argv, expected, writes_json", [
     (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
      False),
@@ -71,8 +73,7 @@ def loaded_modules(*argv) -> set:
     (("jtable", "--n-max", "5"), JTABLE, False),
     (("verify", "qstirling", "--n-max", "3"), STIRLING | {"qsym.report"},
      False),
-    (("verify", "jpoly", "--n-max", "3"),
-     JTABLE | {"qsym.qcalc", "qsym.report", "qsym.symfunc", "qsym.pqalgebra"},
+    (("verify", "jpoly", "--n-max", "3"), JTABLE | {"qsym.qcalc", "qsym.report"},
      False),
     (("verify", "oracles", "--n-max", "3"),
      JTABLE | ORACLES | {"qsym.qcalc", "qsym.report"}, False),
@@ -86,8 +87,7 @@ def test_each_command_loads_only_its_modules(argv, expected, writes_json):
     assert {m for m in modules if m.split(".")[0] == "qsym"} == expected
     if not writes_json:
         assert "json" not in modules
-    if argv[0] != "verify":
-        assert "fractions" not in modules and "decimal" not in modules
+    assert "fractions" not in modules and "decimal" not in modules
 
 
 # Run main() as the program does, on argv[1:], and at exit print the
@@ -135,11 +135,11 @@ PUBLIC = {
     "qstirling": ["StirlingTriangle", "qstirling1", "qstirling1_triangle",
                   "qstirling2", "qstirling2_triangle"],
     "symfunc": ["SymAlphabet", "SymSeriesBundle",
-                "complete_from_elementary", "elementary_sequence", "exp_bundle",
-                "j_from_specialized_symfunc", "qp_nr_determinant",
-                "qp_nr_direct", "transfer_theorem_check"],
+                "complete_from_elementary", "elementary_sequence",
+                "qp_nr_determinant", "qp_nr_direct", "transfer_theorem_check"],
     "jpoly": ["JTable", "build_jtable", "j_explicit_composition", "reciprocal"],
-    "report": ["kung_yan_check", "reciprocal_recurrence_check",
+    "report": ["exp_rows", "j_from_scaled_p", "kung_yan_check",
+               "reciprocal_recurrence_check", "scaled_p_nr",
                "verify_carlitz_identities"],
     "oracles": ["DecreasingRanking", "EnumerationCapExceeded", "Forest",
                 "IncreasingRanking", "Ranking", "SeededRanking",

@@ -241,5 +241,5 @@ def test_determinant_vs_convolution_check_report():
 def test_specialization_bracket_shift():
     # with the deformed-exponential elementary values, p_n^(r) collapses to a
     # scaled r = 1 analog with brackets in base q^r
-    from qsym.symfunc import specialization_bracket_shift_check
+    from qsym.report import specialization_bracket_shift_check
     assert specialization_bracket_shift_check(7).passed
