@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 from itertools import accumulate, islice, repeat
 from math import comb
 from operator import add, mul
 
-from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, Frozen,
-                        InexactDivisionError, UniPoly, one, powers, q,
-                        set_field, zero)
+from .exactpoly import (EnumerationCapExceeded, Frozen, InexactDivisionError,
+                        UniPoly, one, powers, q, set_field, zero)
 from .qcalc import (alternating_binomial_sum, qbracket, qbracket_power_base,
                     triangle_rows)
 
@@ -92,9 +90,15 @@ class CheckReport:
         return None
 
     def to_json(self) -> str:
+        """The records as one compact JSON array, encoded 64 records at a
+        time: the encoder's pieces of a whole report would outweigh the
+        text, and set the peak memory of a verify call."""
         import json
-        return json.dumps([r.to_json_dict() for r in self.records],
-                          separators=(",", ":"))
+        records = self.records
+        return "[" + ",".join(
+            json.dumps([r.to_json_dict() for r in records[i:i + 64]],
+                       separators=(",", ":"))[1:-1]
+            for i in range(0, len(records), 64)) + "]"
 
     def summary_lines(self):
         """One line per identity: ok/FAIL/skip, the identity, and passed out of
@@ -155,40 +159,43 @@ def _fork_battery(battery):
     return pid, os.fdopen(rfd, "rb")
 
 
-def run_batteries(batteries) -> CheckReport:
+def run_batteries(batteries, forked: int = -1) -> CheckReport:
     """Merge the reports of the batteries (functions of no arguments), in
     order.
 
-    Where there are at least two and _spare_cpu allows, the last battery
-    runs in a forked child while this process runs the others, and its
-    records are merged last, as if it had run here; so the report is the
-    same either way; verify_suite's docstring says which battery that is.
-    A fault in the child raises ChildProcessError here.  If a battery here
-    raises first, the child is killed and reaped before the exception
+    Where there are at least two and _spare_cpu allows, batteries[forked]
+    runs in a forked child while this process runs the others, in order;
+    the child's records are merged in that battery's place, so the report is
+    the same either way.  verify_suite's docstring says which battery that
+    is.  A fault in the child raises ChildProcessError here.  If a battery
+    here raises first, the child is killed and reaped before the exception
     leaves.  Fork only from a process with one thread, as the CLI is.
     """
-    report = CheckReport()
     if len(batteries) < 2 or not _spare_cpu():
-        for battery in batteries:
-            report.merge(battery())
-        return report
-    *here, last = batteries
-    pid, pipe = _fork_battery(last)
-    try:
-        for battery in here:
-            report.merge(battery())
-        data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise ChildProcessError(f"the forked battery exited with status "
-                                f"{os.waitstatus_to_exitcode(status)}")
-    return report.merge(CheckReport(CheckRecord(*row)
-                                    for row in marshal.loads(data)))
+        reports = [battery() for battery in batteries]
+    else:
+        forked %= len(batteries)
+        pid, pipe = _fork_battery(batteries[forked])
+        try:
+            reports = [None if i == forked else battery()
+                       for i, battery in enumerate(batteries)]
+            data = pipe.read()
+        except BaseException:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise ChildProcessError(f"the forked battery exited with status "
+                                    f"{os.waitstatus_to_exitcode(status)}")
+        reports[forked] = CheckReport(CheckRecord(*row)
+                                      for row in marshal.loads(data))
+    report = CheckReport()
+    for part in reports:
+        report.merge(part)
+    return report
 
 
 def verify_carlitz_identities(n_max: int) -> CheckReport:
@@ -471,48 +478,52 @@ def reciprocal_explicit_check(table) -> CheckReport:
     return report
 
 
-def oracle_suite_report(table, seed: int = 0,
-                        cap: int = DEFAULT_CAP) -> CheckReport:
-    """Forest and parking enumerators against the closed-form table.
+def forest_oracle_check(table, shapes, seed: int, cap: int) -> CheckReport:
+    """Forest enumerators of the shapes (n, r), in order, against the
+    closed-form table and its reciprocals.
 
-    Every (n, r) with 1 <= r < n <= table.n_max whose forest count fits the
-    cap is enumerated; rankings are the increasing, the decreasing, and
-    three seeded ones (seeds seed, seed+1, seed+2).  Root sets are varied
-    with n to exercise label independence.  An (n, r) whose forest or
-    parking count exceeds the cap is recorded as skipped, not passed.
+    Rankings are the increasing, the decreasing, and three seeded ones
+    (seeds seed, seed+1, seed+2).  Root sets are varied with n to exercise
+    label independence.  A shape whose forest count exceeds the cap is
+    recorded as skipped, not passed.
     """
     from .jpoly import reciprocal
     from .oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
-                          _forest_enumerators, parking_enumerator_poly)
+                          _forest_enumerators)
     report = CheckReport()
     seeds = [seed, seed + 1, seed + 2]
     rankings = [IncreasingRanking(), DecreasingRanking()] + \
         [SeededRanking(s) for s in seeds]
     ranking_names = ["increasing", "decreasing"] + [f"seeded:{s}" for s in seeds]
-    report.add_pass("ranking-seeds", seeds=",".join(str(s) for s in seeds))
+    for n, r in shapes:
+        # rotate the root labels so independence from the label choice
+        # is exercised across the suite
+        roots = tuple(((r + i + n - 2) % n) + 1 for i in range(r))
+        try:
+            std, rec = _forest_enumerators(n, roots, rankings,
+                                           ("standard", "reciprocal"), cap)
+        except EnumerationCapExceeded:
+            report.add_skip("forest-oracle-skipped-by-cap", n=n, r=r)
+            continue
+        for identity, polys, expected in (
+                ("forest-level-enumerator", std, table.entry(n, r)),
+                ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
+            for name, poly in zip(ranking_names, polys):
+                report.check(identity, poly == expected,
+                             detail=lambda: f"got={poly} expected={expected}",
+                             n=n, r=r, ranking=name)
+        count = std[0].evaluate(1)
+        report.check("forest-count", count == r * n ** (n - r - 1),
+                     detail=lambda: f"got={count}", n=n, r=r)
+    return report
 
-    for n in range(2, table.n_max + 1):
-        for r in range(1, n):
-            # rotate the root labels so independence from the label choice
-            # is exercised across the suite
-            roots = tuple(((r + i + n - 2) % n) + 1 for i in range(r))
-            try:
-                std, rec = _forest_enumerators(n, roots, rankings,
-                                               ("standard", "reciprocal"), cap)
-            except EnumerationCapExceeded:
-                report.add_skip("forest-oracle-skipped-by-cap", n=n, r=r)
-                continue
-            for identity, polys, expected in (
-                    ("forest-level-enumerator", std, table.entry(n, r)),
-                    ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
-                for name, poly in zip(ranking_names, polys):
-                    report.check(identity, poly == expected,
-                                 detail=lambda: f"got={poly} expected={expected}",
-                                 n=n, r=r, ranking=name)
-            count = std[0].evaluate(1)
-            report.check("forest-count", count == r * n ** (n - r - 1),
-                         detail=lambda: f"got={count}", n=n, r=r)
 
+def parking_oracle_check(table, cap: int) -> CheckReport:
+    """The parking enumerator of every (m, r), m + r <= table.n_max, against
+    the reciprocal table; a count past the cap is recorded as skipped."""
+    from .jpoly import reciprocal
+    from .oracles import parking_enumerator_poly
+    report = CheckReport()
     for n in range(1, table.n_max + 1):
         for r in range(1, n + 1):
             m = n - r
@@ -525,9 +536,38 @@ def oracle_suite_report(table, seed: int = 0,
             report.check("parking-sum-enumerator", got == expected,
                          detail=lambda: f"got={got} expected={expected}",
                          m=m, r=r)
-
-    report.merge(reciprocal_explicit_check(table))
     return report
+
+
+def oracle_batteries(table, seed: int, cap: int) -> list:
+    """The oracle battery, forest and parking enumerators against the
+    closed-form table, as a list of batteries whose reports, merged in
+    order, are its records: a ranking-seeds record, then forest_oracle_check
+    of every shape 1 <= r < n <= table.n_max, row by row, then
+    parking_oracle_check and reciprocal_explicit_check.
+
+    Where there is a forest shape, the list is cut at the largest one, (n, 1)
+    with n = table.n_max, into three: the ranking-seeds record and the
+    shapes before it | that walk alone | the shapes after it, the parking
+    oracle and the composition forms.  Otherwise it is one battery.
+    """
+    shapes = [(n, r) for n in range(2, table.n_max + 1) for r in range(1, n)]
+    cut = shapes.index((table.n_max, 1)) if shapes else 0
+
+    def head():
+        report = CheckReport()
+        report.add_pass("ranking-seeds", seeds=f"{seed},{seed + 1},{seed + 2}")
+        return report.merge(forest_oracle_check(table, shapes[:cut], seed, cap))
+
+    def tail():
+        report = forest_oracle_check(table, shapes[cut + 1:], seed, cap)
+        report.merge(parking_oracle_check(table, cap))
+        return report.merge(reciprocal_explicit_check(table))
+
+    if not shapes:
+        return [lambda: head().merge(tail())]
+    return [head, lambda: forest_oracle_check(table, shapes[cut:cut + 1], seed,
+                                              cap), tail]
 
 
 CONJUGATION_N_MAX = 8       # the scaled-triangle inverse check
@@ -541,15 +581,19 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
     four in order) to n_max, but symfunc to SYMFUNC_N_MAX at most and,
     under all, the oracle battery to ORACLE_N_MAX; seed and cap go to it.
 
-    A suite is a list of batteries in record order, two of about equal time
-    for qstirling and jpoly, and run_batteries runs the last in a forked
-    child where there are two or more: qstirling: the Carlitz expansions |
-    the inverse and conjugated inverse checks; jpoly: the cross formulas
-    and the reciprocal's row recurrence | its column recurrence, both
-    specialization shifts and the extended recurrence; all: the rest | the
-    oracle battery.  symfunc and oracles fork nothing.  The J table is
-    built once, before the fork.  Each battery imports its layers, and
-    looks up its checks in this module, as it runs.
+    A suite is a list of batteries in record order, and run_batteries runs
+    one of them in a forked child where there are two or more:
+    qstirling: the Carlitz expansions | the inverse and conjugated inverse
+    checks (forked); jpoly: the cross formulas and the reciprocal's row
+    recurrence | its column recurrence, both specialization shifts and the
+    extended recurrence (forked); oracles: oracle_batteries, cut at the
+    largest forest shape (n, 1), whose walk alone is forked; all: the
+    batteries of the other four, the (n, 1) walk forked, n =
+    min(n_max, ORACLE_N_MAX).  Where the oracle battery has no forest shape
+    (n_max 1) it is one battery: all forks its last battery, and symfunc
+    and oracles fork nothing.  The J table is built once, before the fork.
+    Each battery imports its layers, and looks up its checks in this
+    module, as it runs.
     """
     if suite in ("jpoly", "oracles", "all"):
         from .jpoly import build_jtable
@@ -572,9 +616,12 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
             ("symfunc", symfunc_battery),
             ("jpoly", lambda: cross_formula_check(table).merge(
                 reciprocal_recurrence_check(table))),
-            ("jpoly", shifts_and_recurrences),
-            ("oracles", lambda: oracle_suite_report(
-                table.head(ORACLE_N_MAX) if suite == "all" else table,
-                seed=seed, cap=cap))]
-    return run_batteries([battery for name, battery in plan
-                          if suite in (name, "all")])
+            ("jpoly", shifts_and_recurrences)]
+    oracles = []
+    if suite in ("oracles", "all"):
+        oracles = oracle_batteries(
+            table.head(ORACLE_N_MAX) if suite == "all" else table, seed, cap)
+    batteries = [battery for name, battery in plan
+                 if suite in (name, "all")] + oracles
+    # of three oracle batteries the middle one, the (n, 1) walk; else the last
+    return run_batteries(batteries, -2 if len(oracles) == 3 else -1)

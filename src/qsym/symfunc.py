@@ -161,6 +161,15 @@ def _qbinomial_lookup(n: int):
     return lambda l, k: rows[l][k]
 
 
+def size_tables(n: int) -> tuple:
+    """What the checks at size n read whatever the alphabet: the q-binomial
+    lookup of _qbinomial_lookup(n), the second- and first-kind q-Stirling
+    triangles to n, and the powers (1-q)^0..(1-q)^n."""
+    from .qstirling import qstirling1_triangle, qstirling2_triangle
+    return (_qbinomial_lookup(n), qstirling2_triangle(n), qstirling1_triangle(n),
+            powers(one - q, n))
+
+
 def qp_nr_direct(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     """The q-analog of p_n^(r) by the convolution formula."""
     return _convolution(bundle, n, r, qbinomial)
@@ -208,26 +217,24 @@ def en_factorial_determinant(p_list, n: int) -> UniPoly:
 # verification reports
 
 
-def transfer_theorem_check(alphabet: SymAlphabet, bundle) -> CheckReport:
+def transfer_theorem_check(alphabet: SymAlphabet, bundle,
+                           tables: tuple = None) -> CheckReport:
     """Exactly verify the q-Stirling transfer between the q-analog and the
-    classical p_n^(r) at n = bundle.order, in all four printed forms.
+    classical p_n^(r) at n = bundle.order, in all four printed forms;
+    tables is size_tables(n), built here when not given.
 
     (i)   q-analog from classical via second-kind numbers,
     (ii)  the inverse via first-kind numbers,
     (iii) the r = 1 case with bare (1-q) powers,
     (iv)  the intermediate double sum over binomials times q-binomials.
     """
-    from .qstirling import qstirling1_triangle, qstirling2_triangle
     n = bundle.order
     if alphabet.size < n:
         raise ValueError("alphabet must have at least n variables")
     report = CheckReport()
     classical = p_nr_row(alphabet, n)
-    binom = _qbinomial_lookup(n)
+    binom, second_kind, first_kind, omq = tables or size_tables(n)
     qanalog = {j: _convolution(bundle, n, j, binom) for j in range(1, n + 1)}
-    second_kind = qstirling2_triangle(n)
-    first_kind = qstirling1_triangle(n)
-    omq = powers(one - q, n)
 
     for r in range(1, n + 1):
         # (i) and (ii): sum over j of (1-q)^(j-r) T[j, r] x_j
@@ -250,11 +257,12 @@ def transfer_theorem_check(alphabet: SymAlphabet, bundle) -> CheckReport:
     return report
 
 
-def determinant_vs_convolution_check(bundle) -> CheckReport:
-    """Determinant and convolution agree exactly at n = bundle.order."""
+def determinant_vs_convolution_check(bundle, binom=None) -> CheckReport:
+    """Determinant and convolution agree exactly at n = bundle.order; binom
+    is _qbinomial_lookup(n), built here when not given."""
     report = CheckReport()
     n = bundle.order
-    binom = _qbinomial_lookup(n)
+    binom = binom or _qbinomial_lookup(n)
     for r in range(1, n + 1):
         d = _determinant(bundle.e, n, r, binom)
         c = _convolution(bundle, n, r, binom)
@@ -263,9 +271,9 @@ def determinant_vs_convolution_check(bundle) -> CheckReport:
     return report
 
 
-def classical_pn_determinants_check(bundle) -> CheckReport:
+def classical_pn_determinants_check(bundle, binom=None) -> CheckReport:
     """The r = 1 determinant identities and the defining linear system, for
-    every n up to bundle.order.
+    every n up to bundle.order; binom as in determinant_vs_convolution_check.
 
     Checks the [p_n] determinant against the convolution, the [n]! e_n
     determinant built from the previously computed [p_k], and the linear
@@ -273,7 +281,7 @@ def classical_pn_determinants_check(bundle) -> CheckReport:
     """
     report = CheckReport()
     n, e = bundle.order, bundle.e
-    binom = _qbinomial_lookup(n)
+    binom = binom or _qbinomial_lookup(n)
     p_list = [zero] + [_convolution(bundle, k, 1, binom)
                        for k in range(1, n + 1)]
     for m in range(1, n + 1):
@@ -296,9 +304,11 @@ def classical_pn_determinants_check(bundle) -> CheckReport:
     return report
 
 
-def pq_transfer_check(alphabet: SymAlphabet, bundle) -> CheckReport:
+def pq_transfer_check(alphabet: SymAlphabet, bundle,
+                      qbinom=None) -> CheckReport:
     """Two-parameter extension at n = bundle.order: determinant versus
-    double sum, and the p = 1 slice collapsing to the one-parameter q-analog.
+    double sum, and the p = 1 slice collapsing to the one-parameter q-analog;
+    qbinom as binom in determinant_vs_convolution_check.
 
     Both routes evaluate the same formal identity, so they agree on every
     alphabet, even one with fewer variables than n (where faithfulness, not
@@ -309,7 +319,7 @@ def pq_transfer_check(alphabet: SymAlphabet, bundle) -> CheckReport:
     classical = p_nr_row(alphabet, n)
     rows = [[pq_binomial(m, k) for k in range(m + 1)] for m in range(n + 1)]
     binom = lambda m, k: rows[m][k]             # 0 <= k <= m <= n throughout
-    qbinom = _qbinomial_lookup(n)
+    qbinom = qbinom or _qbinomial_lookup(n)
 
     for r in range(1, n + 1):
         det = _determinant(e_bi, n, r, binom)
@@ -329,26 +339,37 @@ def pq_transfer_check(alphabet: SymAlphabet, bundle) -> CheckReport:
 
 
 def default_alphabets(n: int):
-    """The three rational verification alphabets of size n."""
+    """The three integer verification alphabets of size n: the first n
+    primes, 2..n+1, and the odd numbers 3..2n+1.
+
+    The last is SymAlphabet.half_odds(n) times 2.  Every identity of the
+    battery at size n is homogeneous of degree n in the alphabet, so both
+    of its sides scale by 2^n and its verdict is the half-odds one, at
+    integer cost."""
     return (SymAlphabet.primes(n),
             SymAlphabet.integers(n, start=2),
-            SymAlphabet.half_odds(n))
+            SymAlphabet.from_values(range(3, 2 * n + 2, 2)))
 
 
 def symfunc_suite_report(n_max: int) -> CheckReport:
     """Transfer, determinant, and two-parameter batteries on the default
-    alphabets, each (alphabet, size) bundle built once."""
+    alphabets, each (alphabet, size) bundle and each size's size_tables
+    built once."""
     report = CheckReport()
     # by size, then in the order of default_alphabets: three per size
-    sized = [(alphabet, SymSeriesBundle.from_alphabet(alphabet, n))
-             for n in range(1, n_max + 1) for alphabet in default_alphabets(n)]
-    for alphabet, bundle in sized:
-        report.merge(transfer_theorem_check(alphabet, bundle))
-        report.merge(determinant_vs_convolution_check(bundle))
-    for _alphabet, bundle in sized[:3 * DETERMINANT_N_MAX]:
-        report.merge(classical_pn_determinants_check(bundle))
+    sized = []
+    for n in range(1, n_max + 1):
+        tables = size_tables(n)
+        sized += [(alphabet, SymSeriesBundle.from_alphabet(alphabet, n), tables)
+                  for alphabet in default_alphabets(n)]
+    for alphabet, bundle, tables in sized:
+        report.merge(transfer_theorem_check(alphabet, bundle, tables))
+        report.merge(determinant_vs_convolution_check(bundle, tables[0]))
+    for _alphabet, bundle, tables in sized[:3 * DETERMINANT_N_MAX]:
+        report.merge(classical_pn_determinants_check(bundle, tables[0]))
     for n in range(1, min(n_max, PQ_N_MAX) + 1):
         # primes(n), the first default alphabet of size n: n variables
         # suffice for degree n
-        report.merge(pq_transfer_check(*sized[3 * (n - 1)]))
+        alphabet, bundle, tables = sized[3 * (n - 1)]
+        report.merge(pq_transfer_check(alphabet, bundle, tables[0]))
     return report

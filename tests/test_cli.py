@@ -17,7 +17,7 @@ import qsym.jpoly as jpoly
 import qsym.symfunc as symfunc
 from qsym.exactpoly import (EnumerationCapExceeded, InexactDivisionError,
                             UniPoly, bracket_mul)
-from qsym.report import CheckReport
+from qsym.report import CheckReport, forest_oracle_check, run_batteries
 
 from polytext import parse_poly_text
 
@@ -380,7 +380,7 @@ def test_verify_symfunc_reads_q_binomials_from_rows(monkeypatch):
     assert code == 0 and calls == []
 
 
-# -- verify runs the last battery of a suite in a child process -----------------
+# -- verify runs one battery of a suite in a child process -----------------------
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -410,7 +410,9 @@ def assert_no_child_left():
 
 FORKING_SUITES = {"qstirling": ("verify", "qstirling", "--n-max", "12"),
                   "jpoly": ("verify", "jpoly", "--n-max", "9"),
-                  "all": ("verify", "all", "--n-max", "5", "--seed", "3")}
+                  "oracles": ("verify", "oracles", "--n-max", "6", "--seed", "17"),
+                  "all": ("verify", "all", "--n-max", "5", "--seed", "3"),
+                  "all-7": ("verify", "all", "--n-max", "7")}
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
@@ -426,10 +428,44 @@ def test_verify_is_the_same_with_and_without_the_child(monkeypatch, forks,
     assert with_child[0] == 0 and with_child[1]
 
 
+# symfunc is one battery and forks nothing; the oracle battery is cut at its
+# largest forest shape, whose walk is the one child
 @pytest.mark.parametrize("suite", ["symfunc", "oracles"])
 def test_one_battery_suites_fork_nothing(forks, suite):
     code, text = run("verify", suite, "--n-max", "5")
-    assert code == 0 and text and forks == []
+    assert code == 0 and text and len(forks) == (suite == "oracles")
+
+
+@pytest.mark.parametrize("suite", ["oracles", "all"])
+def test_an_oracle_battery_without_a_forest_is_not_cut(forks, suite):
+    code, text = run("verify", suite, "--n-max", "1", "--format", "json")
+    assert code == 0 and len(forks) == (suite == "all")
+    assert [r["identity"] for r in json.loads(text)
+            if r["identity"] in ("ranking-seeds", "parking-sum-enumerator")] \
+        == ["ranking-seeds", "parking-sum-enumerator"]
+
+
+def labelled(label):
+    """A battery of two records that name it and the process it ran in."""
+    def battery():
+        report = CheckReport()
+        for i in range(2):
+            report.add_pass(label, i=i, pid=os.getpid())
+        return report
+    return battery
+
+
+@pytest.mark.parametrize("forked", [0, 2, 4, -1])
+def test_the_forked_battery_merges_in_plan_order(forks, forked):
+    batteries = [labelled(f"battery-{i}") for i in range(5)]
+    report = run_batteries(batteries, forked)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert ([(r.identity, r.params["i"]) for r in report.records]
+            == [(f"battery-{i}", j) for i in range(5) for j in range(2)])
+    # the forked battery's records, and only they, come from the child
+    child = [r.params["pid"] == forks[0] for r in report.records]
+    assert child == [i == forked % 5 for i in range(5) for _ in range(2)]
 
 
 @pytest.mark.parametrize("suite", ["qstirling", "symfunc", "jpoly", "oracles",
@@ -450,6 +486,16 @@ def failing_battery(*args, **kwargs):
     return report
 
 
+def at_the_largest_shape(monkeypatch, battery):
+    """Patch the forest oracle so that battery replaces the walk of the
+    largest shape (n, 1), n = table.n_max, and of that shape only."""
+    def patched(table, shapes, *args):
+        if shapes == [(table.n_max, 1)]:
+            return battery(table, shapes, *args)
+        return forest_oracle_check(table, shapes, *args)
+    monkeypatch.setattr("qsym.report.forest_oracle_check", patched)
+
+
 def assert_child_fault_exits_four(argv, forks, capfd):
     code, text = run(*argv)
     assert code == cli.EXIT_INTERNAL and text == "" and len(forks) == 1
@@ -468,13 +514,28 @@ def assert_child_failure_exits_one(argv, forks):
 
 
 def test_fault_in_the_child_exits_four(monkeypatch, forks, capfd):
-    monkeypatch.setattr("qsym.report.oracle_suite_report", broken_battery)
+    at_the_largest_shape(monkeypatch, broken_battery)
     assert_child_fault_exits_four(("verify", "all", "--n-max", "4"), forks, capfd)
 
 
 def test_failed_identity_in_the_child_exits_one(monkeypatch, forks):
-    monkeypatch.setattr("qsym.report.oracle_suite_report", failing_battery)
+    at_the_largest_shape(monkeypatch, failing_battery)
     assert_child_failure_exits_one(("verify", "all", "--n-max", "4"), forks)
+
+
+def test_the_child_runs_the_largest_walk_alone(monkeypatch, forks, capfd):
+    # every forest walk outside the parent, and the (7, 1) walk anywhere
+    # else than in a child, raises; verify all caps the oracle table at 7
+    parent = os.getpid()
+
+    def checked(table, shapes, *args):
+        if (shapes == [(7, 1)]) == (os.getpid() == parent):
+            raise TypeError(f"{shapes} in the wrong process")
+        return forest_oracle_check(table, shapes, *args)
+    monkeypatch.setattr("qsym.report.forest_oracle_check", checked)
+    code, text = run("verify", "all", "--n-max", "8", "--format", "json")
+    assert (code, capfd.readouterr().err) == (0, "") and len(forks) == 1
+    assert_no_child_left()
 
 
 def test_fault_in_the_jpoly_child_exits_four(monkeypatch, forks, capfd):
@@ -494,8 +555,7 @@ def test_fault_before_the_child_is_done_kills_and_reaps_it(monkeypatch, forks,
         raise TypeError("a fault in the parent")
 
     # a child left to finish would keep this test waiting for a minute
-    monkeypatch.setattr("qsym.report.oracle_suite_report",
-                        lambda *args, **kwargs: time.sleep(60))
+    at_the_largest_shape(monkeypatch, lambda *args: time.sleep(60))
     monkeypatch.setattr("qsym.report.cross_formula_check", broken)
     started = time.monotonic()
     code, text = run("verify", "all", "--n-max", "4")
@@ -770,3 +830,14 @@ def test_skips_do_not_decide_the_verdict():
     assert report.summary_lines() == ["skip skipped (0/1 instances)",
                                       "ok   fine (1/1 instances)",
                                       "FAIL broken (0/1 instances)"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 200])
+def test_report_json_is_one_compact_array(size):
+    # encoded a chunk of records at a time, it reads as json.dumps of all
+    report = CheckReport()
+    for i in range(size):
+        report.check(f"identity-{i % 3}", i % 5 != 4, detail='lhs="1/2" ≠ rhs',
+                     n=i, r="x")
+    assert report.to_json() == json.dumps(
+        [r.to_json_dict() for r in report.records], separators=(",", ":"))

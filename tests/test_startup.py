@@ -3,10 +3,10 @@
 Each command imports only the modules it uses, no module imports
 ``dataclasses`` (and with it ``inspect``), a command whose output holds no
 JSON does not load ``json``, no query, export, jtable or verify of
-qstirling, jpoly or oracles loads ``fractions``, and ``import qsym`` still
-offers every public name of the package, resolved on first access.  Run as
-a program, the CLI freezes the collector's objects as it ends, so the
-collection at interpreter exit passes them by.
+qstirling, jpoly or oracles loads ``fractions`` or ``signal``, and
+``import qsym`` still offers every public name of the package, resolved on
+first access.  Run as a program, the CLI freezes the collector's objects as
+it ends, so the collection at interpreter exit passes them by.
 """
 
 import gc
@@ -59,7 +59,8 @@ def loaded_modules(*argv) -> set:
 # without the json module) must not.  No query, export or jtable loads the
 # batteries (qsym.report) or the verification algebra (qsym.pqalgebra);
 # verify loads what its battery needs.  None of these commands loads
-# fractions or decimal: the J specialization runs on int rows.
+# fractions or decimal: the J specialization runs on int rows; nor signal,
+# which only a fault in the parent beside a forked battery needs.
 @pytest.mark.parametrize("argv, expected, writes_json", [
     (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
      False),
@@ -88,6 +89,7 @@ def test_each_command_loads_only_its_modules(argv, expected, writes_json):
     if not writes_json:
         assert "json" not in modules
     assert "fractions" not in modules and "decimal" not in modules
+    assert "signal" not in modules
 
 
 # Run main() as the program does, on argv[1:], and at exit print the

@@ -6,16 +6,18 @@ from math import comb
 
 import pytest
 
+import qsym.symfunc as symfunc
 from qsym.exactpoly import UniPoly, one, zero
 from qsym.pqalgebra import TruncSeries, exact_div
 from qsym.qcalc import qfactorial
 from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
                           classical_pn_determinants_check,
-                          complete_from_elementary,
+                          complete_from_elementary, default_alphabets,
                           determinant_vs_convolution_check,
                           elementary_sequence, p_nr_series,
                           pq_transfer_check, qp_nr_determinant,
-                          qp_nr_direct, transfer_theorem_check)
+                          qp_nr_direct, symfunc_suite_report,
+                          transfer_theorem_check)
 
 from routes import (elementary, monomial_sum_by_permutations, p_nr_monomial,
                     partitions_with_length, principal, q_derivative)
@@ -236,6 +238,26 @@ def test_determinant_vs_convolution_check_report():
     report = determinant_vs_convolution_check(bundle_of(SymAlphabet.primes(4)))
     assert report.passed
     assert {"determinant-vs-convolution"} == {r.identity for r in report.records}
+
+
+def verdicts(report):
+    return [(r.identity, r.status, r.params) for r in report.records]
+
+
+def test_odd_alphabet_gives_the_half_odds_verdicts(monkeypatch):
+    # 3, 5, ..., 2n+1 is the half-odds alphabet times 2, and every identity
+    # of the battery at size n is homogeneous of degree n in the alphabet
+    for n in range(1, 7):
+        assert default_alphabets(n)[2].values == tuple(
+            2 * x for x in SymAlphabet.half_odds(n).values)
+    odd = [symfunc_suite_report(n) for n in range(1, 7)]
+    integer_alphabets = default_alphabets
+    monkeypatch.setattr(symfunc, "default_alphabets", lambda n: (
+        *integer_alphabets(n)[:2], SymAlphabet.half_odds(n)))
+    half_odds = [symfunc_suite_report(n) for n in range(1, 7)]
+    for a, b in zip(odd, half_odds):
+        assert a.passed and b.passed
+        assert verdicts(a) == verdicts(b)
 
 
 def test_specialization_bracket_shift():
