@@ -128,6 +128,12 @@ def build_parser(argv) -> argparse.ArgumentParser:
         commands[command].set_defaults(seed=0, cap=DEFAULT_CAP)
     for flags, kwargs in OPTIONS.get((command, kind), ()):
         commands[command].add_argument(*flags, **kwargs)
+    if kind and (command, kind) in OPTIONS:     # usage names the kind first
+        cmd_parser = commands[command]
+        usage = argparse.HelpFormatter(f"{cmd_parser.prog} {kind}")
+        usage.add_usage(None, [a for a in cmd_parser._actions
+                               if a.option_strings], [])
+        cmd_parser.usage = usage.format_help().removeprefix("usage: ").rstrip()
     return parser
 
 

@@ -9,7 +9,7 @@ pqalgebra.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 from operator import sub
 
@@ -49,6 +49,14 @@ def triangle_rows(weight, k_max: int):
         if len(row) <= k_max:
             nxt.append(row[-1])          # T[n,n] = T[n-1,n-1]
         row = tuple(nxt)
+
+
+def qbinomial_lookup(n: int):
+    """[l k] for 0 <= k <= l <= n, read from rows 0..n of triangle_rows,
+    built once by [l k] = [l-1 k-1] + q^k [l-1 k]."""
+    rows = [tuple(map(UniPoly, row))
+            for row in islice(triangle_rows(lambda l, k: (1, k), n), n + 1)]
+    return lambda l, k: rows[l][k]
 
 
 def qbinomial(n: int, k: int) -> UniPoly:

@@ -3,16 +3,19 @@
 Each kind by its own triangular recurrence, S[n,k] = S[n-1,k-1] + [k] S[n-1,k]
 and s[n,k] = s[n-1,k-1] - [n-1] s[n-1,k], both from T[0,0] = 1: inverse
 matrices computed independently, which the checks in ``report`` compare.
-Users comparing against other first-kind normalizations in the literature
-should check sign conventions.
+carlitz_tables holds both triangles with the q-binomials and (1-q) powers
+those checks read, so verify builds each once.  Users comparing against
+other first-kind normalizations in the literature should check sign
+conventions.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .exactpoly import Frozen, UniPoly, json_coeff_list, set_field, zero
-from .qcalc import triangle_rows
+from .exactpoly import (Frozen, UniPoly, json_coeff_list, one, powers, q,
+                        set_field, zero)
+from .qcalc import qbinomial_lookup, triangle_rows
 
 # weight(n, k) = (a, s, sign) of w = sign q^s [a] in the triangle_rows
 # recurrence T[n,k] = T[n-1,k-1] + w T[n-1,k].
@@ -48,9 +51,10 @@ class StirlingTriangle(Frozen):
         set_field(self, "entries", entries)
 
     def entry(self, n: int, k: int) -> UniPoly:
+        """T[n,k] for n <= n_max, T[n,0] = [n == 0]; 0 elsewhere."""
         if 1 <= k <= n <= self.n_max:
             return self.entries[n - 1][k - 1]
-        return zero
+        return one if n == k == 0 else zero
 
     def csv_rows(self):
         """Rows n,k,coeffs-JSON in row-major triangle order."""
@@ -74,3 +78,12 @@ def qstirling2_triangle(n_max: int) -> StirlingTriangle:
 def qstirling1_triangle(n_max: int) -> StirlingTriangle:
     """First-kind triangle by its own recurrence, not by inverting the second."""
     return _triangle("first", n_max)
+
+
+def carlitz_tables(n_max: int) -> tuple:
+    """(qcalc.qbinomial_lookup(n_max), the second- and first-kind triangles
+    to n_max, (1-q)^0..(1-q)^n_max): the tables the Carlitz, inverse and
+    transfer checks read, which verify builds once.  A check to a smaller
+    size reads a prefix."""
+    return (qbinomial_lookup(n_max), qstirling2_triangle(n_max),
+            qstirling1_triangle(n_max), powers(one - q, n_max))

@@ -10,22 +10,22 @@ n_max.  The J route through the exponential specialization is here too, on
 k!-scaled rows in Z[q]; the symmetric-function batteries stay in symfunc.
 
 verify_suite is the one plan of the verify suites: which batteries each
-runs and in what order, their size caps, the one J table, and which
-battery runs in a forked child; its docstring states them.
+runs and in what order, their size caps, the one J table and the one set
+of qstirling.carlitz_tables it hands them, and which battery runs in a
+forked child; its docstring says.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul
 
 from .exactpoly import (EnumerationCapExceeded, Frozen, InexactDivisionError,
                         UniPoly, one, powers, q, set_field, zero)
-from .qcalc import (alternating_binomial_sum, qbracket, qbracket_power_base,
-                    triangle_rows)
+from .qcalc import alternating_binomial_sum, qbracket, qbracket_power_base
 
 
 class CheckRecord(Frozen):
@@ -198,40 +198,37 @@ def run_batteries(batteries, forked: int = -1) -> CheckReport:
     return report
 
 
-def verify_carlitz_identities(n_max: int) -> CheckReport:
+def verify_carlitz_identities(n_max: int, tables: tuple) -> CheckReport:
     """Exactly check the two expansions linking q-binomials to the triangle.
 
     (i)  [n k] = sum_j C(n,j) (q-1)^(j-k) S[j,k]
     (ii) (1-q)^(n-k) S[n,k] = sum_l (-1)^(l-k) C(n,l) [l k]
-    for every 0 <= k <= n <= n_max.  Failures are recorded with the first
-    counterexample, not raised.
+    for every 0 <= k <= n <= n_max, tables being qstirling.carlitz_tables(m),
+    m >= n_max.  Failures are recorded with the first counterexample, not
+    raised.
     """
-    from .qstirling import WEIGHTS
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     report = CheckReport()
+    binom, stirling, _first, omq = tables
     qm1 = powers(q - one, n_max)
-    omq = powers(one - q, n_max)
-    # rows 0..n_max of both triangles in one pass each, not entry by entry
-    binom, stirling = ([list(map(UniPoly, row))
-                        for row in islice(triangle_rows(weight, n_max), n_max + 1)]
-                       for weight in (lambda n, k: (1, k), WEIGHTS["second"]))
     for n in range(n_max + 1):
         for k in range(n + 1):
-            lhs = binom[n][k]
-            rhs = sum((comb(n, j) * qm1[j - k] * stirling[j][k]
+            lhs = binom(n, k)
+            rhs = sum((comb(n, j) * qm1[j - k] * stirling.entry(j, k)
                        for j in range(k, n + 1)), zero)
             report.check("carlitz-qbinomial-expansion", lhs == rhs,
                          detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, k=k)
 
-            lhs2 = omq[n - k] * stirling[n][k]
-            rhs2 = alternating_binomial_sum(lambda l, j: binom[l][j], n, k, zero)
+            lhs2 = omq[n - k] * stirling.entry(n, k)
+            rhs2 = alternating_binomial_sum(binom, n, k, zero)
             report.check("carlitz-inverse-expansion", lhs2 == rhs2,
                          detail=lambda: f"lhs={lhs2} rhs={rhs2}", n=n, k=k)
     return report
 
 
-def _scaled_inverse_check(identity: str, n_max: int, scale) -> CheckReport:
+def _scaled_inverse_check(identity: str, n_max: int, tables,
+                          scale) -> CheckReport:
     """Check, size by size, that the triangles with entries scale[i-j] times
     the second- resp. first-kind numbers are inverse matrices.  Each kind
     comes from its own recurrence, so this compares two independent
@@ -242,11 +239,9 @@ def _scaled_inverse_check(identity: str, n_max: int, scale) -> CheckReport:
     sums over j <= l <= i only.  Size n passes when rows 1..n of the one
     product at n_max are rows of the identity.
     """
-    from .qstirling import qstirling1_triangle, qstirling2_triangle
     report = CheckReport()
     A, B = ([[scale[i - j] * t.entry(i, j) for j in range(1, i + 1)]
-             for i in range(1, n_max + 1)]
-            for t in (qstirling2_triangle(n_max), qstirling1_triangle(n_max)))
+             for i in range(1, n_max + 1)] for t in tables[1:3])
     ok = True
     for i in range(n_max):
         ok = ok and all(sum((A[i][l] * B[l][j] for l in range(j, i + 1)), zero)
@@ -255,13 +250,13 @@ def _scaled_inverse_check(identity: str, n_max: int, scale) -> CheckReport:
     return report
 
 
-def verify_triangle_inverse(n_max: int) -> CheckReport:
+def verify_triangle_inverse(n_max: int, tables: tuple) -> CheckReport:
     """Check that the two triangles are exact matrix inverses, size by size."""
     return _scaled_inverse_check("stirling-triangle-inverse", n_max,
-                                 [one] * n_max)
+                                 tables, [one] * n_max)
 
 
-def verify_conjugated_inverse(n_max: int) -> CheckReport:
+def verify_conjugated_inverse(n_max: int, tables: tuple) -> CheckReport:
     """Check the scaled triangles A and B, with entries (1-q)^(i-j) times the
     second- resp. first-kind numbers, are inverse to each other.
 
@@ -269,13 +264,12 @@ def verify_conjugated_inverse(n_max: int) -> CheckReport:
     this is the matrix form of the transfer identities.
     """
     return _scaled_inverse_check("scaled-triangle-inverse", n_max,
-                                 powers(one - q, n_max))
+                                 tables, tables[3])
 
 
-def reciprocal_recurrence_check(table) -> CheckReport:
-    """The reciprocal satisfies the horizontal recurrence with coefficients
-    [r]^j q^(r (n-r-j)) C(n-r, j) against row n-r of the reciprocal table."""
-    from .jpoly import reciprocal
+def _row_recurrence_check(identity: str, table, exponent, entry) -> CheckReport:
+    """entry(n, r) against the dense sum over j of [r]^j q^exponent(r, m, j)
+    C(m, j) entry(m, j), m = n - r, for 1 <= r < n."""
     report = CheckReport()
     for n in range(2, table.n_max + 1):
         for r in range(1, n):
@@ -284,12 +278,21 @@ def reciprocal_recurrence_check(table) -> CheckReport:
             acc, bpow = zero, one
             for j in range(1, m + 1):
                 bpow = bpow * br
-                acc = acc + (UniPoly.monomial(r * (m - j), comb(m, j))
-                             * bpow * reciprocal(m, j, table))
-            lhs = reciprocal(n, r, table)
-            report.check("reciprocal-row-recurrence", lhs == acc,
+                acc = acc + (UniPoly.monomial(exponent(r, m, j), comb(m, j))
+                             * bpow * entry(m, j))
+            lhs = entry(n, r)
+            report.check(identity, lhs == acc,
                          detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
     return report
+
+
+def reciprocal_recurrence_check(table) -> CheckReport:
+    """The reciprocal satisfies the horizontal recurrence with coefficients
+    [r]^j q^(r (n-r-j)) C(n-r, j) against row n-r of the reciprocal table."""
+    from .jpoly import reciprocal
+    return _row_recurrence_check("reciprocal-row-recurrence", table,
+                                 lambda r, m, j: r * (m - j),
+                                 lambda n, r: reciprocal(n, r, table))
 
 
 def kung_yan_check(table) -> CheckReport:
@@ -314,20 +317,8 @@ def extended_recurrence_check(table) -> CheckReport:
     """The row recurrence re-summed with dense products, against the table's
     Horner bracket_mul build, for 1 <= r < n.  The j = 0 term J(n - r, 0)
     is zero there; at r = 0 or r = n the sum is the convention itself."""
-    report = CheckReport()
-    for n in range(2, table.n_max + 1):
-        for r in range(1, n):
-            m = n - r
-            br = qbracket(r)
-            acc, bpow = zero, one
-            for j in range(1, m + 1):
-                bpow = bpow * br
-                acc = acc + (UniPoly.monomial(comb(j, 2), comb(m, j)) * bpow
-                             * table.entry(m, j))
-            lhs = table.entry(n, r)
-            report.check("extended-row-recurrence", lhs == acc,
-                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
-    return report
+    return _row_recurrence_check("extended-row-recurrence", table,
+                                 lambda r, m, j: comb(j, 2), table.entry)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +436,9 @@ def cross_formula_check(table) -> CheckReport:
 
 
 def reciprocal_composition_forms(m: int, r: int):
-    """The two composition sums for the reciprocal of J(m + r, r), from one
-    walk with two exponent rules; s is the part sum before a new part a and
-    l the last part (r before the first).
+    """The two composition sums for the reciprocal of J(m + r, r), one
+    composition_sum walk per exponent rule; s is the part sum before a new
+    part a and l the last part (r before the first).
 
     Form one weights a composition u of m by q^(sigma(u) + r(m-u_1)): the
     first part adds 0 and each later one a(s-l) + r a.  Form two prepends
@@ -591,17 +582,21 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
     batteries of the other four, the (n, 1) walk forked, n =
     min(n_max, ORACLE_N_MAX).  Where the oracle battery has no forest shape
     (n_max 1) it is one battery: all forks its last battery, and symfunc
-    and oracles fork nothing.  The J table is built once, before the fork.
-    Each battery imports its layers, and looks up its checks in this
-    module, as it runs.
+    and oracles fork nothing.  The J table and carlitz_tables, at the largest
+    size read, are built once, before the fork.  Each battery imports its
+    layers, and looks up its checks in this module, as it runs.
     """
     if suite in ("jpoly", "oracles", "all"):
         from .jpoly import build_jtable
         table = build_jtable(n_max)
+    if suite in ("qstirling", "symfunc", "all"):
+        from .qstirling import carlitz_tables
+        tables = carlitz_tables(
+            min(n_max, SYMFUNC_N_MAX) if suite == "symfunc" else n_max)
 
     def symfunc_battery():
         from .symfunc import symfunc_suite_report
-        return symfunc_suite_report(min(n_max, SYMFUNC_N_MAX))
+        return symfunc_suite_report(min(n_max, SYMFUNC_N_MAX), tables)
 
     def shifts_and_recurrences():
         report = kung_yan_check(table)
@@ -610,9 +605,10 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
             min(n_max, BRACKET_SHIFT_N_MAX)))
         return report.merge(extended_recurrence_check(table))
 
-    plan = [("qstirling", lambda: verify_carlitz_identities(n_max)),
-            ("qstirling", lambda: verify_triangle_inverse(n_max).merge(
-                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX)))),
+    plan = [("qstirling", lambda: verify_carlitz_identities(n_max, tables)),
+            ("qstirling", lambda: verify_triangle_inverse(n_max, tables).merge(
+                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX),
+                                          tables))),
             ("symfunc", symfunc_battery),
             ("jpoly", lambda: cross_formula_check(table).merge(
                 reciprocal_recurrence_check(table))),

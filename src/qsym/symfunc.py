@@ -19,13 +19,11 @@ transfer checks compare independent computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import comb
 
-from .exactpoly import Frozen, UniPoly, one, powers, q, set_field, zero
+from .exactpoly import Frozen, UniPoly, one, powers, set_field, zero
 from .pqalgebra import BiPoly, TruncSeries, det_hessenberg, pq_binomial
-from .qcalc import (alternating_binomial_sum, qbinomial, qbracket, qfactorial,
-                    triangle_rows)
+from .qcalc import alternating_binomial_sum, qbinomial, qbracket, qfactorial
 from .report import CheckReport
 
 # Largest sizes of the r = 1 determinant and two-parameter batteries in the
@@ -153,23 +151,6 @@ def _convolution(bundle: SymSeriesBundle, n: int, r: int, binom) -> UniPoly:
     return acc
 
 
-def _qbinomial_lookup(n: int):
-    """[l k] for 0 <= k <= l <= n, read from rows 0..n built once by
-    [l k] = [l-1 k-1] + q^k [l-1 k]."""
-    rows = [tuple(map(UniPoly, row))
-            for row in islice(triangle_rows(lambda l, k: (1, k), n), n + 1)]
-    return lambda l, k: rows[l][k]
-
-
-def size_tables(n: int) -> tuple:
-    """What the checks at size n read whatever the alphabet: the q-binomial
-    lookup of _qbinomial_lookup(n), the second- and first-kind q-Stirling
-    triangles to n, and the powers (1-q)^0..(1-q)^n."""
-    from .qstirling import qstirling1_triangle, qstirling2_triangle
-    return (_qbinomial_lookup(n), qstirling2_triangle(n), qstirling1_triangle(n),
-            powers(one - q, n))
-
-
 def qp_nr_direct(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     """The q-analog of p_n^(r) by the convolution formula."""
     return _convolution(bundle, n, r, qbinomial)
@@ -218,10 +199,10 @@ def en_factorial_determinant(p_list, n: int) -> UniPoly:
 
 
 def transfer_theorem_check(alphabet: SymAlphabet, bundle,
-                           tables: tuple = None) -> CheckReport:
+                           tables: tuple) -> CheckReport:
     """Exactly verify the q-Stirling transfer between the q-analog and the
     classical p_n^(r) at n = bundle.order, in all four printed forms;
-    tables is size_tables(n), built here when not given.
+    tables is qstirling.carlitz_tables(m) for an m >= n.
 
     (i)   q-analog from classical via second-kind numbers,
     (ii)  the inverse via first-kind numbers,
@@ -233,7 +214,7 @@ def transfer_theorem_check(alphabet: SymAlphabet, bundle,
         raise ValueError("alphabet must have at least n variables")
     report = CheckReport()
     classical = p_nr_row(alphabet, n)
-    binom, second_kind, first_kind, omq = tables or size_tables(n)
+    binom, second_kind, first_kind, omq = tables
     qanalog = {j: _convolution(bundle, n, j, binom) for j in range(1, n + 1)}
 
     for r in range(1, n + 1):
@@ -257,12 +238,11 @@ def transfer_theorem_check(alphabet: SymAlphabet, bundle,
     return report
 
 
-def determinant_vs_convolution_check(bundle, binom=None) -> CheckReport:
+def determinant_vs_convolution_check(bundle, binom) -> CheckReport:
     """Determinant and convolution agree exactly at n = bundle.order; binom
-    is _qbinomial_lookup(n), built here when not given."""
+    is a q-binomial lookup to at least n, as qcalc.qbinomial_lookup's."""
     report = CheckReport()
     n = bundle.order
-    binom = binom or _qbinomial_lookup(n)
     for r in range(1, n + 1):
         d = _determinant(bundle.e, n, r, binom)
         c = _convolution(bundle, n, r, binom)
@@ -271,7 +251,7 @@ def determinant_vs_convolution_check(bundle, binom=None) -> CheckReport:
     return report
 
 
-def classical_pn_determinants_check(bundle, binom=None) -> CheckReport:
+def classical_pn_determinants_check(bundle, binom) -> CheckReport:
     """The r = 1 determinant identities and the defining linear system, for
     every n up to bundle.order; binom as in determinant_vs_convolution_check.
 
@@ -281,7 +261,6 @@ def classical_pn_determinants_check(bundle, binom=None) -> CheckReport:
     """
     report = CheckReport()
     n, e = bundle.order, bundle.e
-    binom = binom or _qbinomial_lookup(n)
     p_list = [zero] + [_convolution(bundle, k, 1, binom)
                        for k in range(1, n + 1)]
     for m in range(1, n + 1):
@@ -304,8 +283,7 @@ def classical_pn_determinants_check(bundle, binom=None) -> CheckReport:
     return report
 
 
-def pq_transfer_check(alphabet: SymAlphabet, bundle,
-                      qbinom=None) -> CheckReport:
+def pq_transfer_check(alphabet: SymAlphabet, bundle, qbinom) -> CheckReport:
     """Two-parameter extension at n = bundle.order: determinant versus
     double sum, and the p = 1 slice collapsing to the one-parameter q-analog;
     qbinom as binom in determinant_vs_convolution_check.
@@ -319,7 +297,6 @@ def pq_transfer_check(alphabet: SymAlphabet, bundle,
     classical = p_nr_row(alphabet, n)
     rows = [[pq_binomial(m, k) for k in range(m + 1)] for m in range(n + 1)]
     binom = lambda m, k: rows[m][k]             # 0 <= k <= m <= n throughout
-    qbinom = qbinom or _qbinomial_lookup(n)
 
     for r in range(1, n + 1):
         det = _determinant(e_bi, n, r, binom)
@@ -351,25 +328,23 @@ def default_alphabets(n: int):
             SymAlphabet.from_values(range(3, 2 * n + 2, 2)))
 
 
-def symfunc_suite_report(n_max: int) -> CheckReport:
+def symfunc_suite_report(n_max: int, tables: tuple) -> CheckReport:
     """Transfer, determinant, and two-parameter batteries on the default
-    alphabets, each (alphabet, size) bundle and each size's size_tables
-    built once."""
+    alphabets to n_max, each (alphabet, size) bundle built once; every size
+    reads a prefix of tables, qstirling.carlitz_tables(m) for an m >= n_max."""
     report = CheckReport()
+    binom = tables[0]
     # by size, then in the order of default_alphabets: three per size
-    sized = []
-    for n in range(1, n_max + 1):
-        tables = size_tables(n)
-        sized += [(alphabet, SymSeriesBundle.from_alphabet(alphabet, n), tables)
-                  for alphabet in default_alphabets(n)]
-    for alphabet, bundle, tables in sized:
+    sized = [(alphabet, SymSeriesBundle.from_alphabet(alphabet, n))
+             for n in range(1, n_max + 1) for alphabet in default_alphabets(n)]
+    for alphabet, bundle in sized:
         report.merge(transfer_theorem_check(alphabet, bundle, tables))
-        report.merge(determinant_vs_convolution_check(bundle, tables[0]))
-    for _alphabet, bundle, tables in sized[:3 * DETERMINANT_N_MAX]:
-        report.merge(classical_pn_determinants_check(bundle, tables[0]))
+        report.merge(determinant_vs_convolution_check(bundle, binom))
+    for _alphabet, bundle in sized[:3 * DETERMINANT_N_MAX]:
+        report.merge(classical_pn_determinants_check(bundle, binom))
     for n in range(1, min(n_max, PQ_N_MAX) + 1):
         # primes(n), the first default alphabet of size n: n variables
         # suffice for degree n
-        alphabet, bundle, tables = sized[3 * (n - 1)]
-        report.merge(pq_transfer_check(alphabet, bundle, tables[0]))
+        alphabet, bundle = sized[3 * (n - 1)]
+        report.merge(pq_transfer_check(alphabet, bundle, binom))
     return report

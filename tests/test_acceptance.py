@@ -16,6 +16,7 @@ from qsym.jpoly import build_jtable, j_explicit_composition, reciprocal
 from qsym.oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
                           forest_enumerator_polys, parking_candidates,
                           parking_enumerator_poly)
+from qsym.qstirling import carlitz_tables
 from qsym.report import (exp_rows, exp_shift_check, j_from_scaled_p,
                          kung_yan_check, reciprocal_recurrence_check,
                          scaled_p_nr, specialization_bracket_shift_check,
@@ -144,22 +145,26 @@ def test_criterion_05_reciprocal_recurrences():
 def test_criterion_06_q_stirling_suite():
     with criterion(6, "Carlitz identities and triangle inverses, n <= 12; "
                       "scaled conjugates, n <= 8", 10.0):
-        assert verify_carlitz_identities(12).passed
-        assert verify_triangle_inverse(12).passed
-        assert verify_conjugated_inverse(8).passed
+        tables = carlitz_tables(12)
+        assert verify_carlitz_identities(12, tables).passed
+        assert verify_triangle_inverse(12, tables).passed
+        assert verify_conjugated_inverse(8, tables).passed
 
 
 def test_criterion_07_transfer_theorems():
     with criterion(7, "q-Stirling transfer on three rational alphabets with "
                       "N = n <= 6, determinant = convolution, and the "
                       "classical determinant identities for n <= 5", 30.0):
+        tables = carlitz_tables(6)
         for n in range(1, 7):
             for alphabet in default_alphabets(n):
                 bundle = SymSeriesBundle.from_alphabet(alphabet, n)
-                assert transfer_theorem_check(alphabet, bundle).passed
-                assert determinant_vs_convolution_check(bundle).passed
+                assert transfer_theorem_check(alphabet, bundle, tables).passed
+                assert determinant_vs_convolution_check(bundle,
+                                                        tables[0]).passed
                 if n <= 5:
-                    assert classical_pn_determinants_check(bundle).passed
+                    assert classical_pn_determinants_check(bundle,
+                                                           tables[0]).passed
 
 
 def test_criterion_08_specialization_shift_suite():
@@ -177,9 +182,10 @@ def test_criterion_09_pq_extension():
                       "3-variable alphabet and collapses at p = 1, n <= 4",
                    10.0):
         alphabet = SymAlphabet.from_values([1, 2, 3])
+        binom = carlitz_tables(4)[0]
         for n in range(1, 5):
             bundle = SymSeriesBundle.from_alphabet(alphabet, n)
-            assert pq_transfer_check(alphabet, bundle).passed
+            assert pq_transfer_check(alphabet, bundle, binom).passed
 
 
 def test_criterion_10_shape_properties():

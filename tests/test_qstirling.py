@@ -6,8 +6,8 @@ import pytest
 
 from qsym.exactpoly import UniPoly, one, zero
 from qsym.qcalc import qbracket
-from qsym.qstirling import (qstirling1, qstirling1_triangle, qstirling2,
-                            qstirling2_triangle)
+from qsym.qstirling import (carlitz_tables, qstirling1, qstirling1_triangle,
+                            qstirling2, qstirling2_triangle)
 from qsym.report import (verify_carlitz_identities, verify_conjugated_inverse,
                          verify_triangle_inverse)
 from routes import substituted_first_kind
@@ -76,11 +76,14 @@ def test_first_kind_values():
 
 def test_both_kinds_start_from_one_at_the_origin():
     # s[0,0] = S[0,0] = 1, the start of both recurrences; column 0 is 0 below
-    # it, and everything outside 0 <= k <= n is 0
-    for kind in (qstirling1, qstirling2):
-        assert kind(0, 0) == one
-        assert all(kind(n, 0) == zero for n in range(1, 6))
-        assert kind(0, 1) == kind(2, 3) == kind(-1, 0) == kind(2, -1) == zero
+    # it, and everything outside 0 <= k <= n is 0, in either triangle too
+    for kind, tri in ((qstirling1, qstirling1_triangle(5)),
+                      (qstirling2, qstirling2_triangle(5))):
+        for entry in (kind, tri.entry):
+            assert entry(0, 0) == one
+            assert all(entry(n, 0) == zero for n in range(1, 6))
+            assert entry(0, 1) == entry(2, 3) == entry(-1, 0) == zero
+            assert entry(2, -1) == zero
     # the recurrence from s[0,0] reaches s[1,1] = 1 and s[2,1] = -[1]
     assert qstirling1(1, 1) == one and qstirling1(2, 1) == P(-1)
 
@@ -117,20 +120,20 @@ def test_first_kind_matches_forward_substitution():
 
 
 def test_triangles_are_inverse():
-    assert verify_triangle_inverse(10).passed
+    assert verify_triangle_inverse(10, carlitz_tables(10)).passed
 
 
 def test_conjugated_triangles_are_inverse():
-    assert verify_conjugated_inverse(8).passed
+    assert verify_conjugated_inverse(8, carlitz_tables(8)).passed
 
 
 def test_carlitz_identities_small():
-    assert verify_carlitz_identities(1).passed
-    assert verify_carlitz_identities(8).passed
+    assert verify_carlitz_identities(1, carlitz_tables(1)).passed
+    assert verify_carlitz_identities(8, carlitz_tables(8)).passed
 
 
 def test_carlitz_report_carries_counterexamples_not_exceptions():
-    report = verify_carlitz_identities(3)
+    report = verify_carlitz_identities(3, carlitz_tables(3))
     assert report.first_failure is None
     assert all(r.status == "pass" for r in report.records)
     d = report.records[0].to_json_dict()
@@ -148,4 +151,4 @@ def test_bad_sizes_rejected():
     with pytest.raises(ValueError):
         qstirling2_triangle(0)
     with pytest.raises(ValueError):
-        verify_carlitz_identities(0)
+        verify_carlitz_identities(0, carlitz_tables(1))

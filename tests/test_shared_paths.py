@@ -1,9 +1,12 @@
 """Code paths that share one implementation: BiPoly arithmetic over UniPoly
 rows, the J-table writers of jtable and export, the dump of forest-stat, and
-the J table built once per verify run."""
+the J table and the q-binomial and q-Stirling triangles built once per
+verify run."""
 
 import io
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,8 +14,11 @@ import pytest
 import qsym.cli as cli
 import qsym.jpoly as jpoly
 import qsym.oracles as oracles
-from qsym.exactpoly import BiPoly, UniPoly
+import qsym.qcalc as qcalc
+import qsym.qstirling as qstirling
+from qsym.exactpoly import DEFAULT_CAP, BiPoly, UniPoly
 from qsym.jpoly import build_jtable
+from qsym.report import verify_suite
 
 
 def run(*argv):
@@ -163,3 +169,22 @@ def test_verify_all_builds_one_jtable(monkeypatch):
     sizes.clear()
     code, _ = run("verify", "all", "--n-max", "8")
     assert code == 0 and sizes == [8]
+
+
+# -- the q-binomial rows and both q-Stirling triangles, once per verify run -----
+
+def test_verify_all_builds_each_triangle_once(monkeypatch):
+    builds = []
+    triangle_rows = qcalc.triangle_rows
+
+    def counted(weight, k_max):
+        builds.append((weight(3, 2), k_max))
+        return triangle_rows(weight, k_max)
+
+    for module in (qcalc, qstirling):
+        monkeypatch.setattr(module, "triangle_rows", counted)
+    monkeypatch.delattr(os, "fork")             # every battery in this process
+    assert verify_suite("all", 7, 0, DEFAULT_CAP).passed
+    # the weight at n = 3, k = 2: q^2 [1] binomial, [2] second, -[2] first kind
+    assert Counter(builds) == {((1, 2), 7): 1, ((2, 0, 1), 7): 1,
+                               ((2, 0, -1), 7): 1}

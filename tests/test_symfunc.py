@@ -10,6 +10,7 @@ import qsym.symfunc as symfunc
 from qsym.exactpoly import UniPoly, one, zero
 from qsym.pqalgebra import TruncSeries, exact_div
 from qsym.qcalc import qfactorial
+from qsym.qstirling import carlitz_tables
 from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
                           classical_pn_determinants_check,
                           complete_from_elementary, default_alphabets,
@@ -21,6 +22,9 @@ from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
 
 from routes import (elementary, monomial_sum_by_permutations, p_nr_monomial,
                     partitions_with_length, principal, q_derivative)
+
+
+TABLES = carlitz_tables(6)      # what verify hands the checks, to size 6
 
 
 def bundle_of(alphabet, order=None):
@@ -200,42 +204,48 @@ def test_transfer_theorem_check_passes():
                      SymAlphabet.from_values([1, 2, 3, 5, 7]),
                      SymAlphabet.from_values([Fraction(1, 2), 2, 3,
                                               Fraction(7, 3), 11, 13])):
-        assert transfer_theorem_check(alphabet, bundle_of(alphabet)).passed
+        assert transfer_theorem_check(alphabet, bundle_of(alphabet),
+                                      TABLES).passed
 
 
 def test_transfer_on_principal_alphabet():
     # x_i = q^(i-1) stresses polynomial coefficients through the transfer
-    assert transfer_theorem_check(principal(5), bundle_of(principal(5))).passed
-    assert classical_pn_determinants_check(bundle_of(principal(4))).passed
+    assert transfer_theorem_check(principal(5), bundle_of(principal(5)),
+                                  TABLES).passed
+    assert classical_pn_determinants_check(bundle_of(principal(4)),
+                                           TABLES[0]).passed
 
 
 def test_transfer_requires_enough_variables():
     two = SymAlphabet.primes(2)
     with pytest.raises(ValueError):
-        transfer_theorem_check(two, bundle_of(two, 5))
+        transfer_theorem_check(two, bundle_of(two, 5), TABLES)
 
 
 def test_classical_determinants_check():
-    assert classical_pn_determinants_check(bundle_of(SymAlphabet.primes(1))).passed
-    assert classical_pn_determinants_check(bundle_of(SymAlphabet.primes(2))).passed
+    assert classical_pn_determinants_check(bundle_of(SymAlphabet.primes(1)),
+                                           TABLES[0]).passed
+    assert classical_pn_determinants_check(bundle_of(SymAlphabet.primes(2)),
+                                           TABLES[0]).passed
     rng = random.Random(17)
     a = SymAlphabet.from_values([Fraction(rng.randint(1, 20), rng.randint(1, 5))
                                  for _ in range(5)])
-    assert classical_pn_determinants_check(bundle_of(a)).passed
+    assert classical_pn_determinants_check(bundle_of(a), TABLES[0]).passed
 
 
 def test_pq_transfer_check():
     one_prime = SymAlphabet.primes(1)
-    assert pq_transfer_check(one_prime, bundle_of(one_prime)).passed
+    assert pq_transfer_check(one_prime, bundle_of(one_prime), TABLES[0]).passed
     abc = SymAlphabet.from_values([1, 2, 3])
-    assert pq_transfer_check(abc, bundle_of(abc)).passed
+    assert pq_transfer_check(abc, bundle_of(abc), TABLES[0]).passed
     for n in range(1, 5):
         a = SymAlphabet.primes(max(n, 3))
-        assert pq_transfer_check(a, bundle_of(a, n)).passed
+        assert pq_transfer_check(a, bundle_of(a, n), TABLES[0]).passed
 
 
 def test_determinant_vs_convolution_check_report():
-    report = determinant_vs_convolution_check(bundle_of(SymAlphabet.primes(4)))
+    report = determinant_vs_convolution_check(bundle_of(SymAlphabet.primes(4)),
+                                              TABLES[0])
     assert report.passed
     assert {"determinant-vs-convolution"} == {r.identity for r in report.records}
 
@@ -250,11 +260,11 @@ def test_odd_alphabet_gives_the_half_odds_verdicts(monkeypatch):
     for n in range(1, 7):
         assert default_alphabets(n)[2].values == tuple(
             2 * x for x in SymAlphabet.half_odds(n).values)
-    odd = [symfunc_suite_report(n) for n in range(1, 7)]
+    odd = [symfunc_suite_report(n, TABLES) for n in range(1, 7)]
     integer_alphabets = default_alphabets
     monkeypatch.setattr(symfunc, "default_alphabets", lambda n: (
         *integer_alphabets(n)[:2], SymAlphabet.half_odds(n)))
-    half_odds = [symfunc_suite_report(n) for n in range(1, 7)]
+    half_odds = [symfunc_suite_report(n, TABLES) for n in range(1, 7)]
     for a, b in zip(odd, half_odds):
         assert a.passed and b.passed
         assert verdicts(a) == verdicts(b)

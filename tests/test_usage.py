@@ -10,7 +10,8 @@ name what the cap counts.  The cases whose usage text lists the options of
 verify, query or export were captured again, and the help of one kind of
 each added, when each kind came to take only the options it reads.  The
 help of query forest-stat was captured again when --ranking came to list
-its choices.
+its choices.  The six cases whose usage names a kind were captured again
+when that usage came to put the kind right after the command.
 """
 
 import json
