@@ -292,10 +292,11 @@ class UniPoly:
                        + self.coeffs[::-1])
 
     def inverse(self) -> "UniPoly":
-        """Multiplicative inverse; only nonzero constants are units here."""
-        d = self.degree()
-        if d is None or d > 0:
+        """Multiplicative inverse of a nonzero constant; ±1 is its own."""
+        if len(self.coeffs) != 1:
             raise ValueError("only nonzero constant polynomials are invertible")
+        if self.coeffs[0] in (1, -1):
+            return self
         from fractions import Fraction
         return UniPoly((Fraction(1) / self.coeffs[0],))
 

@@ -335,11 +335,6 @@ def poly_from_counts(counter: dict) -> UniPoly:
     return UniPoly(coeffs)
 
 
-# The (level sizes, packed shortfalls) tally is folded into the per-ranking
-# counts whenever it holds this many keys, so its size stays bounded.
-_TALLY_KEYS = 1024
-
-
 def _levels(n: int, roots: tuple) -> list:
     """Every level a forest on {1..n} with root set roots can have: the
     roots and each nonempty subset of the non-roots, as ascending tuples."""
@@ -384,11 +379,11 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     vertices at depth 1, its level-1 size, is spread over choices[j]: the
     packed sums of the roots' weights over the r^j root choices.  Forests
     are tallied by (level sizes, packed shortfalls), both packed into one int,
-    and the tally is folded into per-ranking shortfall counts for each
-    level-size sequence whenever it reaches _TALLY_KEYS keys.  Every
-    variant's statistic is its level part plus one lane, so the polynomials
-    are read off those counts at the end.  Returns one list of polynomials
-    per variant, each indexed like rankings.
+    and after the walk the tally is folded, once, into per-ranking shortfall
+    counts for each level-size sequence.  Every variant's statistic is its
+    level part plus one lane, so the polynomials are read off those counts
+    at the end.  Returns one list of polynomials per variant, each indexed
+    like rankings.
     """
     roots = _capped_roots(n, roots, cap)
     width, weight = _packed_weights(n, roots, rankings)
@@ -399,7 +394,6 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     k = n - len(roots)              # the non-roots fill at most k levels
     size_bits = n.bit_length()
     size_mask = (1 << size_bits) - 1
-    shortfalls = {}     # key >> low -> per ranking, {shortfall: count}
     picks = [weight[rt][sum(1 << v for v in roots)] for rt in roots]
     choices = [{0: 1}]      # choices[j]: {packed sum: ways to pick j roots}
     for _ in range(k):
@@ -408,19 +402,6 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
             for w in picks:
                 step[s + w] = step.get(s + w, 0) + c
         choices.append(step)
-
-    def fold(tally):
-        for key, count in tally.items():
-            lanes = shortfalls.get(key >> low)
-            if lanes is None:
-                lanes = shortfalls[key >> low] = [{} for _ in rankings]
-            for w, c in choices[key >> low & size_mask].items():
-                part, c = key + w, count * c
-                for counter in lanes:
-                    s = part & lane
-                    counter[s] = counter.get(s, 0) + c
-                    part >>= width
-        tally.clear()
 
     tally = {}
     lookup = dict.__getitem__
@@ -434,9 +415,17 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
         for p in group:
             key = base + weight[p][mask]
             tally[key] = tally.get(key, 0) + 1
-        if len(tally) >= _TALLY_KEYS:
-            fold(tally)
-    fold(tally)
+    shortfalls = {}     # key >> low -> per ranking, {shortfall: count}
+    for key, count in tally.items():
+        lanes = shortfalls.get(key >> low)
+        if lanes is None:
+            lanes = shortfalls[key >> low] = [{} for _ in rankings]
+        for w, c in choices[key >> low & size_mask].items():
+            part, c = key + w, count * c
+            for counter in lanes:
+                s = part & lane
+                counter[s] = counter.get(s, 0) + c
+                part >>= width
     polys = []
     for variant in variants:
         counts = [{} for _ in rankings]

@@ -7,7 +7,6 @@ command compiles.  Coefficients follow the ``exactpoly`` rules.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, sub
 
 from .exactpoly import (InexactDivisionError, UniPoly, _add, _coerce, _convolve,
@@ -68,7 +67,7 @@ class BiPoly:
     def _lift(other):
         if isinstance(other, BiPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):
             return BiPoly(((other,),))
         return None
 
@@ -100,7 +99,7 @@ class BiPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):
             return BiPoly(tuple(tuple(c * other for c in row) for row in self.rows))
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -122,8 +121,8 @@ class BiPoly:
         return hash(self.rows)
 
     def inverse(self) -> "BiPoly":
-        if len(self.rows) == 1 and len(self.rows[0]) == 1:
-            return BiPoly(((Fraction(1) / self.rows[0][0],),))
+        if len(self.rows) == 1:                 # a polynomial in q alone
+            return BiPoly.from_unipoly(UniPoly(self.rows[0]).inverse())
         raise ValueError("only nonzero constant polynomials are invertible")
 
     def at_p_one(self) -> UniPoly:
@@ -177,7 +176,7 @@ class TruncSeries:
         return TruncSeries(map(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):
             return TruncSeries(tuple(c * other for c in self.coeffs))
         m = min(self.order, other.order)
         product = _convolve(self.coeffs[:m + 1], other.coeffs[:m + 1],
@@ -224,6 +223,7 @@ class TruncSeries:
 
 def divmod_poly(a: UniPoly, b: UniPoly):
     """Quotient and remainder of a by b over the rationals."""
+    from fractions import Fraction
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a.coeffs)

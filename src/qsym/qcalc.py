@@ -52,11 +52,18 @@ def triangle_rows(weight, k_max: int):
 
 
 def qbinomial_lookup(n: int):
-    """[l k] for 0 <= k <= l <= n, read from rows 0..n of triangle_rows,
-    built once by [l k] = [l-1 k-1] + q^k [l-1 k]."""
+    """[l k] for l <= n from rows 0..n of triangle_rows, built once by
+    [l k] = [l-1 k-1] + q^k [l-1 k]; 0 outside 0 <= k <= l; past n raises."""
     rows = [tuple(map(UniPoly, row))
             for row in islice(triangle_rows(lambda l, k: (1, k), n), n + 1)]
-    return lambda l, k: rows[l][k]
+
+    def lookup(l, k):
+        if not 0 <= k <= l:
+            return zero
+        if l > n:
+            raise ValueError(f"q-binomial lookup only covers n <= {n}")
+        return rows[l][k]
+    return lookup
 
 
 def qbinomial(n: int, k: int) -> UniPoly:

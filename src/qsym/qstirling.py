@@ -51,10 +51,15 @@ class StirlingTriangle(Frozen):
         set_field(self, "entries", entries)
 
     def entry(self, n: int, k: int) -> UniPoly:
-        """T[n,k] for n <= n_max, T[n,0] = [n == 0]; 0 elsewhere."""
-        if 1 <= k <= n <= self.n_max:
-            return self.entries[n - 1][k - 1]
-        return one if n == k == 0 else zero
+        """T[n,k], T[n,0] = [n == 0]; 0 outside 0 <= k <= n.  A row past
+        n_max is not held: asking for it raises, as in JTable.entry."""
+        if not 0 <= k <= n:
+            return zero
+        if n > self.n_max:
+            raise ValueError(f"triangle only covers n <= {self.n_max}")
+        if k == 0:
+            return one if n == 0 else zero
+        return self.entries[n - 1][k - 1]
 
     def csv_rows(self):
         """Rows n,k,coeffs-JSON in row-major triangle order."""
@@ -84,6 +89,6 @@ def carlitz_tables(n_max: int) -> tuple:
     """(qcalc.qbinomial_lookup(n_max), the second- and first-kind triangles
     to n_max, (1-q)^0..(1-q)^n_max): the tables the Carlitz, inverse and
     transfer checks read, which verify builds once.  A check to a smaller
-    size reads a prefix."""
+    size reads a prefix; one to a larger size raises ValueError."""
     return (qbinomial_lookup(n_max), qstirling2_triangle(n_max),
             qstirling1_triangle(n_max), powers(one - q, n_max))

@@ -562,7 +562,6 @@ def oracle_batteries(table, seed: int, cap: int) -> list:
 
 
 CONJUGATION_N_MAX = 8       # the scaled-triangle inverse check
-BRACKET_SHIFT_N_MAX = 7     # the bracket shift of the specialization
 SYMFUNC_N_MAX = 6           # the symmetric-function batteries
 ORACLE_N_MAX = 7            # the oracle battery under verify all
 
@@ -601,8 +600,7 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
     def shifts_and_recurrences():
         report = kung_yan_check(table)
         report.merge(exp_shift_check(n_max))
-        report.merge(specialization_bracket_shift_check(
-            min(n_max, BRACKET_SHIFT_N_MAX)))
+        report.merge(specialization_bracket_shift_check(n_max))
         return report.merge(extended_recurrence_check(table))
 
     plan = [("qstirling", lambda: verify_carlitz_identities(n_max, tables)),

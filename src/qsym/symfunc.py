@@ -18,7 +18,6 @@ transfer checks compare independent computations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .exactpoly import Frozen, UniPoly, one, powers, set_field, zero
@@ -70,6 +69,7 @@ class SymAlphabet(Frozen):
 
     @classmethod
     def half_odds(cls, n: int) -> "SymAlphabet":
+        from fractions import Fraction
         return cls.from_values(Fraction(2 * k + 3, 2) for k in range(n))
 
 

@@ -317,8 +317,7 @@ def test_verify_symfunc_coverage():
 
 def test_verify_jpoly_coverage():
     # the composition formula and the three recurrences at each 1 <= r < n,
-    # the specialization at each 1 <= r <= n; the two shift checks run to
-    # n = 9 and to n = 7
+    # the specialization at each 1 <= r <= n; both shift checks run to n = 9
     code, text = run("verify", "jpoly", "--n-max", "9", "--format", "json")
     assert code == 0
     records = json.loads(text)
@@ -327,7 +326,7 @@ def test_verify_jpoly_coverage():
         "table-vs-specialization": 45, "table-vs-composition-formula": 36,
         "reciprocal-row-recurrence": 36, "reciprocal-column-recurrence": 36,
         "extended-row-recurrence": 36, "exp-derivative-shift": 9,
-        "specialization-bracket-shift": 21}
+        "specialization-bracket-shift": 36}
 
 
 def test_verify_oracles_lists_seeds():

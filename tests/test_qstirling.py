@@ -10,6 +10,7 @@ from qsym.qstirling import (carlitz_tables, qstirling1, qstirling1_triangle,
                             qstirling2, qstirling2_triangle)
 from qsym.report import (verify_carlitz_identities, verify_conjugated_inverse,
                          verify_triangle_inverse)
+from qsym.symfunc import symfunc_suite_report
 from routes import substituted_first_kind
 
 
@@ -83,6 +84,7 @@ def test_both_kinds_start_from_one_at_the_origin():
             assert entry(0, 0) == one
             assert all(entry(n, 0) == zero for n in range(1, 6))
             assert entry(0, 1) == entry(2, 3) == entry(-1, 0) == zero
+            assert entry(6, 7) == entry(9, -1) == zero     # past n_max too
             assert entry(2, -1) == zero
     # the recurrence from s[0,0] reaches s[1,1] = 1 and s[2,1] = -[1]
     assert qstirling1(1, 1) == one and qstirling1(2, 1) == P(-1)
@@ -152,3 +154,15 @@ def test_bad_sizes_rejected():
         qstirling2_triangle(0)
     with pytest.raises(ValueError):
         verify_carlitz_identities(0, carlitz_tables(1))
+    # a table refuses a row it does not hold, as JTable.entry does, so a
+    # check given tables smaller than its size raises, never fails
+    tables = carlitz_tables(3)
+    for lookup in (tables[0], tables[1].entry, tables[2].entry):
+        for n, k in ((4, 1), (4, 0), (9, 3)):
+            with pytest.raises(ValueError):
+                lookup(n, k)
+        assert lookup(3, -1) == lookup(2, 3) == lookup(9, 10) == zero
+    for check in (verify_carlitz_identities, verify_triangle_inverse,
+                  verify_conjugated_inverse, symfunc_suite_report):
+        with pytest.raises(ValueError):
+            check(5, tables)

@@ -2,11 +2,11 @@
 
 Each command imports only the modules it uses, no module imports
 ``dataclasses`` (and with it ``inspect``), a command whose output holds no
-JSON does not load ``json``, no query, export, jtable or verify of
-qstirling, jpoly or oracles loads ``fractions`` or ``signal``, and
-``import qsym`` still offers every public name of the package, resolved on
-first access.  Run as a program, the CLI freezes the collector's objects as
-it ends, so the collection at interpreter exit passes them by.
+JSON does not load ``json``, no command loads ``fractions`` or
+``signal``, and ``import qsym`` still offers every public name of the
+package, resolved on first access.  Run as a program, the CLI freezes the
+collector's objects as it ends, so the collection at interpreter exit
+passes them by.
 """
 
 import gc
@@ -41,6 +41,7 @@ BASE = {"qsym", "qsym.cli", "qsym.exactpoly"}
 STIRLING = BASE | {"qsym.qcalc", "qsym.qstirling"}
 JTABLE = BASE | {"qsym.jpoly"}
 ORACLES = BASE | {"qsym.oracles"}
+SYMFUNC = STIRLING | {"qsym.report", "qsym.symfunc", "qsym.pqalgebra"}
 
 
 def src_env() -> dict:
@@ -58,9 +59,10 @@ def loaded_modules(*argv) -> set:
 # output and CSV exports (their cells are compact JSON arrays, written
 # without the json module) must not.  No query, export or jtable loads the
 # batteries (qsym.report) or the verification algebra (qsym.pqalgebra);
-# verify loads what its battery needs.  None of these commands loads
-# fractions or decimal: the J specialization runs on int rows; nor signal,
-# which only a fault in the parent beside a forked battery needs.
+# verify loads what its battery needs.  No command loads fractions or
+# decimal: every battery runs on int rows and integer alphabets, and a unit
+# is its own inverse; nor signal, which only a fault in the parent beside a
+# forked battery needs.
 @pytest.mark.parametrize("argv, expected, writes_json", [
     (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
      False),
@@ -78,10 +80,12 @@ def loaded_modules(*argv) -> set:
      False),
     (("verify", "oracles", "--n-max", "3"),
      JTABLE | ORACLES | {"qsym.qcalc", "qsym.report"}, False),
+    (("verify", "symfunc", "--n-max", "6"), SYMFUNC, False),
+    (("verify", "all", "--n-max", "7"), SYMFUNC | JTABLE | ORACLES, False),
 ], ids=["query-qbinomial", "query-qstirling2", "query-qstirling1",
         "query-jpoly", "query-parking", "query-forest-stat", "export-stirling",
         "export-jtable", "jtable", "verify-qstirling", "verify-jpoly",
-        "verify-oracles"])
+        "verify-oracles", "verify-symfunc", "verify-all"])
 def test_each_command_loads_only_its_modules(argv, expected, writes_json):
     modules = loaded_modules(*argv)
     assert "dataclasses" not in modules and "inspect" not in modules
