@@ -257,7 +257,8 @@ class UniPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as the scalar it equals (its sum), zero as 0
+        return hash(self.coeffs if len(self.coeffs) > 1 else sum(self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -118,7 +118,8 @@ class BiPoly:
         return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        # at most one row hashes as that UniPoly, so a constant as its scalar
+        return hash(self.rows if len(self.rows) > 1 else UniPoly(*self.rows))
 
     def inverse(self) -> "BiPoly":
         if len(self.rows) == 1:                 # a polynomial in q alone

@@ -201,7 +201,7 @@ def run_batteries(batteries, forked: int = -1) -> CheckReport:
 def verify_carlitz_identities(n_max: int, tables: tuple) -> CheckReport:
     """Exactly check the two expansions linking q-binomials to the triangle.
 
-    (i)  [n k] = sum_j C(n,j) (q-1)^(j-k) S[j,k]
+    (i)  [n k] = sum_j C(n,j) (q-1)^(j-k) S[j,k], (q-1)^i = (-1)^i (1-q)^i
     (ii) (1-q)^(n-k) S[n,k] = sum_l (-1)^(l-k) C(n,l) [l k]
     for every 0 <= k <= n <= n_max, tables being qstirling.carlitz_tables(m),
     m >= n_max.  Failures are recorded with the first counterexample, not
@@ -211,12 +211,11 @@ def verify_carlitz_identities(n_max: int, tables: tuple) -> CheckReport:
         raise ValueError("n_max must be >= 1")
     report = CheckReport()
     binom, stirling, _first, omq = tables
-    qm1 = powers(q - one, n_max)
     for n in range(n_max + 1):
         for k in range(n + 1):
             lhs = binom(n, k)
-            rhs = sum((comb(n, j) * qm1[j - k] * stirling.entry(j, k)
-                       for j in range(k, n + 1)), zero)
+            rhs = sum(((-1) ** (j - k) * comb(n, j) * omq[j - k]
+                       * stirling.entry(j, k) for j in range(k, n + 1)), zero)
             report.check("carlitz-qbinomial-expansion", lhs == rhs,
                          detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, k=k)
 
@@ -341,7 +340,8 @@ def _shifted_sum(terms) -> list:
 
 def exp_rows(order: int) -> list:
     """b_0..b_order: b_0 = 1, b_n = sum over k = 1..n of (-1)^(k+1) C(n, k)
-    a_k b_(n-k), E(-t) H(t) = 1 scaled by n!; a smaller order's are a prefix."""
+    a_k b_(n-k), symfunc.complete_from_elementary scaled by n!; a smaller
+    order's are a prefix."""
     b = [[1]]
     for n in range(1, order + 1):
         b.append(_shifted_sum(((-1) ** (k + 1) * comb(n, k), comb(k, 2), b[n - k])
@@ -350,8 +350,9 @@ def exp_rows(order: int) -> list:
 
 
 def scaled_p_nr(b, n: int, r: int) -> list:
-    """n! p_n^(r), n < len(b): symfunc.p_nr_series scaled by n!, the sum over
-    k = 0..n-r of (-1)^k C(r+k, r) C(n, r+k) a_(r+k) b_(n-r-k)."""
+    """n! p_n^(r), n < len(b): symfunc.qp_nr_direct's alternating sum with
+    ordinary binomials, scaled by n!, the sum over k = 0..n-r of (-1)^k
+    C(r+k, r) C(n, r+k) a_(r+k) b_(n-r-k)."""
     return _shifted_sum(((-1) ** k * comb(r + k, r) * comb(n, r + k),
                          comb(r + k, 2), b[n - r - k]) for k in range(n - r + 1))
 

@@ -1,10 +1,12 @@
 """Symmetric functions on finite alphabets and their q-analogs.
 
 Everything is evaluated on a concrete finite alphabet of exact values
-(rationals, or polynomials in q for the principal specialization).  Every
-identity checked here is degree bounded, so exactness on an alphabet with
-at least as many variables as the degree settles the formal identity in
-that degree; no symbolic symmetric-function algebra is needed.
+(rationals, or polynomials in q for the principal specialization), kept as
+given: e_k, h_k and the classical p_n^(r) of an integer alphabet are ints,
+and only the q-analogs are polynomials.  Every identity checked here is
+degree bounded, so exactness on an alphabet with at least as many variables
+as the degree settles the formal identity in that degree; no symbolic
+symmetric-function algebra is needed.
 
 The central object is the q-analog of the power-type sums p_n^(r), the sum
 of all monomial symmetric functions indexed by partitions of n with exactly
@@ -18,17 +20,12 @@ transfer checks compare independent computations.
 
 from __future__ import annotations
 
-from math import comb
-
 from .exactpoly import Frozen, UniPoly, one, powers, set_field, zero
-from .pqalgebra import BiPoly, TruncSeries, det_hessenberg, pq_binomial
+from .pqalgebra import BiPoly, det_hessenberg, pq_binomial
 from .qcalc import alternating_binomial_sum, qbinomial, qbracket, qfactorial
 from .report import CheckReport
 
-# Largest sizes of the r = 1 determinant and two-parameter batteries in the
-# suite; below them, both stop at the suite's own size.
-DETERMINANT_N_MAX = 5
-PQ_N_MAX = 4
+PQ_N_MAX = 4    # the two-parameter battery's largest size in the suite
 
 
 class SymAlphabet(Frozen):
@@ -51,8 +48,7 @@ class SymAlphabet(Frozen):
 
     @classmethod
     def from_values(cls, values) -> "SymAlphabet":
-        return cls(tuple(v if isinstance(v, UniPoly) else UniPoly.constant(v)
-                         for v in values))
+        return cls(tuple(values))
 
     @classmethod
     def primes(cls, n: int) -> "SymAlphabet":
@@ -75,7 +71,7 @@ class SymAlphabet(Frozen):
 
 def elementary_sequence(alphabet: SymAlphabet, order: int):
     """e_0..e_order of the alphabet, by expanding prod (1 + x_i t)."""
-    e = [one] + [zero] * order
+    e = [1] + [0] * order
     top = 0
     for x in alphabet.values:
         top = min(top + 1, order)
@@ -85,12 +81,16 @@ def elementary_sequence(alphabet: SymAlphabet, order: int):
 
 
 def complete_from_elementary(e, order: int):
-    """h_0..h_order from the elementary values, by inverting E(-t)."""
-    if e[0] != one:
+    """h_0..h_order from the elementary values: h_0 = 1 and h_m = sum over
+    k = 1..min(m, len(e) - 1) of (-1)^(k+1) e_k h_(m-k), E(-t) H(t) = 1 read
+    coefficient by coefficient; e_0 = 1 makes every step division free."""
+    if e[0] != 1:
         raise ValueError("elementary sequence must start with 1")
-    padded = list(e[: order + 1]) + [zero] * (order + 1 - len(e[: order + 1]))
-    alternating = [c if k % 2 == 0 else -c for k, c in enumerate(padded)]
-    return list(TruncSeries(alternating).invert().coeffs)
+    h = [1]
+    for m in range(1, order + 1):
+        h.append(sum((-1) ** (k + 1) * e[k] * h[m - k]
+                     for k in range(1, min(m, len(e) - 1) + 1)))
+    return h
 
 
 class SymSeriesBundle(Frozen):
@@ -110,10 +110,8 @@ class SymSeriesBundle(Frozen):
 
     @classmethod
     def from_elementary(cls, e) -> "SymSeriesBundle":
-        e = [c if isinstance(c, UniPoly) else UniPoly.constant(c) for c in e]
-        order = len(e) - 1
-        h = complete_from_elementary(e, order)
-        return cls(order, tuple(e), tuple(h))
+        e = tuple(e)
+        return cls(len(e) - 1, e, tuple(complete_from_elementary(e, len(e) - 1)))
 
 
 def p_nr_row(alphabet: SymAlphabet, n: int) -> list:
@@ -125,7 +123,7 @@ def p_nr_row(alphabet: SymAlphabet, n: int) -> list:
     by table[d][j] += sum_(a >= 1) x^a table[d-a][j-1], d descending as in
     elementary_sequence.
     """
-    table = [[one]] + [[zero] * (d + 1) for d in range(1, n + 1)]
+    table = [[1]] + [[0] * (d + 1) for d in range(1, n + 1)]
     for x in alphabet.values:
         xp = powers(x, n)
         for d in range(n, 0, -1):
@@ -156,15 +154,10 @@ def qp_nr_direct(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
     return _convolution(bundle, n, r, qbinomial)
 
 
-def p_nr_series(bundle: SymSeriesBundle, n: int, r: int) -> UniPoly:
-    """Classical p_n^(r) by the same convolution with ordinary binomials."""
-    return _convolution(bundle, n, r, comb)
-
-
 def _determinant(e, n: int, r: int, binom):
     """The Hessenberg determinant of size n-r+1 with first column
     binom(r+i, r) e_(r+i), the e's down the band and ones on the
-    superdiagonal; e may hold UniPoly or BiPoly values."""
+    superdiagonal; binom may give UniPoly or BiPoly values."""
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
     size = n - r + 1
@@ -286,25 +279,25 @@ def classical_pn_determinants_check(bundle, binom) -> CheckReport:
 def pq_transfer_check(alphabet: SymAlphabet, bundle, qbinom) -> CheckReport:
     """Two-parameter extension at n = bundle.order: determinant versus
     double sum, and the p = 1 slice collapsing to the one-parameter q-analog;
-    qbinom as binom in determinant_vs_convolution_check.
+    qbinom as binom in determinant_vs_convolution_check.  The alphabet's
+    values are exact scalars, which multiply a BiPoly as they are.
 
     Both routes evaluate the same formal identity, so they agree on every
     alphabet, even one with fewer variables than n (where faithfulness, not
     validity, is lost)."""
     report = CheckReport()
     n = bundle.order
-    e_bi = [BiPoly.from_unipoly(c) for c in bundle.e]
     classical = p_nr_row(alphabet, n)
     rows = [[pq_binomial(m, k) for k in range(m + 1)] for m in range(n + 1)]
     binom = lambda m, k: rows[m][k]             # 0 <= k <= m <= n throughout
 
     for r in range(1, n + 1):
-        det = _determinant(e_bi, n, r, binom)
+        det = _determinant(bundle.e, n, r, binom)
 
         dbl = BiPoly()
         for j in range(r, n + 1):
-            dbl = dbl + (BiPoly.from_unipoly(classical[j])
-                         * alternating_binomial_sum(binom, j, r, BiPoly()))
+            dbl = dbl + classical[j] * alternating_binomial_sum(
+                binom, j, r, BiPoly())
         report.check("pq-double-sum-vs-determinant", det == dbl,
                      detail=lambda: f"det={det!r} sum={dbl!r}", n=n, r=r)
 
@@ -329,9 +322,10 @@ def default_alphabets(n: int):
 
 
 def symfunc_suite_report(n_max: int, tables: tuple) -> CheckReport:
-    """Transfer, determinant, and two-parameter batteries on the default
-    alphabets to n_max, each (alphabet, size) bundle built once; every size
-    reads a prefix of tables, qstirling.carlitz_tables(m) for an m >= n_max."""
+    """Transfer and determinant batteries on the default alphabets to n_max,
+    the two-parameter one to PQ_N_MAX, each (alphabet, size) bundle built
+    once; every size reads a prefix of tables, qstirling.carlitz_tables(m)
+    for an m >= n_max."""
     report = CheckReport()
     binom = tables[0]
     # by size, then in the order of default_alphabets: three per size
@@ -340,7 +334,7 @@ def symfunc_suite_report(n_max: int, tables: tuple) -> CheckReport:
     for alphabet, bundle in sized:
         report.merge(transfer_theorem_check(alphabet, bundle, tables))
         report.merge(determinant_vs_convolution_check(bundle, binom))
-    for _alphabet, bundle in sized[:3 * DETERMINANT_N_MAX]:
+    for _alphabet, bundle in sized:
         report.merge(classical_pn_determinants_check(bundle, binom))
     for n in range(1, min(n_max, PQ_N_MAX) + 1):
         # primes(n), the first default alphabet of size n: n variables

@@ -3,15 +3,16 @@ kept for the tests as references: dense polynomial products throughout, no
 bracket_mul window sums and no triangle_rows.  The composition sums with
 every composition's bracket chain rebuilt by dense powers, no shared
 prefixes.  The classical p_n^(r) by partitions and their distinct
-rearrangements, no table over the alphabet, and by the Hessenberg
-determinant with ordinary binomials.  The parking sum by every ordered
-prefix of the first m - 1 values, each sorted on its own, and the literal
-parking condition that both parking walks are tested against.  Cofactor
-expansion, the reference for det_hessenberg, and the q-derivative of a
-truncated series, the operator of the generating-series identity.  Test
-helpers no battery reads: one elementary value, one classical p_n^(r), the
-principal alphabet x_i = q^(i-1), and the exponential specialization's
-elementary values e_k = q^C(k,2) / k! as Fractions, with their bundle."""
+rearrangements, no table over the alphabet, and by the alternating sum of
+e's and h's and the Hessenberg determinant, both with ordinary binomials.
+The parking sum by every ordered prefix of the first m - 1 values, each
+sorted on its own, and the literal parking condition that both parking
+walks are tested against.  Cofactor expansion, the reference for
+det_hessenberg, and the q-derivative of a truncated series, the operator of
+the generating-series identity.  Test helpers no battery reads: one
+elementary value, one classical p_n^(r), the principal alphabet
+x_i = q^(i-1), and the exponential specialization's elementary values
+e_k = q^C(k,2) / k! as Fractions, with their bundle."""
 
 import itertools
 from fractions import Fraction
@@ -191,7 +192,7 @@ def exp_elementary(order: int) -> list:
 
 def exp_bundle(order: int) -> SymSeriesBundle:
     """The e and h rows of the exponential specialization over the
-    rationals, h by inverting the series E(-t)."""
+    rationals, h by the recurrence of E(-t) H(t) = 1."""
     return SymSeriesBundle.from_elementary(exp_elementary(order))
 
 
@@ -208,6 +209,15 @@ def p_nr_monomial(alphabet: SymAlphabet, n: int, r: int) -> UniPoly:
     if not 0 <= r <= n:
         return zero
     return p_nr_row(alphabet, n)[r]
+
+
+def p_nr_series(bundle, n: int, r: int):
+    """Classical p_n^(r), 0 <= r <= n <= bundle.order, as the alternating
+    sum over k = 0..n-r of C(r+k, r) e_(r+k) h_(n-r-k): the q-analog's
+    convolution with ordinary binomials."""
+    e, h = bundle.e, bundle.h
+    return sum((-1) ** k * comb(r + k, r) * e[r + k] * h[n - r - k]
+               for k in range(n - r + 1))
 
 
 def p_nr_determinant(bundle, n: int, r: int) -> UniPoly:

@@ -300,8 +300,8 @@ def test_verify_all_is_its_suites_in_order_at_their_caps():
 
 
 def test_verify_symfunc_coverage():
-    # three alphabets at each n <= 6, the r = 1 determinants to n = 5 and the
-    # (p, q) battery to n = 4
+    # three alphabets at each n <= 6, the r = 1 determinants with them and
+    # the (p, q) battery to n = 4
     code, text = run("verify", "symfunc", "--n-max", "6", "--format", "json")
     assert code == 0
     records = json.loads(text)
@@ -310,8 +310,8 @@ def test_verify_symfunc_coverage():
         "transfer-second-kind": 63, "transfer-first-kind": 63,
         "transfer-double-sum": 63, "determinant-vs-convolution": 63,
         "transfer-r1": 18,
-        "p-bracket-determinant": 45, "e-factorial-determinant": 45,
-        "e-p-linear-system": 45,
+        "p-bracket-determinant": 63, "e-factorial-determinant": 63,
+        "e-p-linear-system": 63,
         "pq-double-sum-vs-determinant": 10, "pq-degenerates-to-q": 10}
 
 

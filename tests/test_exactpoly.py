@@ -338,6 +338,16 @@ def test_output_does_not_depend_on_coefficient_type():
         assert render(from_ints) == render(from_fractions)
 
 
+def test_a_constant_hashes_as_the_scalar_it_equals():
+    for c in (3, -7, Fraction(3, 2), Fraction(-1, 3), Fraction(4, 2)):
+        for poly in (UniPoly((c,)), BiPoly.constant(c)):
+            assert poly == c and hash(poly) == hash(c)
+            assert {c: "x"}.get(poly) == "x" and len({c, poly}) == 1
+    for nil in (zero, P(0), BiPoly(), BiPoly.constant(0)):
+        assert nil == 0 and hash(nil) == hash(0)
+        assert {0: "x"}.get(nil) == "x" and len({0, nil}) == 1
+
+
 def test_json_coeff_list_is_the_compact_json_array():
     rng = random.Random(6)
     for _ in range(200):

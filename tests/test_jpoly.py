@@ -15,9 +15,9 @@ from qsym.report import (cross_formula_check, exp_rows, exp_shift_check,
                          kung_yan_check, reciprocal_composition_forms,
                          reciprocal_explicit_check,
                          reciprocal_recurrence_check, scaled_p_nr)
-from qsym.symfunc import p_nr_series
 from routes import (COMPOSITION_EXPONENTS, compositions, dense_composition_sum,
-                    dense_jtable, exp_bundle, multinomial, p_nr_determinant)
+                    dense_jtable, exp_bundle, multinomial, p_nr_determinant,
+                    p_nr_series)
 
 
 def P(*coeffs):

@@ -8,20 +8,21 @@ import pytest
 
 import qsym.symfunc as symfunc
 from qsym.exactpoly import UniPoly, one, zero
-from qsym.pqalgebra import TruncSeries, exact_div
+from qsym.pqalgebra import BiPoly, TruncSeries, exact_div
 from qsym.qcalc import qfactorial
 from qsym.qstirling import carlitz_tables
 from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
                           classical_pn_determinants_check,
                           complete_from_elementary, default_alphabets,
                           determinant_vs_convolution_check,
-                          elementary_sequence, p_nr_series,
+                          elementary_sequence, p_nr_row,
                           pq_transfer_check, qp_nr_determinant,
                           qp_nr_direct, symfunc_suite_report,
                           transfer_theorem_check)
 
 from routes import (elementary, monomial_sum_by_permutations, p_nr_monomial,
-                    partitions_with_length, principal, q_derivative)
+                    p_nr_series, partitions_with_length, principal,
+                    q_derivative)
 
 
 TABLES = carlitz_tables(6)      # what verify hands the checks, to size 6
@@ -59,11 +60,41 @@ def test_complete_from_elementary():
     e = [one, UniPoly((3,))]
     h = complete_from_elementary(e, 4)
     assert h == [one, UniPoly((3,)), UniPoly((9,)), UniPoly((27,)), UniPoly((81,))]
+    # the same on ints, to an order past len(e) - 1
+    assert complete_from_elementary([1, 3], 4) == [1, 3, 9, 27, 81]
 
     two_ones = SymAlphabet.from_values([1, 1])
     h2 = complete_from_elementary(elementary_sequence(two_ones, 2), 2)
     assert h2[2] == UniPoly((3,))
     assert h2[1] == elementary(two_ones, 1)
+
+
+def test_integer_alphabet_values_stay_ints():
+    # the primes keep their own ring: no value is wrapped as a polynomial
+    a = SymAlphabet.primes(4)
+    e = elementary_sequence(a, 6)
+    h = complete_from_elementary(e, 6)
+    row = p_nr_row(a, 6)
+    for values in (a.values, e, h, row):
+        assert all(type(v) is int for v in values), values
+    # 2, 3, 5, 7: the values the constant polynomials held
+    assert e == [1, 17, 101, 247, 210, 0, 0]
+    assert h == [1, 17, 188, 1726, 14343, 112371, 848506]
+    assert row == [0, 134067, 406557, 268402, 39480, 0, 0]
+    assert sum(row) == h[6]
+    # a bundle of ints is equal to, and hashes as, one of constant polynomials
+    ints = SymSeriesBundle.from_elementary([1, 3])
+    polys = SymSeriesBundle.from_elementary([one, UniPoly((3,))])
+    assert ints == polys and hash(ints) == hash(polys)
+
+
+def test_the_suite_needs_no_series_inverse(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("an inverse or a lift was called")
+    monkeypatch.setattr(TruncSeries, "invert", refuse)
+    monkeypatch.setattr(UniPoly, "inverse", refuse)
+    monkeypatch.setattr(BiPoly, "from_unipoly", refuse)
+    assert symfunc_suite_report(6, TABLES).passed
 
 
 def test_complete_requires_unit_head():
@@ -121,7 +152,7 @@ def test_qp_nr_q1_slice_is_classical():
         for r in range(1, n + 1):
             qp = qp_nr_direct(b, n, r)
             classical = p_nr_monomial(a, n, r)
-            assert qp.evaluate(Fraction(1)) == classical.constant_term()
+            assert qp.evaluate(Fraction(1)) == classical
 
 
 def test_classical_series_route_matches_monomial_route():
