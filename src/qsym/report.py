@@ -1,8 +1,11 @@
 """The identity batteries and the pass/fail records they produce.
 
 A report is a flat list of records, one per checked or skipped instance.
-Failure is data, not an exception: callers inspect .passed and
-.first_failure.  A skipped instance is neither a pass nor a failure.
+A battery records each comparison as CheckReport.check(identity, lhs, rhs,
+**params): it passes when lhs == rhs, and only a fail renders the two
+sides, as its detail lhs=... rhs=....  Failure is data, not an exception:
+callers inspect .passed and .first_failure.  A skipped instance is neither
+a pass nor a failure.
 The q-Stirling, J and oracle batteries live here, apart from the objects
 they check, so only verify compiles them; each imports its layers as it
 runs.  The J and oracle batteries are handed the J table and run to its
@@ -63,16 +66,14 @@ class CheckReport:
     def add_skip(self, identity: str, **params):
         self.records.append(CheckRecord(identity, "skip", params))
 
-    def check(self, identity: str, ok: bool, detail="", **params):
-        """Record a pass or a fail.  detail is a string or a function that
-        returns one; a function is called only on failure, so a passing
-        check never renders its operands."""
-        if ok:
+    def check(self, identity: str, lhs, rhs, **params):
+        """Record a pass when lhs == rhs, else a fail whose detail is
+        lhs=... rhs=...: the computed route first, its reference second.
+        Only a fail renders the two sides."""
+        if lhs == rhs:
             self.add_pass(identity, **params)
         else:
-            self.add_fail(identity, detail() if callable(detail) else detail,
-                          **params)
-        return ok
+            self.add_fail(identity, f"lhs={lhs} rhs={rhs}", **params)
 
     def merge(self, other: "CheckReport") -> "CheckReport":
         self.records.extend(other.records)
@@ -216,13 +217,10 @@ def verify_carlitz_identities(n_max: int, tables: tuple) -> CheckReport:
             lhs = binom(n, k)
             rhs = sum(((-1) ** (j - k) * comb(n, j) * omq[j - k]
                        * stirling.entry(j, k) for j in range(k, n + 1)), zero)
-            report.check("carlitz-qbinomial-expansion", lhs == rhs,
-                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, k=k)
-
-            lhs2 = omq[n - k] * stirling.entry(n, k)
-            rhs2 = alternating_binomial_sum(binom, n, k, zero)
-            report.check("carlitz-inverse-expansion", lhs2 == rhs2,
-                         detail=lambda: f"lhs={lhs2} rhs={rhs2}", n=n, k=k)
+            report.check("carlitz-qbinomial-expansion", lhs, rhs, n=n, k=k)
+            report.check("carlitz-inverse-expansion",
+                         omq[n - k] * stirling.entry(n, k),
+                         alternating_binomial_sum(binom, n, k, zero), n=n, k=k)
     return report
 
 
@@ -245,7 +243,7 @@ def _scaled_inverse_check(identity: str, n_max: int, tables,
     for i in range(n_max):
         ok = ok and all(sum((A[i][l] * B[l][j] for l in range(j, i + 1)), zero)
                         == (one if i == j else zero) for j in range(i + 1))
-        report.check(identity, ok, n=i + 1)
+        report.check(identity, ok, True, n=i + 1)
     return report
 
 
@@ -279,9 +277,7 @@ def _row_recurrence_check(identity: str, table, exponent, entry) -> CheckReport:
                 bpow = bpow * br
                 acc = acc + (UniPoly.monomial(exponent(r, m, j), comb(m, j))
                              * bpow * entry(m, j))
-            lhs = entry(n, r)
-            report.check(identity, lhs == acc,
-                         detail=lambda: f"lhs={lhs} rhs={acc}", n=n, r=r)
+            report.check(identity, entry(n, r), acc, n=n, r=r)
     return report
 
 
@@ -307,8 +303,7 @@ def kung_yan_check(table) -> CheckReport:
             rhs = one - sum((UniPoly.monomial(l * (n - l), comb(n - r, l - r))
                              * omq[l - r] * reciprocal(l, r, table)
                              for l in range(r, n)), zero)
-            report.check("reciprocal-column-recurrence", lhs == rhs,
-                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
+            report.check("reciprocal-column-recurrence", lhs, rhs, n=n, r=r)
     return report
 
 
@@ -376,20 +371,6 @@ def j_from_scaled_p(c, n: int, r: int) -> UniPoly:
     return UniPoly(c)
 
 
-def exp_shift_check(order: int) -> CheckReport:
-    """The r-th derivative of sum a_k t^k / k! is q^C(r,2) times the series
-    at q^r t, r = 1..order.  A derivative shifts the row, so this is a_(m+r)
-    = q^(C(r,2) + rm) a_m, the bookkeeping C(m+r,2) = C(m,2) + C(r,2) + mr."""
-    report = CheckReport()
-    a = [[0] * comb(k, 2) + [1] for k in range(order + 1)]
-    for r in range(1, order + 1):
-        report.check("exp-derivative-shift",
-                     all(a[m + r] == [0] * (comb(r, 2) + r * m) + a[m]
-                         for m in range(order - r + 1)),
-                     r=r, detail=lambda: f"order={order}")
-    return report
-
-
 def specialization_bracket_shift_check(n_max: int) -> CheckReport:
     """p_n^(r) collapses to a scaled r = 1 analog with brackets in base q^r:
     n! p_n^(r) = (1 - q^r) q^C(r,2) C(n, r) P_(n-r), P_m being m! times the
@@ -409,8 +390,7 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
         for r in range(1, n):
             lhs, P, s = scaled_p_nr(b, n, r), bracket_p[r][n - r], comb(r, 2)
             rhs = _shifted_sum(((comb(n, r), s, P), (-comb(n, r), s + r, P)))
-            report.check("specialization-bracket-shift", lhs == rhs, n=n, r=r,
-                         detail=lambda: f"lhs={UniPoly(lhs)} rhs={UniPoly(rhs)}")
+            report.check("specialization-bracket-shift", lhs, rhs, n=n, r=r)
     return report
 
 
@@ -426,13 +406,13 @@ def cross_formula_check(table) -> CheckReport:
             expected = table.entry(n, r)
             if n > r:
                 report.check("table-vs-composition-formula",
-                             j_explicit_composition(n, r) == expected, n=n, r=r)
+                             j_explicit_composition(n, r), expected, n=n, r=r)
             try:
-                ok, detail = (j_from_scaled_p(scaled_p_nr(b, n, r), n, r)
-                              == expected, "")
+                got = j_from_scaled_p(scaled_p_nr(b, n, r), n, r)
             except InexactDivisionError as exc:     # the claimed divisibility fails
-                ok, detail = False, str(exc)
-            report.check("table-vs-specialization", ok, detail=detail, n=n, r=r)
+                report.add_fail("table-vs-specialization", str(exc), n=n, r=r)
+            else:
+                report.check("table-vs-specialization", got, expected, n=n, r=r)
     return report
 
 
@@ -460,13 +440,10 @@ def reciprocal_explicit_check(table) -> CheckReport:
         for r in range(1, n):
             expected = reciprocal(n, r, table)
             acc1, acc2 = reciprocal_composition_forms(n - r, r)
-            report.check("reciprocal-composition-formula", acc1 == expected,
-                         detail=lambda: f"lhs={acc1} expected={expected}",
+            report.check("reciprocal-composition-formula", acc1, expected,
                          n=n, r=r)
-            report.check("reciprocal-rooted-composition-formula",
-                         acc2 == expected,
-                         detail=lambda: f"lhs={acc2} expected={expected}",
-                         n=n, r=r)
+            report.check("reciprocal-rooted-composition-formula", acc2,
+                         expected, n=n, r=r)
     return report
 
 
@@ -501,12 +478,9 @@ def forest_oracle_check(table, shapes, seed: int, cap: int) -> CheckReport:
                 ("forest-level-enumerator", std, table.entry(n, r)),
                 ("forest-reciprocal-enumerator", rec, reciprocal(n, r, table))):
             for name, poly in zip(ranking_names, polys):
-                report.check(identity, poly == expected,
-                             detail=lambda: f"got={poly} expected={expected}",
-                             n=n, r=r, ranking=name)
-        count = std[0].evaluate(1)
-        report.check("forest-count", count == r * n ** (n - r - 1),
-                     detail=lambda: f"got={count}", n=n, r=r)
+                report.check(identity, poly, expected, n=n, r=r, ranking=name)
+        report.check("forest-count", std[0].evaluate(1), r * n ** (n - r - 1),
+                     n=n, r=r)
     return report
 
 
@@ -524,10 +498,8 @@ def parking_oracle_check(table, cap: int) -> CheckReport:
             except EnumerationCapExceeded:
                 report.add_skip("parking-oracle-skipped-by-cap", n=n, r=r)
                 continue
-            expected = reciprocal(n, r, table)
-            report.check("parking-sum-enumerator", got == expected,
-                         detail=lambda: f"got={got} expected={expected}",
-                         m=m, r=r)
+            report.check("parking-sum-enumerator", got,
+                         reciprocal(n, r, table), m=m, r=r)
     return report
 
 
@@ -576,8 +548,8 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
     one of them in a forked child where there are two or more:
     qstirling: the Carlitz expansions | the inverse and conjugated inverse
     checks (forked); jpoly: the cross formulas and the reciprocal's row
-    recurrence | its column recurrence, both specialization shifts and the
-    extended recurrence (forked); oracles: oracle_batteries, cut at the
+    recurrence | its column recurrence, the bracket shift and the extended
+    recurrence (forked); oracles: oracle_batteries, cut at the
     largest forest shape (n, 1), whose walk alone is forked; all: the
     batteries of the other four, the (n, 1) walk forked, n =
     min(n_max, ORACLE_N_MAX).  Where the oracle battery has no forest shape
@@ -598,9 +570,8 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
         from .symfunc import symfunc_suite_report
         return symfunc_suite_report(min(n_max, SYMFUNC_N_MAX), tables)
 
-    def shifts_and_recurrences():
+    def shift_and_recurrences():
         report = kung_yan_check(table)
-        report.merge(exp_shift_check(n_max))
         report.merge(specialization_bracket_shift_check(n_max))
         return report.merge(extended_recurrence_check(table))
 
@@ -611,7 +582,7 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
             ("symfunc", symfunc_battery),
             ("jpoly", lambda: cross_formula_check(table).merge(
                 reciprocal_recurrence_check(table))),
-            ("jpoly", shifts_and_recurrences)]
+            ("jpoly", shift_and_recurrences)]
     oracles = []
     if suite in ("oracles", "all"):
         oracles = oracle_batteries(

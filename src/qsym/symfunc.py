@@ -217,17 +217,14 @@ def transfer_theorem_check(alphabet: SymAlphabet, bundle,
                 ("transfer-first-kind", classical[r], first_kind, qanalog)):
             rhs = sum((omq[j - r] * triangle.entry(j, r) * x[j]
                        for j in range(r, n + 1)), zero)
-            report.check(identity, lhs == rhs,
-                         detail=lambda: f"lhs={lhs} rhs={rhs}", n=n, r=r)
+            report.check(identity, lhs, rhs, n=n, r=r)
 
         dbl = sum((classical[j] * alternating_binomial_sum(binom, j, r, zero)
                    for j in range(r, n + 1)), zero)
-        report.check("transfer-double-sum", qanalog[r] == dbl,
-                     detail=lambda: f"lhs={qanalog[r]} rhs={dbl}", n=n, r=r)
+        report.check("transfer-double-sum", qanalog[r], dbl, n=n, r=r)
 
     r1 = sum((omq[j - 1] * classical[j] for j in range(1, n + 1)), zero)
-    report.check("transfer-r1", qanalog[1] == r1,
-                 detail=lambda: f"lhs={qanalog[1]} rhs={r1}", n=n, r=1)
+    report.check("transfer-r1", qanalog[1], r1, n=n, r=1)
     return report
 
 
@@ -237,10 +234,9 @@ def determinant_vs_convolution_check(bundle, binom) -> CheckReport:
     report = CheckReport()
     n = bundle.order
     for r in range(1, n + 1):
-        d = _determinant(bundle.e, n, r, binom)
-        c = _convolution(bundle, n, r, binom)
-        report.check("determinant-vs-convolution", d == c,
-                     detail=lambda: f"det={d} conv={c}", n=n, r=r)
+        report.check("determinant-vs-convolution",
+                     _determinant(bundle.e, n, r, binom),
+                     _convolution(bundle, n, r, binom), n=n, r=r)
     return report
 
 
@@ -257,22 +253,18 @@ def classical_pn_determinants_check(bundle, binom) -> CheckReport:
     p_list = [zero] + [_convolution(bundle, k, 1, binom)
                        for k in range(1, n + 1)]
     for m in range(1, n + 1):
-        det = pn_bracket_determinant(e, m)
-        report.check("p-bracket-determinant", det == p_list[m],
-                     detail=lambda: f"det={det} conv={p_list[m]}", n=m, r=1)
-
-        lhs = en_factorial_determinant(p_list, m)
-        rhs = qfactorial(m) * e[m]
-        report.check("e-factorial-determinant", lhs == rhs,
-                     detail=lambda: f"det={lhs} expected={rhs}", n=m, r=1)
+        report.check("p-bracket-determinant", pn_bracket_determinant(e, m),
+                     p_list[m], n=m, r=1)
+        report.check("e-factorial-determinant",
+                     en_factorial_determinant(p_list, m), qfactorial(m) * e[m],
+                     n=m, r=1)
 
         sys_lhs = zero
         for k in range(1, m + 1):
             term = e[m - k] * p_list[k]
             sys_lhs = sys_lhs + (term if (k - 1) % 2 == 0 else -term)
-        sys_rhs = qbracket(m) * e[m]
-        report.check("e-p-linear-system", sys_lhs == sys_rhs,
-                     detail=lambda: f"lhs={sys_lhs} rhs={sys_rhs}", n=m, r=1)
+        report.check("e-p-linear-system", sys_lhs, qbracket(m) * e[m],
+                     n=m, r=1)
     return report
 
 
@@ -298,13 +290,9 @@ def pq_transfer_check(alphabet: SymAlphabet, bundle, qbinom) -> CheckReport:
         for j in range(r, n + 1):
             dbl = dbl + classical[j] * alternating_binomial_sum(
                 binom, j, r, BiPoly())
-        report.check("pq-double-sum-vs-determinant", det == dbl,
-                     detail=lambda: f"det={det!r} sum={dbl!r}", n=n, r=r)
-
-        slice_q = det.at_p_one()
-        direct = _convolution(bundle, n, r, qbinom)
-        report.check("pq-degenerates-to-q", slice_q == direct,
-                     detail=lambda: f"slice={slice_q} direct={direct}", n=n, r=r)
+        report.check("pq-double-sum-vs-determinant", det, dbl, n=n, r=r)
+        report.check("pq-degenerates-to-q", det.at_p_one(),
+                     _convolution(bundle, n, r, qbinom), n=n, r=r)
     return report
 
 

@@ -16,7 +16,7 @@ import qsym.cli as cli
 import qsym.jpoly as jpoly
 import qsym.symfunc as symfunc
 from qsym.exactpoly import (EnumerationCapExceeded, InexactDivisionError,
-                            UniPoly, bracket_mul)
+                            UniPoly, bracket_mul, zero)
 from qsym.report import CheckReport, forest_oracle_check, run_batteries
 
 from polytext import parse_poly_text
@@ -316,8 +316,8 @@ def test_verify_symfunc_coverage():
 
 
 def test_verify_jpoly_coverage():
-    # the composition formula and the three recurrences at each 1 <= r < n,
-    # the specialization at each 1 <= r <= n; both shift checks run to n = 9
+    # the composition formula, the three recurrences and the bracket shift
+    # at each 1 <= r < n, the specialization at each 1 <= r <= n
     code, text = run("verify", "jpoly", "--n-max", "9", "--format", "json")
     assert code == 0
     records = json.loads(text)
@@ -325,8 +325,7 @@ def test_verify_jpoly_coverage():
     assert Counter(r["identity"] for r in records) == {
         "table-vs-specialization": 45, "table-vs-composition-formula": 36,
         "reciprocal-row-recurrence": 36, "reciprocal-column-recurrence": 36,
-        "extended-row-recurrence": 36, "exp-derivative-shift": 9,
-        "specialization-bracket-shift": 36}
+        "extended-row-recurrence": 36, "specialization-bracket-shift": 36}
 
 
 def test_verify_oracles_lists_seeds():
@@ -779,6 +778,17 @@ def test_inexact_division_is_a_fail_record(monkeypatch):
                          '"n":1,"r":1,"status":"fail","detail":"J(1, 1) left a remainder"}')
 
 
+def test_failed_composition_formula_shows_both_sides(monkeypatch):
+    monkeypatch.setattr("qsym.jpoly.j_explicit_composition",
+                        lambda n, r: zero)
+    code, text = run("verify", "jpoly", "--n-max", "3", "--format", "json")
+    assert code == 1
+    first = next(r for r in json.loads(text)
+                 if r["identity"] == "table-vs-composition-formula")
+    assert first == {"identity": "table-vs-composition-formula", "n": 2,
+                     "r": 1, "status": "fail", "detail": "lhs=0 rhs=1"}
+
+
 def test_jtable_shape_failure_is_an_error_line(monkeypatch, capsys):
     def long_bracket_mul(c, a, *args, **kwargs):    # [a] one term too long
         return bracket_mul(c, a + 1, *args, **kwargs)
@@ -819,6 +829,43 @@ def test_capped_checks_are_skips_not_passes():
     assert {r["status"] for r in records} == {"pass", "skip"}
 
 
+def test_a_failed_check_renders_both_sides():
+    report = CheckReport()
+    report.check("x", UniPoly([1, 2]), UniPoly([1]), n=3)
+    assert report.records[0].to_json_dict() == {
+        "identity": "x", "n": 3, "status": "fail", "detail": "lhs=1+2q rhs=1"}
+
+
+class Unrenderable:
+    """A value compared and truth-tested as its payload; rendering one
+    raises."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Unrenderable) and self.value == other.value
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __str__(self):
+        raise AssertionError("a passing check rendered its sides")
+
+    def __format__(self, spec):
+        raise AssertionError("a passing check rendered its sides")
+
+
+def test_a_passing_check_renders_nothing():
+    # equal sides pass whatever their truth value, zero included
+    report = CheckReport()
+    for i, value in enumerate((0, 5)):
+        report.check("x", Unrenderable(value), Unrenderable(value), n=i)
+    assert [r.to_json_dict() for r in report.records] == [
+        {"identity": "x", "n": 0, "status": "pass"},
+        {"identity": "x", "n": 1, "status": "pass"}]
+
+
 def test_skips_do_not_decide_the_verdict():
     report = CheckReport()
     report.add_skip("skipped", n=1)
@@ -836,7 +883,10 @@ def test_report_json_is_one_compact_array(size):
     # encoded a chunk of records at a time, it reads as json.dumps of all
     report = CheckReport()
     for i in range(size):
-        report.check(f"identity-{i % 3}", i % 5 != 4, detail='lhs="1/2" ≠ rhs',
-                     n=i, r="x")
+        if i % 5 != 4:
+            report.add_pass(f"identity-{i % 3}", n=i, r="x")
+        else:
+            report.add_fail(f"identity-{i % 3}", detail='lhs="1/2" ≠ rhs',
+                            n=i, r="x")
     assert report.to_json() == json.dumps(
         [r.to_json_dict() for r in report.records], separators=(",", ":"))

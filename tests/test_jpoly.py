@@ -10,7 +10,7 @@ from qsym.qcalc import qbracket
 from qsym.jpoly import (JTable, build_jtable, composition_sum,
                         j_explicit_composition, jtable_csv_rows, jtable_latex,
                         reciprocal)
-from qsym.report import (cross_formula_check, exp_rows, exp_shift_check,
+from qsym.report import (cross_formula_check, exp_rows,
                          extended_recurrence_check, j_from_scaled_p,
                          kung_yan_check, reciprocal_composition_forms,
                          reciprocal_explicit_check,
@@ -290,14 +290,6 @@ def test_table_at_one_matches_closed_form():
         for r in range(1, n + 1):
             count = 1 if r == n else r * n ** (n - r - 1)
             assert table.entry(n, r).evaluate(Fraction(1)) == count
-
-
-def test_exp_shift_check():
-    # one record per r = 1..order
-    for order in (1, 3, 8, 12):
-        report = exp_shift_check(order)
-        assert report.passed
-        assert [rec.params["r"] for rec in report.records] == list(range(1, order + 1))
 
 
 def test_exponent_bookkeeping_identity():
