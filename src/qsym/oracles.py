@@ -24,11 +24,13 @@ and level masks and differ only in v's parent.  The scoring walk also takes
 the r roots as one parent, "some root": the choice of root changes no depth
 and no level mask, only a parent weight, so a forest with j vertices at
 depth 1 stands for r^j forests.  _forest_enumerators scores each group once,
-for every ranking, by one sum of packed table lookups, then adds each
-member's weight for v's parent and each root choice's weights.
-level_statistic and reciprocal_level_statistic remain the literal
-per-forest scorers, used for --dump-forests, which walks each root, as it
-streams every forest in product order.
+for every ranking, by one sum of packed table lookups in two C-level passes,
+over each vertex's parent weights and the level masks indexed by its depth,
+then adds each member's weight for v's parent and each root choice's.  The
+walk hands each group to a visitor and yields after each frame, so the same
+walk streams every forest in product order for --dump-forests, which walks
+each root and scores by level_statistic and reciprocal_level_statistic, the
+literal per-forest scorers.
 
 Agreement of these enumerators with the closed-form polynomials is the
 strongest correctness evidence the package produces.
@@ -144,68 +146,72 @@ def _check_roots(n: int, roots) -> tuple:
     return rs
 
 
-def _raw_forests(n: int, roots: tuple, some_root: bool = False):
-    """Yield (parent_array, depth_array, level_masks, sizes, group) for each
-    depth group of acyclic parent maps.
+def _raw_forests(n: int, roots: tuple, table, visit, some_root: bool = False):
+    """Call visit(tags, depth, above, sizes, group) for each depth group of
+    acyclic parent maps, and yield after each frame's groups.
 
     A recursive backtracking walk: walk(i, sizes) gives the i-th non-root
     but the last, v, each parent 1..n in ascending order, calls itself
     for the next non-root, then undoes the edge; the recursion nests
     n - r - 1 calls deep.  A parent is skipped when the edge to it closes a
     cycle, which is when the parent chain from it returns to the child; no
-    extension of that branch is acyclic.  Depths are kept along the way:
+    extension of that branch is acyclic.  Beside each vertex's parent the
+    walk keeps its tag, tags[u] = table[parent of u]; with table
+    range(n + 1) the tags are the parents.  Depths are kept along the way:
     when the child attaches below a vertex whose depth is known, place
     gives it and the subtree already hanging under it theirs, and unplace
-    clears them again.  level_masks[d] is kept with them: the bitmask, bit
-    v for vertex v, of the vertices at depth d (0 past the deepest level).
-    So is sizes, which packs the sizes of levels 1, 2, ...,
-    n.bit_length() bits each.
+    clears them again.  The level masks are indexed by the depth of a
+    child: above[d] has bit u for each vertex u at depth d - 1 (above[0]
+    is 0, and so is every entry past the deepest level's children).  sizes
+    packs the sizes of levels 1, 2, ..., n.bit_length() bits each.
 
     Once every non-root but v has a parent (a frame), the parents that close
     no cycle for v are exactly the vertices of known depth: every other
     vertex hangs, through its chain, below v.  They are grouped by depth.
     The forests of one group differ only in v's parent, since v and the
     subtree hanging under it take the same depths whichever member it hangs
-    from; so the group shares the depth array, the level masks and sizes.
-    A frame yields its groups in ascending depth, the roots' group first,
-    with parent_array[v] = 0; each group lists its members ascending.
-    Ordering each frame's forests by v's parent gives the order of the full
-    product of parent choices, the last non-root varying fastest.
+    from; so the group shares the depths, v's too, the masks and sizes.
+    When nothing hangs under v it is placed inline.  A frame visits its
+    groups in ascending depth, the roots' group first, with v's tag
+    table[0]; each group lists its members ascending.  Ordering each
+    frame's forests by v's parent gives the order of the full product of
+    parent choices, the last non-root varying fastest.
 
     With some_root, each non-root tries 0, "some root", then the non-roots:
     a group stands for its forests over every choice of root at depth 1,
-    and the roots' group is (0,).  parent_array and depth_array are indexed
-    by vertex; slot 0 stands for the missing parent of a root, and for some
-    root, with parent 0 and depth 0.  With no non-root at all, the edgeless
-    forest is yielded as the one group (0,).  All the arrays are reused
-    between iterations: consumers keep a copy of anything they hold past
-    the current step.
+    and the roots' group is (0,).  tags and depth are indexed by vertex;
+    slot 0 stands for the missing parent of a root, and for some root, with
+    tag table[0] and depth 0.  With no non-root at all, the edgeless forest
+    is the one group (0,).  All the arrays are reused: visit keeps a copy
+    of anything it holds past the call.
     """
     nonroots = [v for v in range(1, n + 1) if v not in roots]
     k = len(nonroots)
     parent = [0] * (n + 1)          # 0 for a root, some root or no parent yet
+    tags = [table[0]] * (n + 1)
     depth = [-1] * (n + 1)
     depth[0] = 0
-    lvl = [0] * (k + 1)             # a forest is at most k levels deep
+    above = [0] * (k + 2)           # a forest is at most k levels deep
     for rt in roots:
         depth[rt] = 0
-        lvl[0] |= 1 << rt
+        above[1] |= 1 << rt
     if k == 0:
-        yield parent, depth, lvl, 0, (0,)
+        visit(tags, depth, above, 0, (0,))
+        yield
         return
     size_bits = n.bit_length()
     unit = [0] + [1 << (d * size_bits) for d in range(k)]   # by depth
     children = [[] for _ in range(n + 1)]
     parents = [0] + nonroots if some_root else range(1, n + 1)
     last = nonroots[-1]
-    members = {lvl[0]: [0]} if some_root else {}    # a level mask's vertices
+    members = {above[1]: [0]} if some_root else {}  # a level mask's vertices
 
     def place(u, d):    # u at depth d, its subtree below: (placed, sizes)
         placed, added = [u], 0
         depth[u] = d
         for x in placed:
             dx = depth[x]
-            lvl[dx] |= 1 << x
+            above[dx + 1] |= 1 << x
             added += unit[dx]
             for c in children[x]:
                 depth[c] = dx + 1
@@ -214,20 +220,28 @@ def _raw_forests(n: int, roots: tuple, some_root: bool = False):
 
     def unplace(placed):
         for u in placed:
-            lvl[depth[u]] ^= 1 << u
+            above[depth[u] + 1] ^= 1 << u
             depth[u] = -1
 
     def walk(i, sizes):
         if i == k - 1:
-            for d in range(lvl.index(0)):
-                mask = lvl[d]
-                group = members.get(mask)
+            hangs = children[last]
+            for d in range(1, above.index(0, 1)):
+                group = members.get(above[d])
                 if group is None:
-                    group = members[mask] = [u for u in range(1, n + 1)
-                                             if mask >> u & 1]
-                placed, added = place(last, d + 1)
-                yield parent, depth, lvl, sizes + added, group
-                unplace(placed)
+                    group = members[above[d]] = [u for u in range(1, n + 1)
+                                                 if above[d] >> u & 1]
+                if hangs:
+                    placed, added = place(last, d)
+                    visit(tags, depth, above, sizes + added, group)
+                    unplace(placed)
+                else:
+                    depth[last] = d
+                    above[d + 1] |= 1 << last
+                    visit(tags, depth, above, sizes + unit[d], group)
+                    above[d + 1] ^= 1 << last
+            depth[last] = -1
+            yield
             return
         v = nonroots[i]
         for p in parents:
@@ -243,6 +257,7 @@ def _raw_forests(n: int, roots: tuple, some_root: bool = False):
                     continue
                 placed, added = (), 0
             parent[v] = p
+            tags[v] = table[p]
             children[p].append(v)
             yield from walk(i + 1, sizes + added)
             unplace(placed)
@@ -269,9 +284,8 @@ def enumerate_forests(n: int, roots, cap: int = DEFAULT_CAP):
     roots = _capped_roots(n, roots, cap)
     nonroots = [v for v in range(1, n + 1) if v not in roots]
     frame = {}          # one frame's forests by the last non-root's parent
-    for parent, depth, _lvl, _sizes, group in _raw_forests(n, roots):
-        if depth[group[0]] == 0:        # a new frame: flush the last one
-            yield from map(frame.pop, sorted(frame))
+
+    def visit(parent, depth, _above, _sizes, group):
         head = [parent[v] for v in nonroots[:-1]]
         levels = [[] for _ in range(max(depth) + 1)]
         for v in range(1, n + 1):
@@ -279,7 +293,9 @@ def enumerate_forests(n: int, roots, cap: int = DEFAULT_CAP):
         levels = tuple(map(tuple, levels))
         for p in group:
             frame[p] = Forest(n, roots, dict(zip(nonroots, head + [p])), levels)
-    yield from map(frame.pop, sorted(frame))
+
+    for _ in _raw_forests(n, roots, range(n + 1), visit):
+        yield from map(frame.pop, sorted(frame))
 
 
 def sigma_statistic(u) -> int:
@@ -350,18 +366,17 @@ def _packed_weights(n: int, roots: tuple, rankings):
     Ranking j owns the bits from j * width up.  A forest's shortfall under
     one ranking is below n^2, so the sum of its vertices' weights never
     carries from one lane into the next.  The levels are the root set and
-    every nonempty subset of the non-roots; slot 0, the parent of a root,
-    maps the root set to 0.
+    every nonempty subset of the non-roots; slot 0 maps each, and 0, to 0.
     """
     width = (n * n).bit_length() + 1
-    weight = [{} for _ in range(n + 1)]
+    weight = [{0: 0}] + [{} for _ in range(n)]
     for level in _levels(n, roots):
         mask = sum(1 << v for v in level)
         tables = [ranking.ranks(level) for ranking in rankings]
+        weight[0][mask] = 0
         for p in level:
             weight[p][mask] = sum((table[p] - 1) << (j * width)
                                   for j, table in enumerate(tables))
-    weight[0][sum(1 << v for v in roots)] = 0
     return width, weight
 
 
@@ -370,12 +385,13 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
     walk of the candidate space.
 
     Each depth group of the walk is scored once for all rankings, by
-    C-level maps with no Python loop over its vertices: the weights of the
-    vertices' parents, each looked up by the mask of the parent's level,
-    sum to every ranking's parent-rank shortfall at once, one per lane.
-    That sum leaves out the last non-root, whose parent is what the members
-    of a group differ in, so each member adds its own weight.  The roots
-    count as one parent of weight 0, so as the tally folds, a key with j
+    C-level maps with no Python loop over its vertices: with the walk's
+    tags[u] = weight[parent of u] and masks by child depth,
+    sum(map(dict.__getitem__, tags, map(above.__getitem__, depth))) is
+    every ranking's parent-rank shortfall at once, one per lane.  weight[0]
+    is 0 at every mask, so slot 0, the roots, some root's children and the
+    last non-root add nothing; each member of a group adds its own weight
+    for the last non-root's parent.  As the tally folds, a key with j
     vertices at depth 1, its level-1 size, is spread over choices[j]: the
     packed sums of the roots' weights over the r^j root choices.  Forests
     are tallied by (level sizes, packed shortfalls), both packed into one int,
@@ -405,16 +421,17 @@ def _forest_enumerators(n: int, roots, rankings, variants, cap: int):
 
     tally = {}
     lookup = dict.__getitem__
-    for parent, depth, lvl, sizes, group in _raw_forests(n, roots,
-                                                         some_root=True):
-        # parent 0, some root and the last non-root's, adds nothing to base
-        base = (sum(map(lookup, map(weight.__getitem__, parent),
-                        map(lvl.__getitem__, map(depth.__getitem__, parent))))
+
+    def visit(tags, depth, above, sizes, group):
+        base = (sum(map(lookup, tags, map(above.__getitem__, depth)))
                 + (sizes << low))
-        mask = lvl[depth[group[0]]]
+        mask = above[depth[group[0]] + 1]
         for p in group:
             key = base + weight[p][mask]
             tally[key] = tally.get(key, 0) + 1
+
+    for _ in _raw_forests(n, roots, weight, visit, some_root=True):
+        pass
     shortfalls = {}     # key >> low -> per ranking, {shortfall: count}
     for key, count in tally.items():
         lanes = shortfalls.get(key >> low)

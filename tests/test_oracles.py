@@ -109,6 +109,14 @@ def test_enumeration_cap():
     assert exc.value.projected == 12 ** 10            # r n^(n-r-1) forests
 
 
+def test_enumerate_forests_streams():
+    # the first of 12^10 forests comes at once: the star on root 1, every
+    # non-root's first parent choice
+    first = next(enumerate_forests(12, (1,), cap=10 ** 12))
+    assert first.parent == {v: 1 for v in range(2, 13)}
+    assert first.levels == ((1,), tuple(range(2, 13)))
+
+
 def test_bad_roots_rejected():
     with pytest.raises(ValueError):
         list(enumerate_forests(3, ()))
@@ -144,40 +152,47 @@ def product_filter_forests(n, roots):
             yield parent, depth[1:], levels
 
 
-def levels_of(lvl, n):
-    """The levels read off the walk's level masks (bit v for vertex v): the
-    masks are nonzero down to the deepest level, 0 past it, and together
-    cover exactly the vertices 1..n."""
-    deepest = sum(1 for mask in lvl if mask)
-    assert not any(lvl[deepest:])
-    assert sum(lvl) == (1 << (n + 1)) - 2
+def levels_of(above, n):
+    """The levels read off the walk's level masks, indexed by the depth of
+    a child (above[d] holds bit v for each vertex v at depth d - 1): above[0]
+    is 0, the masks are nonzero down to the deepest level, 0 past it, and
+    together cover exactly the vertices 1..n."""
+    assert above[0] == 0
+    masks = above[1:]
+    deepest = sum(1 for mask in masks if mask)
+    assert not any(masks[deepest:])
+    assert sum(masks) == (1 << (n + 1)) - 2
     return tuple(tuple(v for v in range(1, n + 1) if mask >> v & 1)
-                 for mask in lvl[:deepest])
+                 for mask in masks[:deepest])
 
 
 def expanded_walk(n, roots):
     """The walk's depth groups expanded into one (parent, depth, levels) per
     forest, each frame's forests put in ascending order of the last
-    non-root's parent.  Checks each group on the way: its members are
-    ascending and share one depth, the last non-root's parent is left 0,
-    and sizes packs the sizes of levels 1, 2, ..."""
+    non-root's parent.  Checks each group on the way: the roots' group
+    opens each frame, its members are ascending and share one depth, the
+    last non-root's parent is left 0 and its depth is one more, and sizes
+    packs the sizes of levels 1, 2, ..."""
     nonroots = [v for v in range(1, n + 1) if v not in roots]
     last = nonroots[-1] if nonroots else 0
     frame = {}
-    for parent, depth, lvl, sizes, group in _raw_forests(n, roots):
-        if depth[group[0]] == 0:
-            yield from map(frame.pop, sorted(frame))
-        levels = levels_of(lvl, n)
+
+    def visit(parent, depth, above, sizes, group):
+        assert (depth[group[0]] == 0) == (not frame)
+        levels = levels_of(above, n)
         assert sizes == sum(len(level) << (d * n.bit_length())
                             for d, level in enumerate(levels[1:]))
         assert list(group) == sorted(group)
         assert {depth[p] for p in group} == {depth[group[0]]}
         assert parent[last] == 0
+        assert depth[last] == (depth[group[0]] + 1 if nonroots else 0)
         for p in group:
             expanded = list(parent)
             expanded[last] = p
             frame[p] = (expanded, depth[1:], levels)
-    yield from map(frame.pop, sorted(frame))
+
+    for _ in _raw_forests(n, roots, range(n + 1), visit):
+        yield from map(frame.pop, sorted(frame))
 
 
 # every root set up to n = 6, and two at n = 7 for deeper walks
@@ -205,9 +220,9 @@ def test_some_root_walk_stands_for_every_root_choice():
         nonroots = [v for v in range(1, n + 1) if v not in roots]
         last = nonroots[-1] if nonroots else 0
         got = []
-        for parent, depth, lvl, _sizes, group in _raw_forests(
-                n, roots, some_root=True):
-            levels = levels_of(lvl, n)
+
+        def visit(parent, depth, above, _sizes, group):
+            levels = levels_of(above, n)
             assert list(group) == [0] or 0 not in group
             for p in group:
                 expanded = list(parent)
@@ -218,6 +233,9 @@ def test_some_root_walk_stands_for_every_root_choice():
                     for v, rt in zip(top, pick):
                         expanded[v] = rt
                     got.append((list(expanded), depth[1:], levels))
+
+        for _ in _raw_forests(n, roots, range(n + 1), visit, some_root=True):
+            pass
         want = list(product_filter_forests(n, roots))
         assert sorted(got) == sorted(want), roots
 
@@ -313,12 +331,15 @@ def literal_enumerators(n, roots, rankings):
 
 
 def test_packed_scoring_matches_the_literal_statistics():
-    # every root set at n <= 6, and (8, {1, 5, 7}), whose five non-roots
-    # give the last one up to five depth groups of parents
-    rankings = suite_rankings()
-    cases = [(n, roots) for n in range(1, 7) for r in range(1, n + 1)
+    # every root set at n <= 6, (8, {1, 5, 7}), whose five non-roots give
+    # the last one up to five depth groups of parents, and (7, {4}) under
+    # one ranking, where most groups have one member and nothing hangs
+    # under the last non-root
+    cases = [(n, roots, suite_rankings()) for n in range(1, 7)
+             for r in range(1, n + 1)
              for roots in itertools.combinations(range(1, n + 1), r)]
-    for n, roots in cases + [(8, (1, 5, 7))]:
+    cases += [(8, (1, 5, 7), suite_rankings()), (7, (4,), [SeededRanking(11)])]
+    for n, roots, rankings in cases:
         got = _forest_enumerators(n, roots, rankings,
                                   ("standard", "reciprocal"), 10 ** 7)
         assert got == literal_enumerators(n, roots, rankings), (n, roots)
