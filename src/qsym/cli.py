@@ -101,6 +101,15 @@ OPTIONS = {
 KIND_DEST = {"verify": "suite", "query": "kind", "export": "what"}
 
 
+class _KindFirst(argparse.HelpFormatter):
+    """Usage as "prog command kind [options]": the kind is in prog, so only
+    the options are listed after it."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, [a for a in actions if a.option_strings],
+                          groups, prefix)
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for argv: every command is registered, but only the one
     argv names gets arguments, and of verify, query and export only those
@@ -129,11 +138,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     for flags, kwargs in OPTIONS.get((command, kind), ()):
         commands[command].add_argument(*flags, **kwargs)
     if kind and (command, kind) in OPTIONS:     # usage names the kind first
-        cmd_parser = commands[command]
-        usage = argparse.HelpFormatter(f"{cmd_parser.prog} {kind}")
-        usage.add_usage(None, [a for a in cmd_parser._actions
-                               if a.option_strings], [])
-        cmd_parser.usage = usage.format_help().removeprefix("usage: ").rstrip()
+        commands[command].formatter_class = lambda prog: _KindFirst(f"{prog} {kind}")
     return parser
 
 

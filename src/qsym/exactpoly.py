@@ -6,8 +6,9 @@ None.  A coefficient is an ``int`` where integral and a reduced ``Fraction``
 otherwise; both have a ``denominator``, by which this module tells an exact
 scalar without importing ``fractions``.  Every command compiles this module
 (there is no bytecode cache), so it holds only what queries and exports use:
-``UniPoly``, the bracket kernel, the renderers, the immutable value base and
-the errors with their own exit codes.  ``BiPoly``, ``TruncSeries``, exact
+``UniPoly``, the bracket kernel, the one entry rule of the q-binomial,
+q-Stirling and J tables (``triangle_entry``), the renderers, the immutable
+value base and the errors with their own exit codes.  ``BiPoly``, ``TruncSeries``, exact
 division and the Hessenberg determinant live in ``pqalgebra`` and still
 resolve here.  JSON is an output form only: nothing here parses it back.
 All values are immutable and all operations pure.
@@ -326,6 +327,17 @@ class UniPoly:
 zero = UniPoly()
 one = UniPoly((1,))
 q = UniPoly((0, 1))
+
+
+def triangle_entry(rows, n_max: int, n: int, k: int):
+    """rows[n][k] of a triangle held as full rows 0..n_max, column 0
+    included, as qcalc.triangle_rows yields them: 0 outside 0 <= k <= n,
+    and a row past n_max raises ValueError."""
+    if not 0 <= k <= n:
+        return zero
+    if n > n_max:
+        raise ValueError(f"table only covers n <= {n_max}")
+    return rows[n][k]
 
 
 def _terms_text(poly: UniPoly, exponent) -> str:

@@ -20,7 +20,7 @@ from math import comb, factorial
 from operator import add, itemgetter, mul
 
 from .exactpoly import (JTableShapeError, UniPoly, bracket_mul, json_coeff_list,
-                        latex_poly, one, zero)
+                        latex_poly, one, triangle_entry, zero)
 
 
 def j_degree(n: int, r: int) -> int:
@@ -29,24 +29,16 @@ def j_degree(n: int, r: int) -> int:
 
 
 class JTable:
-    """Triangular table of J(n, r) for 1 <= r <= n <= n_max.
-
-    Entries outside the triangle follow the standing conventions:
-    J(n, r) = 0 for n < r, and J(n, 0) = 1 exactly when n = 0.
-    """
+    """Triangular table of J(n, r) for 0 <= r <= n <= n_max, held as the
+    rows of build_jtable and read by exactpoly.triangle_entry: J(n, r) = 0
+    for n < r, and J(n, 0) = 1 exactly when n = 0."""
 
     def __init__(self, n_max: int, rows):
         self.n_max = n_max
         self._rows = rows
 
     def entry(self, n: int, r: int) -> UniPoly:
-        if r == 0:
-            return one if n == 0 else zero
-        if n < r:
-            return zero
-        if n > self.n_max:
-            raise ValueError(f"table only covers n <= {self.n_max}")
-        return self._rows[n][r]
+        return triangle_entry(self._rows, self.n_max, n, r)
 
     def degree(self, n: int, r: int) -> int:
         return j_degree(n, r)
@@ -74,8 +66,8 @@ def _validate_entry(n: int, r: int, poly: UniPoly):
         raise JTableShapeError(f"J({n},{r}) has a non positive-integer coefficient")
 
 
-def _recurrence_step(row: dict, m: int, r: int) -> UniPoly:
-    """J(m + r, r) from row m, {j: J(m, j)} for 1 <= j <= m, by one step of
+def _recurrence_step(row: list, m: int, r: int) -> UniPoly:
+    """J(m + r, r) from row m, row[j] = J(m, j) for 1 <= j <= m, by one step of
     the row recurrence, checked against the shape invariants.
 
     J(n, r) = sum_j [r]^j q^C(j,2) C(m, j) J(m, j) with m = n - r >= 1.  The
@@ -93,20 +85,19 @@ def _recurrence_step(row: dict, m: int, r: int) -> UniPoly:
 
 
 def build_jtable(n_max: int) -> JTable:
-    """Fill the triangle from the row recurrence (_recurrence_step), with
-    J(r, r) = 1.  Row n only reads the earlier row m = n-r, so rows are
-    built in increasing n.  Every entry is checked against the shape
+    """Fill the triangle from the row recurrence (_recurrence_step): row 0
+    is [1] and row n is [0, J(n, 1), ..., J(n, n) = 1].  Row n only reads
+    the earlier row m = n-r, so rows are built in increasing n.  Every entry is checked against the shape
     invariants (monic, positive integer coefficients, degree, constant
     term).  Nothing is cached: verify builds one table and hands it
     to the batteries.
     """
     if n_max < 1:
         raise ValueError("table size must be >= 1")
-    rows = {}
+    rows = [[one]]
     for n in range(1, n_max + 1):
-        rows[n] = {n: one}
-        for r in range(1, n):
-            rows[n][r] = _recurrence_step(rows[n - r], n - r, r)
+        rows.append([zero, *(_recurrence_step(rows[n - r], n - r, r)
+                             for r in range(1, n)), one])
     return JTable(n_max, rows)
 
 

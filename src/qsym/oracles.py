@@ -269,9 +269,10 @@ def _raw_forests(n: int, roots: tuple, table, visit, some_root: bool = False):
 
 def _capped_roots(n: int, roots, cap: int) -> tuple:
     """The checked root set; raises EnumerationCapExceeded when its
-    r n^(n-r-1) forests (r n^(n-r) / n, which is 1 at r = n) exceed cap."""
+    r n^(n-r-1) forests, as many as the parking functions of length n - r
+    with offset r, exceed cap."""
     roots = _check_roots(n, roots)
-    count = len(roots) * n ** (n - len(roots)) // n
+    count = parking_candidates(n - len(roots), len(roots))
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
     return roots

@@ -13,7 +13,8 @@ from itertools import accumulate, islice
 from math import comb
 from operator import sub
 
-from .exactpoly import InexactDivisionError, UniPoly, bracket_mul, zero
+from .exactpoly import (InexactDivisionError, UniPoly, bracket_mul,
+                        triangle_entry, zero)
 
 
 def qbracket(n: int) -> UniPoly:
@@ -53,17 +54,10 @@ def triangle_rows(weight, k_max: int):
 
 def qbinomial_lookup(n: int):
     """[l k] for l <= n from rows 0..n of triangle_rows, built once by
-    [l k] = [l-1 k-1] + q^k [l-1 k]; 0 outside 0 <= k <= l; past n raises."""
+    [l k] = [l-1 k-1] + q^k [l-1 k] and read by exactpoly.triangle_entry."""
     rows = [tuple(map(UniPoly, row))
             for row in islice(triangle_rows(lambda l, k: (1, k), n), n + 1)]
-
-    def lookup(l, k):
-        if not 0 <= k <= l:
-            return zero
-        if l > n:
-            raise ValueError(f"q-binomial lookup only covers n <= {n}")
-        return rows[l][k]
-    return lookup
+    return lambda l, k: triangle_entry(rows, n, l, k)
 
 
 def qbinomial(n: int, k: int) -> UniPoly:

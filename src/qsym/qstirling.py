@@ -3,10 +3,11 @@
 Each kind by its own triangular recurrence, S[n,k] = S[n-1,k-1] + [k] S[n-1,k]
 and s[n,k] = s[n-1,k-1] - [n-1] s[n-1,k], both from T[0,0] = 1: inverse
 matrices computed independently, which the checks in ``report`` compare.
-carlitz_tables holds both triangles with the q-binomials and (1-q) powers
-those checks read, so verify builds each once.  Users comparing against
-other first-kind normalizations in the literature should check sign
-conventions.
+A triangle keeps the rows of qcalc.triangle_rows whole and answers by
+exactpoly.triangle_entry.  carlitz_tables holds both triangles with the
+q-binomials and (1-q) powers those checks read, so verify builds each once.
+Users comparing against other first-kind normalizations in the literature
+should check sign conventions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .exactpoly import (Frozen, UniPoly, json_coeff_list, one, powers, q,
-                        set_field, zero)
+                        set_field, triangle_entry, zero)
 from .qcalc import qbinomial_lookup, triangle_rows
 
 # weight(n, k) = (a, s, sign) of w = sign q^s [a] in the triangle_rows
@@ -23,26 +24,26 @@ WEIGHTS = {"second": lambda n, k: (k, 0, 1), "first": lambda n, k: (n - 1, 0, -1
 
 
 def _band_entry(kind: str, n: int, k: int) -> UniPoly:
-    """Row n built bottom-up in the band of columns 0..k."""
+    """Row n built bottom-up in the band of columns 0..k; 0 outside
+    0 <= k <= n."""
+    if not 0 <= k <= n:
+        return zero
     return UniPoly(next(islice(triangle_rows(WEIGHTS[kind], k), n, None))[k])
 
 
 def qstirling2(n: int, k: int) -> UniPoly:
     """Second-kind q-Stirling number S[n,k]; S[n,0] = [n == 0], 0 for k > n."""
-    if n < 0 or k < 0 or k > n:
-        return zero
     return _band_entry("second", n, k)
 
 
 def qstirling1(n: int, k: int) -> UniPoly:
     """First-kind q-Stirling number s[n,k]; s[n,0] = [n == 0], 0 for k > n."""
-    if n < 0 or k < 0 or k > n:
-        return zero
     return _band_entry("first", n, k)
 
 
 class StirlingTriangle(Frozen):
-    # kind is "first" or "second"; entries[n-1][k-1] for 1 <= k <= n <= n_max
+    # kind is "first" or "second"; entries[n][k] is T[n,k] for
+    # 0 <= k <= n <= n_max, read by exactpoly.triangle_entry
     __slots__ = ("kind", "n_max", "entries")
 
     def __init__(self, kind: str, n_max: int, entries: tuple):
@@ -51,29 +52,21 @@ class StirlingTriangle(Frozen):
         set_field(self, "entries", entries)
 
     def entry(self, n: int, k: int) -> UniPoly:
-        """T[n,k], T[n,0] = [n == 0]; 0 outside 0 <= k <= n.  A row past
-        n_max is not held: asking for it raises, as in JTable.entry."""
-        if not 0 <= k <= n:
-            return zero
-        if n > self.n_max:
-            raise ValueError(f"triangle only covers n <= {self.n_max}")
-        if k == 0:
-            return one if n == 0 else zero
-        return self.entries[n - 1][k - 1]
+        return triangle_entry(self.entries, self.n_max, n, k)
 
     def csv_rows(self):
         """Rows n,k,coeffs-JSON in row-major triangle order."""
-        for n in range(1, self.n_max + 1):
+        for n, row in enumerate(self.entries):
             for k in range(1, n + 1):
-                yield n, k, json_coeff_list(self.entry(n, k))
+                yield n, k, json_coeff_list(row[k])
 
 
 def _triangle(kind: str, n_max: int) -> StirlingTriangle:
     if n_max < 1:
         raise ValueError("triangle size must be >= 1")
-    rows = islice(triangle_rows(WEIGHTS[kind], n_max), 1, n_max + 1)
-    return StirlingTriangle(kind, n_max,
-                            tuple(tuple(map(UniPoly, row[1:])) for row in rows))
+    rows = islice(triangle_rows(WEIGHTS[kind], n_max), n_max + 1)
+    return StirlingTriangle(kind, n_max, tuple(tuple(map(UniPoly, row))
+                                               for row in rows))
 
 
 def qstirling2_triangle(n_max: int) -> StirlingTriangle:

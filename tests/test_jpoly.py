@@ -310,7 +310,7 @@ def test_each_j_record_checks_its_own_entry():
     table = build_jtable(6)
     for n in range(1, 7):
         for r in range(1, n + 1):
-            rows = {m: dict(row) for m, row in table._rows.items()}
+            rows = [[table.entry(m, j) for j in range(m + 1)] for m in range(7)]
             rows[n][r] = rows[n][r] + one
             wrong = JTable(6, rows)
             for check in (cross_formula_check, reciprocal_recurrence_check,

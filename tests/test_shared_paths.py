@@ -1,7 +1,7 @@
 """Code paths that share one implementation: BiPoly arithmetic over UniPoly
 rows, the J-table writers of jtable and export, the dump of forest-stat, and
 the J table and the q-binomial and q-Stirling triangles built once per
-verify run."""
+verify run and read by one entry rule."""
 
 import io
 import os
@@ -188,3 +188,22 @@ def test_verify_all_builds_each_triangle_once(monkeypatch):
     # the weight at n = 3, k = 2: q^2 [1] binomial, [2] second, -[2] first kind
     assert Counter(builds) == {((1, 2), 7): 1, ((2, 0, 1), 7): 1,
                                ((2, 0, -1), 7): 1}
+
+
+# -- one entry rule for every triangle --------------------------------------------
+
+def _tables():
+    binom, second, first, _ = qstirling.carlitz_tables(6)
+    return {"qbinomial": binom, "qstirling2": second.entry,
+            "qstirling1": first.entry, "jtable": build_jtable(6).entry,
+            "jtable-head": build_jtable(8).head(6).entry}
+
+
+@pytest.mark.parametrize("name", sorted(_tables()))
+def test_every_triangle_answers_by_one_rule(name):
+    entry = _tables()[name]
+    for n in range(-1, 10):
+        assert entry(n, -1) == 0 and entry(n, n + 1) == 0 and entry(n, n + 3) == 0
+    assert entry(0, 0) == 1
+    with pytest.raises(ValueError, match=r"table only covers n <= 6"):
+        entry(7, 3)
