@@ -4,15 +4,16 @@ Commands: jtable (print the triangle), verify (run an identity battery),
 query (one exact object), export (CSV / LaTeX dumps).  Each command, and each
 kind of verify, query and export, accepts only the options it reads.  Exit
 codes are a stable contract: 0 success, 1 a mathematical identity failed, 2
-usage error (a bad argument, or an output file that cannot be written), 3
-enumeration cap exceeded, 4 an internal error (any other exception, also one
-in the forked child of verify, which runs a battery of the suite as
-report.verify_suite says; its traceback goes to stderr), 141 the reader
-closed stdout early (128 + SIGPIPE, what a shell reports for other writers
-cut off the same way, as in ``qsym jtable --n-max 14 | head -1``).  Output is
-byte-deterministic for fixed flags and seed.  Each command imports only the
-modules it uses, inside its handler, and the parser is filled in for that one
-command and kind, so a small query starts fast.
+usage error (a bad argument, or an output file or stdout that cannot be
+written), 3 enumeration cap exceeded, 4 an internal error (any other
+exception, an OSError not from the output too, also one in the forked child
+of verify, which runs a battery of the suite as report.verify_suite says;
+its traceback goes to stderr), 141 the reader closed stdout early (128 +
+SIGPIPE, what a shell reports for other writers cut off the same way, as in
+``qsym jtable --n-max 14 | head -1``).  Output is byte-deterministic for
+fixed flags and seed.  Each command imports only the modules it uses,
+inside its handler, and the parser is filled in for that one command and
+kind, so a small query starts fast.
 
 When main runs the process's own command line (called with no argv, as
 ``python -m qsym.cli`` and the ``qsym`` script call it), its last step on
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import os
 import sys
+from contextlib import nullcontext
 from itertools import groupby
 from operator import itemgetter
 
@@ -153,23 +154,12 @@ def _render_poly(poly: UniPoly, args) -> str:
     return poly_text(poly, superscripts=not args.ascii)
 
 
-def _write_jtable_export(table, args, out):
-    """The LaTeX triangle for --format latex, else CSV rows n,r,degree,coeffs."""
-    import csv
-    from .jpoly import jtable_csv_rows, jtable_latex
-    if args.format == "latex":
-        out.write(jtable_latex(table, use_reciprocal=args.reciprocal) + "\n")
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "r", "degree", "coeffs"])
-    writer.writerows(jtable_csv_rows(table, use_reciprocal=args.reciprocal))
-
-
 def _cmd_jtable(args, out) -> int:
-    from .jpoly import build_jtable
+    from .jpoly import build_jtable, export_chunks
     table = build_jtable(args.n_max)
     if args.format in ("csv", "latex"):
-        _write_jtable_export(table, args, out)
+        for chunk in export_chunks(table, args.format, args.reciprocal):
+            out.write(chunk)
     elif args.format == "json":
         import json
         records = [{"n": n, "r": r, "degree": table.degree(n, r),
@@ -254,31 +244,48 @@ def _cmd_query(args, out) -> int:
 
 
 def _cmd_export(args, out) -> int:
-    buf = io.StringIO()
+    # Each chunk is written as soon as it is made.  The J table is built
+    # whole before -o is opened, so a failed identity leaves no file.
     if args.what == "jtable":
-        from .jpoly import build_jtable
-        _write_jtable_export(build_jtable(args.n_max), args, buf)
+        from .jpoly import build_jtable, export_chunks
+        chunks = export_chunks(build_jtable(args.n_max), args.format,
+                               args.reciprocal)
     else:
-        import csv
-        from .qstirling import qstirling1_triangle, qstirling2_triangle
-        triangle = (qstirling2_triangle(args.n_max) if args.kind == "second"
-                    else qstirling1_triangle(args.n_max))
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "k", "coeffs"])
-        writer.writerows(triangle.csv_rows())
-    if args.output == "-":
-        out.write(buf.getvalue())
-    else:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(buf.getvalue())
-        except OSError as exc:            # a usage fault, not a failed identity
-            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
+        from .qstirling import export_chunks
+        chunks = export_chunks(args.kind, args.n_max)
+    with _Output(None, args.output), (
+            nullcontext(out) if args.output == "-" else open(args.output, "w")) as sink:
+        for chunk in chunks:
+            sink.write(chunk)
     return EXIT_OK
 
 
 COMMANDS = {"jtable": _cmd_jtable, "verify": _cmd_verify, "query": _cmd_query,
             "export": _cmd_export}
+
+
+class _Output:
+    """A command's output: an OSError in its write or in a with block on it
+    is the usage fault "cannot write NAME: REASON", EPIPE aside.  Either way
+    what stdout still buffers goes to devnull, so the exit flush passes."""
+
+    def __init__(self, out, name):
+        self.out, self.name = out, name
+
+    def write(self, text):
+        with self:
+            self.out.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, OSError) and self.out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write {self.name}: {exc.strerror}") from exc
 
 
 def main(argv=None, out=None) -> int:
@@ -295,6 +302,7 @@ def main(argv=None, out=None) -> int:
 
 def _run(argv, out) -> int:
     args = build_parser(argv).parse_args(argv)
+    out = _Output(out, "stdout")
     try:
         for name, low in (("n_max", 1), ("cap", 0), ("n", 0), ("r", 0),
                           ("k", 0), ("m", 0)):      # every number but --seed
@@ -302,15 +310,10 @@ def _run(argv, out) -> int:
             if value is not None and value < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
         code = COMMANDS[args.command](args, out)
-        out.flush()          # a reader gone early shows here, not at exit
+        with out:            # a reader gone early shows here, not at exit
+            out.out.flush()
         return code
     except BrokenPipeError:
-        if out is sys.stdout:
-            # Send what is still buffered to devnull, so the flush at
-            # interpreter exit does not raise again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         return EXIT_BROKEN_PIPE
     except JTableShapeError as exc:       # a failed identity of the triangle
         print(f"error: {exc}", file=sys.stderr)

@@ -382,3 +382,11 @@ def json_coeff_list(poly: UniPoly) -> str:
         text = ",".join(str(c) if c.denominator == 1 else f'"{c}"'
                         for c in poly.coeffs)
     return f"[{text}]"
+
+
+def csv_cell(text: str) -> str:
+    """text as a CSV field, as csv.writer quotes it when it holds no line
+    break: quoted, each " doubled, exactly when it holds , or "."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text

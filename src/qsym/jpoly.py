@@ -19,8 +19,8 @@ from itertools import groupby, repeat
 from math import comb, factorial
 from operator import add, itemgetter, mul
 
-from .exactpoly import (JTableShapeError, UniPoly, bracket_mul, json_coeff_list,
-                        latex_poly, one, triangle_entry, zero)
+from .exactpoly import (JTableShapeError, UniPoly, bracket_mul, csv_cell,
+                        json_coeff_list, latex_poly, one, triangle_entry, zero)
 
 
 def j_degree(n: int, r: int) -> int:
@@ -167,6 +167,17 @@ def jtable_csv_rows(table: JTable, use_reciprocal: bool = False):
     """Rows n,r,degree,coeffs with coeffs as a compact JSON array."""
     for n, r, poly in table.entries(use_reciprocal):
         yield n, r, table.degree(n, r), json_coeff_list(poly)
+
+
+def export_chunks(table: JTable, fmt: str, use_reciprocal: bool):
+    """The table as fmt "csv" or "latex" in strings to write in turn: for
+    csv the header, then one string of jtable_csv_rows lines per row n."""
+    if fmt == "latex":
+        yield jtable_latex(table, use_reciprocal) + "\n"
+        return
+    yield "n,r,degree,coeffs\n"
+    for _n, row in groupby(jtable_csv_rows(table, use_reciprocal), itemgetter(0)):
+        yield "".join(f"{n},{r},{d},{csv_cell(c)}\n" for n, r, d, c in row)
 
 
 def jtable_latex(table: JTable, use_reciprocal: bool = False) -> str:

@@ -4,8 +4,9 @@ Each kind by its own triangular recurrence, S[n,k] = S[n-1,k-1] + [k] S[n-1,k]
 and s[n,k] = s[n-1,k-1] - [n-1] s[n-1,k], both from T[0,0] = 1: inverse
 matrices computed independently, which the checks in ``report`` compare.
 A triangle keeps the rows of qcalc.triangle_rows whole and answers by
-exactpoly.triangle_entry.  carlitz_tables holds both triangles with the
-q-binomials and (1-q) powers those checks read, so verify builds each once.
+exactpoly.triangle_entry; the CSV export (export_chunks) holds one row at
+a time.  carlitz_tables holds both triangles with the q-binomials and
+(1-q) powers those checks read, so verify builds each once.
 Users comparing against other first-kind normalizations in the literature
 should check sign conventions.
 """
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .exactpoly import (Frozen, UniPoly, json_coeff_list, one, powers, q,
-                        set_field, triangle_entry, zero)
+from .exactpoly import (Frozen, UniPoly, csv_cell, json_coeff_list, one,
+                        powers, q, set_field, triangle_entry, zero)
 from .qcalc import qbinomial_lookup, triangle_rows
 
 # weight(n, k) = (a, s, sign) of w = sign q^s [a] in the triangle_rows
@@ -59,6 +60,25 @@ class StirlingTriangle(Frozen):
         for n, row in enumerate(self.entries):
             for k in range(1, n + 1):
                 yield n, k, json_coeff_list(row[k])
+
+
+def export_chunks(kind: str, n_max: int):
+    """The kind's CSV export to n_max: the header, then one string of lines
+    n,k,coeffs per row n, each row drawn once the string before is taken."""
+    yield "n,k,coeffs\n"
+    rows = triangle_rows(WEIGHTS[kind], n_max)
+    next(rows)                                    # row 0 has no k >= 1
+    for n in range(1, n_max + 1):
+        row = next(rows)
+        yield "".join(f"{n},{k},{csv_cell(_json_ints(row[k]))}\n"
+                      for k in range(1, n + 1))
+
+
+def _json_ints(c) -> str:
+    """json_coeff_list(UniPoly(c)) for int coefficients c."""
+    while c and not c[-1]:
+        c = c[:-1]
+    return f"[{','.join(map(str, c))}]"
 
 
 def _triangle(kind: str, n_max: int) -> StirlingTriangle:

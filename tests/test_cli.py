@@ -1,5 +1,7 @@
 """Command-line contract: commands, formats, exit codes, determinism."""
 
+import csv
+import errno
 import io
 import json
 import os
@@ -8,15 +10,18 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qsym.cli as cli
 import qsym.jpoly as jpoly
+import qsym.qstirling as qstirling
 import qsym.symfunc as symfunc
 from qsym.exactpoly import (EnumerationCapExceeded, InexactDivisionError,
-                            UniPoly, bracket_mul, zero)
+                            JTableShapeError, UniPoly, bracket_mul, csv_cell,
+                            json_coeff_list, zero)
 from qsym.report import CheckReport, forest_oracle_check, run_batteries
 
 from polytext import parse_poly_text
@@ -750,7 +755,8 @@ class ClosedPipe:
     ["jtable", "--n-max", "3"],
     # the reader leaves in the middle of the forest walk
     ["query", "forest-stat", "--n", "6", "--r", "1", "--dump-forests"],
-], ids=["jtable", "dump-forests"])
+    ["export", "jtable", "--n-max", "3"],
+], ids=["jtable", "dump-forests", "export-jtable"])
 def test_closed_stdout_exits_141(capsys, argv):
     assert cli.main(argv, out=ClosedPipe()) == 141
     assert capsys.readouterr().err == ""
@@ -763,6 +769,191 @@ def test_closed_stdout_exits_141_in_a_process():
     proc.stdout.close()                 # no reader is left before the first write
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141 and err == b""
+
+
+class LeavingReader:
+    """An output whose reader takes the first `takes` writes, then goes."""
+
+    def __init__(self, takes):
+        self.takes = takes
+
+    def write(self, text):
+        if not self.takes:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.takes -= 1
+
+
+def rows_drawn(monkeypatch, most: int) -> list:
+    """Wrap triangle_rows where qstirling reads it: the returned list holds
+    the rows drawn, and drawing one more than `most` raises."""
+    drawn = []
+    triangle_rows = qstirling.triangle_rows
+
+    def counted(weight, k_max):
+        for row in triangle_rows(weight, k_max):
+            if len(drawn) == most:
+                raise AssertionError(f"row {most} drawn")
+            drawn.append(row)
+            yield row
+
+    monkeypatch.setattr(qstirling, "triangle_rows", counted)
+    return drawn
+
+
+def test_a_reader_that_leaves_stops_the_stirling_export(monkeypatch, capsys):
+    # the header is written before any row is drawn, and each row before
+    # the next is drawn
+    rows_drawn(monkeypatch, 2)
+    assert cli.main(["export", "stirling", "--n-max", "400"],
+                    out=ClosedPipe()) == 141
+    drawn = rows_drawn(monkeypatch, 2)
+    assert cli.main(["export", "stirling", "--n-max", "400"],
+                    out=LeavingReader(1)) == 141
+    assert len(drawn) == 2 and capsys.readouterr().err == ""
+
+
+def test_an_unwritable_stirling_file_fails_before_any_row(monkeypatch,
+                                                          tmp_path, capsys):
+    rows_drawn(monkeypatch, 0)
+    target = tmp_path / "missing" / "x.csv"
+    assert run("export", "stirling", "--n-max", "400", "-o", str(target)) \
+        == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_a_failed_jtable_identity_writes_no_file(monkeypatch, tmp_path, capsys):
+    def refuse(n, r, poly):
+        raise JTableShapeError(f"J({n},{r}) refused")
+
+    monkeypatch.setattr(jpoly, "_validate_entry", refuse)
+    target = tmp_path / "jtable.csv"
+    assert run("export", "jtable", "--n-max", "4", "-o", str(target)) == (1, "")
+    assert capsys.readouterr().err == "error: J(2,1) refused\n"
+    assert not target.exists()
+
+
+def csv_writer_text(header, rows) -> str:
+    """The reference rendering: what csv.writer writes for the rows."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("text", ["[1]", "[1,2]", "[-2,-1]", "[]", "",
+                                  '["1/2",3]', '[1,"-3/4"]', 'a"b'])
+def test_the_csv_cell_is_the_csv_writer_field(text):
+    assert csv_writer_text(["n", "coeffs"], [[1, text]]) == \
+        f"n,coeffs\n1,{csv_cell(text)}\n"
+
+
+def test_a_fraction_cell_doubles_its_quotes():
+    cell = csv_cell(json_coeff_list(UniPoly((Fraction(1, 2), 3))))
+    assert cell == '"[""1/2"",3]"'
+    assert next(csv.reader([f"1,{cell}"]))[1] == '["1/2",3]'
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_the_stirling_export_is_the_csv_writer_text(kind):
+    triangle = (qstirling.qstirling1_triangle(30) if kind == "first"
+                else qstirling.qstirling2_triangle(30))
+    rows = list(triangle.csv_rows())
+    assert (1, 1, "[1]") in rows          # one coefficient: not quoted
+    for n_max in range(1, 31):
+        expected = csv_writer_text(["n", "k", "coeffs"],
+                                   [row for row in rows if row[0] <= n_max])
+        argv = ("export", "stirling", "--kind", kind, "--n-max", str(n_max))
+        assert run(*argv) == (0, expected)
+    assert "\n1,1,[1]\n" in expected
+
+
+@pytest.mark.parametrize("reciprocal", [False, True])
+def test_the_jtable_export_is_the_csv_writer_text(reciprocal):
+    table = jpoly.build_jtable(20)
+    expected = csv_writer_text(["n", "r", "degree", "coeffs"],
+                               jpoly.jtable_csv_rows(table, reciprocal))
+    assert "".join(jpoly.export_chunks(table, "csv", reciprocal)) == expected
+    flag = ("--reciprocal",) if reciprocal else ()
+    assert run("export", "jtable", "--n-max", "20", *flag) == (0, expected)
+    assert run("jtable", "--n-max", "20", "--format", "csv", *flag) \
+        == (0, expected)
+
+
+# The probe reports its own peak resident set.  It is started from a small
+# process, because Linux counts the memory of the process that starts a
+# child in the child's peak, and this test process may be larger than the
+# bound.
+PEAK_PROBE = ("import resource, sys\n"
+              "from qsym.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+SPAWN = "import subprocess, sys\nsubprocess.run(sys.argv[1:], check=True)\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is read in KB as Linux reports it")
+def test_the_stirling_export_holds_one_row(tmp_path):
+    # the whole second-kind triangle to 60 and its text peak at about 86 MB
+    target = tmp_path / "second-60.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN, sys.executable, "-c", PEAK_PROBE,
+         "export", "stirling", "--kind", "second", "--n-max", "60",
+         "-o", str(target)],
+        env=process_env(), capture_output=True, text=True, timeout=120)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0 and target.read_text().count("\n") == 1 + 60 * 61 // 2
+    assert peak_kb < 48 * 1024
+
+
+class FullDisk:
+    """An output on a full disk: each write, or only the flush, fails."""
+
+    def __init__(self, at="write"):
+        self.at = at
+
+    def write(self, text):
+        if self.at == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["query", "qbinomial", "--n", "5", "--k", "2"],
+    ["jtable", "--n-max", "4"],
+    ["export", "stirling", "--n-max", "3"],
+    ["export", "jtable", "--n-max", "3", "--format", "latex"],
+    ["verify", "qstirling", "--n-max", "3"],
+], ids=["query", "jtable", "export-stirling", "export-jtable", "verify"])
+def test_a_write_error_on_the_output_exits_two(capsys, argv, at):
+    assert cli.main(argv, out=FullDisk(at)) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: cannot write stdout: No space left on device\n"
+
+
+def test_an_os_error_off_the_output_stays_a_fault(monkeypatch, forks, capsys):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run("verify", "qstirling", "--n-max", "3") == (cli.EXIT_INTERNAL, "")
+    assert capsys.readouterr().err.endswith(
+        "BlockingIOError: [Errno 11] Resource temporarily unavailable\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_two_in_a_process():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qsym.cli", "export",
+                               "stirling", "--n-max", "3"], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env=process_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_inexact_division_is_a_fail_record(monkeypatch):
