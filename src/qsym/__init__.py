@@ -13,16 +13,16 @@ from importlib import import_module
 
 _EXPORTS = {
     "exactpoly": "InexactDivisionError UniPoly poly_text",
-    "pqalgebra": "BiPoly TruncSeries det_hessenberg exact_div pq_binomial",
+    "pqalgebra": "BiPoly TruncSeries det_hessenberg pq_binomial",
     "qcalc": "qbinomial qbracket qbracket_power_base qfactorial",
     "qstirling": ("StirlingTriangle qstirling1 qstirling1_triangle qstirling2 "
                   "qstirling2_triangle"),
     "symfunc": ("SymAlphabet SymSeriesBundle complete_from_elementary "
                 "elementary_sequence qp_nr_determinant qp_nr_direct "
                 "transfer_theorem_check"),
-    "jpoly": "JTable build_jtable j_explicit_composition reciprocal",
-    "report": ("exp_rows j_from_scaled_p kung_yan_check scaled_p_nr "
-               "reciprocal_recurrence_check verify_carlitz_identities"),
+    "jpoly": ("JTable build_jtable exp_rows j_explicit_composition "
+              "j_from_scaled_p reciprocal scaled_p_nr"),
+    "report": "kung_yan_check reciprocal_recurrence_check verify_carlitz_identities",
     "oracles": ("DecreasingRanking EnumerationCapExceeded Forest "
                 "IncreasingRanking Ranking SeededRanking enumerate_forests "
                 "forest_enumerator_poly level_statistic "

@@ -36,8 +36,8 @@ from contextlib import nullcontext
 from itertools import groupby
 from operator import itemgetter
 
-from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, JTableShapeError,
-                        UniPoly, json_coeff_list, latex_poly, poly_text)
+from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, InexactDivisionError,
+                        JTableShapeError, UniPoly, json_coeff_list, latex_poly, poly_text)
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -111,12 +111,24 @@ class _KindFirst(argparse.HelpFormatter):
                           groups, prefix)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and usage written to stdout go through _Output, as a command's
+    output does, so a write error there exits 2 too; argparse drops it."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        with _Output(file, "stdout"):
+            file.write(message)
+            file.flush()
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for argv: every command is registered, but only the one
     argv names gets arguments, and of verify, query and export only those
     its kind reads.  Command and kind are argv's first two words not
     starting with "-", so the kind comes before any option with a value."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsym",
         description="Exact q-analog toolkit: q-Stirling triangles, q-analogs "
                     "of symmetric power-type sums, and tree-inversion / "
@@ -301,9 +313,9 @@ def main(argv=None, out=None) -> int:
 
 
 def _run(argv, out) -> int:
-    args = build_parser(argv).parse_args(argv)
     out = _Output(out, "stdout")
     try:
+        args = build_parser(argv).parse_args(argv)
         for name, low in (("n_max", 1), ("cap", 0), ("n", 0), ("r", 0),
                           ("k", 0), ("m", 0)):      # every number but --seed
             value = getattr(args, name, None)
@@ -315,7 +327,7 @@ def _run(argv, out) -> int:
         return code
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE
-    except JTableShapeError as exc:       # a failed identity of the triangle
+    except (JTableShapeError, InexactDivisionError) as exc:   # a failed identity
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTITY_FAILURE
     except EnumerationCapExceeded as exc:

@@ -6,12 +6,12 @@ None.  A coefficient is an ``int`` where integral and a reduced ``Fraction``
 otherwise; both have a ``denominator``, by which this module tells an exact
 scalar without importing ``fractions``.  Every command compiles this module
 (there is no bytecode cache), so it holds only what queries and exports use:
-``UniPoly``, the bracket kernel, the one entry rule of the q-binomial,
-q-Stirling and J tables (``triangle_entry``), the renderers, the immutable
-value base and the errors with their own exit codes.  ``BiPoly``, ``TruncSeries``, exact
-division and the Hessenberg determinant live in ``pqalgebra`` and still
-resolve here.  JSON is an output form only: nothing here parses it back.
-All values are immutable and all operations pure.
+``UniPoly``, the bracket kernel, exact division by ``1 - q^a``, the one entry
+rule of the q-binomial, q-Stirling and J tables (``triangle_entry``), the
+renderers, the immutable value base and the errors with their own exit
+codes.  ``BiPoly``, ``TruncSeries`` and the Hessenberg determinant live in
+``pqalgebra`` and still resolve here.  JSON is an output form only: nothing
+here parses it back.  All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import sub
 
-_MOVED = ("BiPoly", "TruncSeries", "divmod_poly", "exact_div", "det_hessenberg")
+_MOVED = ("BiPoly", "TruncSeries", "det_hessenberg")
 
 
 def __getattr__(name):
@@ -120,6 +120,19 @@ def bracket_mul(c, a: int, shift: int = 0, sign: int = 1, plus=()) -> list:
     out = [0] * shift
     out += accumulate(diffs)
     return _add(out, plus) if plus else out
+
+
+def one_minus_q_div(c, a: int = 1) -> list:
+    """c / (1 - q^a) on an ascending int list: a running sum along each
+    residue class mod a, O(len(c)).  The last a sums are the remainder, and
+    a nonzero one raises InexactDivisionError."""
+    c = list(c)
+    for j in range(a):
+        c[j::a] = accumulate(c[j::a])
+    if any(c[-a:]):
+        raise InexactDivisionError(f"1 - q^{a} leaves a remainder")
+    del c[-a:]
+    return c
 
 
 def _convolve(a, b, zero) -> list:

@@ -3,11 +3,12 @@ with a fixed number of roots, and their reciprocals, the sum enumerators of
 parking functions.
 
 J(n, r) is monic with strictly positive integer coefficients, has constant
-term (n-r)! and degree C(n-1,2) - C(r-1,2), and J(r, r) = 1.  The whole
-triangle is generated row by row from a linear recurrence whose coefficients
-are bracket powers.  An explicit composition sum for n > r, and a route
-through p_n^(r) specialized at e_k = q^C(k,2) / k! (in ``report``), give
-the same polynomials as mutually checking code paths.
+term (n-r)! and degree C(n-1,2) - C(r-1,2), and J(r, r) = 1.  Every route to
+J is here, as mutually checking code paths: the whole triangle row by row
+from a linear recurrence whose coefficients are bracket powers
+(build_jtable); an explicit composition sum for n > r; and the paper's own
+route, p_n^(r) specialized at e_k = q^C(k,2) / k! on k!-scaled rows in Z[q],
+which serves a single entry (j_entry).
 The composition sums, of J and of both forms of its reciprocal, are one
 depth-first walk over the compositions that shares each prefix's bracket
 chain among all compositions extending it.
@@ -19,8 +20,9 @@ from itertools import groupby, repeat
 from math import comb, factorial
 from operator import add, itemgetter, mul
 
-from .exactpoly import (JTableShapeError, UniPoly, bracket_mul, csv_cell,
-                        json_coeff_list, latex_poly, one, triangle_entry, zero)
+from .exactpoly import (InexactDivisionError, JTableShapeError, UniPoly,
+                        bracket_mul, csv_cell, json_coeff_list, latex_poly,
+                        one, one_minus_q_div, triangle_entry, zero)
 
 
 def j_degree(n: int, r: int) -> int:
@@ -66,48 +68,103 @@ def _validate_entry(n: int, r: int, poly: UniPoly):
         raise JTableShapeError(f"J({n},{r}) has a non positive-integer coefficient")
 
 
-def _recurrence_step(row: list, m: int, r: int) -> UniPoly:
-    """J(m + r, r) from row m, row[j] = J(m, j) for 1 <= j <= m, by one step of
-    the row recurrence, checked against the shape invariants.
-
-    J(n, r) = sum_j [r]^j q^C(j,2) C(m, j) J(m, j) with m = n - r >= 1.  The
-    sum is taken in Horner form, f_m = J(m, m), f_j = C(m, j) J(m, j) +
-    q^j [r] f_(j+1) and J(n, r) = [r] f_1, so every bracket product is one
-    bracket_mul window sum on int coefficient lists.
-    """
-    f = row[m].coeffs
-    for j in range(m - 1, 0, -1):
-        cm = comb(m, j)
-        f = bracket_mul(f, r, j, plus=[cm * c for c in row[j].coeffs])
-    entry = UniPoly(bracket_mul(f, r))
-    _validate_entry(m + r, r, entry)
-    return entry
-
-
 def build_jtable(n_max: int) -> JTable:
-    """Fill the triangle from the row recurrence (_recurrence_step): row 0
-    is [1] and row n is [0, J(n, 1), ..., J(n, n) = 1].  Row n only reads
-    the earlier row m = n-r, so rows are built in increasing n.  Every entry is checked against the shape
-    invariants (monic, positive integer coefficients, degree, constant
-    term).  Nothing is cached: verify builds one table and hands it
-    to the batteries.
+    """Fill the triangle from the row recurrence: row 0 is [1] and row n is
+    [0, J(n, 1), ..., J(n, n) = 1].
+
+    J(n, r) = sum_j [r]^j q^C(j,2) C(m, j) J(m, j) with m = n - r >= 1 reads
+    only the earlier row m, so rows are built in increasing n.  The sum is
+    taken in Horner form, f_m = J(m, m), f_j = C(m, j) J(m, j) + q^j [r]
+    f_(j+1) and J(n, r) = [r] f_1, so every bracket product is one
+    bracket_mul window sum on int coefficient lists.  Every entry is checked
+    against the shape invariants (monic, positive integer coefficients,
+    degree, constant term).  Nothing is cached: verify builds one table and
+    hands it to the batteries.
     """
     if n_max < 1:
         raise ValueError("table size must be >= 1")
     rows = [[one]]
     for n in range(1, n_max + 1):
-        rows.append([zero, *(_recurrence_step(rows[n - r], n - r, r)
-                             for r in range(1, n)), one])
+        row = [zero]
+        for r in range(1, n):
+            m = n - r
+            f = rows[m][m].coeffs
+            for j in range(m - 1, 0, -1):
+                cm = comb(m, j)
+                f = bracket_mul(f, r, j, plus=[cm * c for c in rows[m][j].coeffs])
+            row.append(UniPoly(bracket_mul(f, r)))
+            _validate_entry(n, r, row[r])
+        rows.append(row + [one])
     return JTable(n_max, rows)
 
 
-def j_entry(n: int, r: int) -> UniPoly:
-    """J(n, r) alone: one recurrence step past the table to m = n - r, so a
-    near-diagonal entry costs a small table, and J(r, r) = 1."""
+def _add_shifted(total: list, c: int, s: int, f) -> None:
+    """total += c q^s f, in place, f an int coefficient list."""
+    end = s + len(f)
+    total.extend(repeat(0, end - len(total)))
+    total[s:end] = map(add, total[s:end], map(mul, f, repeat(c)))
+
+
+# ---------------------------------------------------------------------------
+# the exponential specialization e_k = q^C(k,2) / k!, a route to J(n, r), on
+# rows scaled by k!: a_k = k! e_k = q^C(k,2) and b_k = k! h_k lie in Z[q]
+
+
+def _shifted_sum(terms) -> list:
+    """sum of c q^s f over the (c, s, f) in terms, f an int coefficient
+    list; the sum's trailing zeros are stripped."""
+    total = []
+    for c, s, f in terms:
+        _add_shifted(total, c, s, f)
+    while total and not total[-1]:
+        total.pop()
+    return total
+
+
+def exp_rows(order: int) -> list:
+    """b_0..b_order: b_0 = 1, b_n = sum over k = 1..n of (-1)^(k+1) C(n, k)
+    a_k b_(n-k), symfunc.complete_from_elementary scaled by n!; a smaller
+    order's are a prefix."""
+    b = [[1]]
+    for n in range(1, order + 1):
+        b.append(_shifted_sum(((-1) ** (k + 1) * comb(n, k), comb(k, 2), b[n - k])
+                              for k in range(1, n + 1)))
+    return b
+
+
+def scaled_p_nr(b, n: int, r: int) -> list:
+    """n! p_n^(r), n - r < len(b): symfunc.qp_nr_direct's alternating sum
+    with ordinary binomials, scaled by n!, the sum over k = 0..n-r of (-1)^k
+    C(r+k, r) C(n, r+k) a_(r+k) b_(n-r-k)."""
+    return _shifted_sum(((-1) ** k * comb(r + k, r) * comb(n, r + k),
+                         comb(r + k, 2), b[n - r - k]) for k in range(n - r + 1))
+
+
+def j_from_scaled_p(c, n: int, r: int) -> UniPoly:
+    """J(n, r) = c / (C(n, r) q^C(r,2) (1-q)^(n-r)), c being n! p_n^(r):
+    coefficientwise by C(n, r), a shift past C(r, 2) zeros, and n - r
+    divisions by 1 - q (exactpoly.one_minus_q_div).  A remainder raises
+    InexactDivisionError: the claimed divisibility is checked too."""
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
-    m = n - r
-    return one if m == 0 else _recurrence_step(build_jtable(m)._rows[m], m, r)
+    d, s = comb(n, r), comb(r, 2)
+    if any(c[:s]) or any(x % d for x in c):
+        raise InexactDivisionError(f"{d} q^{s} does not divide {n}! p_{n}^({r})")
+    c = [x // d for x in c[s:]]
+    for _ in range(n - r):
+        c = one_minus_q_div(c)
+    return UniPoly(c)
+
+
+def j_entry(n: int, r: int) -> UniPoly:
+    """J(n, r) alone, by the specialization: b_0..b_(n-r), then n! p_n^(r)
+    and its division, checked against the shape invariants.  No table is
+    built: past the rows b, each step is a pass over one int list."""
+    if not (n >= r >= 1):
+        raise ValueError("need n >= r >= 1")
+    entry = j_from_scaled_p(scaled_p_nr(exp_rows(n - r), n, r), n, r)
+    _validate_entry(n, r, entry)
+    return entry
 
 
 def composition_sum(m: int, r: int, step) -> list:
@@ -126,9 +183,7 @@ def composition_sum(m: int, r: int, step) -> list:
 
     def walk(chain, count, e, last, done):
         if done == m:
-            end = e + len(chain)
-            total.extend(repeat(0, end - len(total)))
-            total[e:end] = map(add, total[e:end], map(mul, chain, repeat(count)))
+            _add_shifted(total, count, e, chain)
             return
         for a in range(1, m - done + 1):
             chain = bracket_mul(chain, last)

@@ -1,5 +1,5 @@
 """The verification algebra: polynomials in (p, q), truncated power series,
-exact division, the Hessenberg determinant and the (p, q)-binomials.
+the Hessenberg determinant and the (p, q)-binomials.
 
 Only verify uses these, so they are kept out of ``exactpoly``, which every
 command compiles.  Coefficients follow the ``exactpoly`` rules.
@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .exactpoly import (InexactDivisionError, UniPoly, _add, _coerce, _convolve,
-                        _power, zero)
+from .exactpoly import UniPoly, _add, _coerce, _convolve, _power, zero
 from .qcalc import qbinomial
 
 
@@ -219,34 +218,7 @@ class TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# exact division and the Hessenberg determinant
-
-
-def divmod_poly(a: UniPoly, b: UniPoly):
-    """Quotient and remainder of a by b over the rationals."""
-    from fractions import Fraction
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db, lead = b.degree(), b.leading_coeff()
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        f = _coerce(Fraction(c) / lead)        # exact, even for two ints
-        quot[i - db] = f
-        for j, cb in enumerate(b.coeffs):
-            rem[i - db + j] -= f * cb
-    return UniPoly(quot), UniPoly(rem)
-
-
-def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Divide a by b, insisting the division is exact."""
-    quot, rem = divmod_poly(a, b)
-    if not rem.is_zero():
-        raise InexactDivisionError(f"({a}) is not divisible by ({b})")
-    return quot
+# the Hessenberg determinant
 
 
 def det_hessenberg(first_col, band, superdiag):

@@ -9,11 +9,11 @@ pqalgebra.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import islice
 from math import comb
 from operator import sub
 
-from .exactpoly import (InexactDivisionError, UniPoly, bracket_mul,
+from .exactpoly import (UniPoly, bracket_mul, one_minus_q_div,
                         triangle_entry, zero)
 
 
@@ -68,20 +68,15 @@ def qbinomial(n: int, k: int) -> UniPoly:
     product is [n i+1], a polynomial with integer coefficients, so each
     division by 1 - q^(i+1) is exact; both steps run on one int list in
     O(degree), and a division that leaves a remainder raises
-    InexactDivisionError.  Each call computes its answer afresh; nothing is
-    cached.
+    InexactDivisionError (exactpoly.one_minus_q_div).  Each call computes
+    its answer afresh; nothing is cached.
     """
     if k < 0 or n < 0 or k > n:
         return zero
     c = [1]
     for i in range(min(k, n - k)):
-        b, a = n - i, i + 1             # times 1 - q^b, divided by 1 - q^a
-        c = list(map(sub, c + [0] * b, [0] * b + c))
-        for j in range(a):              # prefix sums along each residue mod a
-            c[j::a] = accumulate(c[j::a])
-        if any(c[-a:]):
-            raise InexactDivisionError(f"[{n} {a}] left a remainder")
-        del c[-a:]
+        b = n - i                       # times 1 - q^b, divided by 1 - q^(i+1)
+        c = one_minus_q_div(map(sub, c + [0] * b, [0] * b + c), i + 1)
     return UniPoly(c)
 
 

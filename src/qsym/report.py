@@ -9,8 +9,8 @@ a pass nor a failure.
 The q-Stirling, J and oracle batteries live here, apart from the objects
 they check, so only verify compiles them; each imports its layers as it
 runs.  The J and oracle batteries are handed the J table and run to its
-n_max.  The J route through the exponential specialization is here too, on
-k!-scaled rows in Z[q]; the symmetric-function batteries stay in symfunc.
+n_max; the J routes they compare it with, the exponential specialization
+among them, are in jpoly.  The symmetric-function batteries stay in symfunc.
 
 verify_suite is the one plan of the verify suites: which batteries each
 runs and in what order, their size caps, the one J table and the one set
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import marshal
 import os
-from itertools import accumulate, repeat
 from math import comb
-from operator import add, mul
 
 from .exactpoly import (EnumerationCapExceeded, Frozen, InexactDivisionError,
                         UniPoly, one, powers, q, set_field, zero)
@@ -138,10 +136,16 @@ def _fork_battery(battery):
     The child never writes to stdout.  An exception prints its traceback
     to stderr (fd 2, past the stdio buffers) and the child exits 1.  It
     always leaves by os._exit, so it runs no atexit handler and never
-    flushes the stdio buffers it inherited.
+    flushes the stdio buffers it inherited.  If os.fork raises, both ends
+    of the pipe are closed before the exception leaves.
     """
     rfd, wfd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:               # no child: neither end is handed on
+        os.close(rfd)
+        os.close(wfd)
+        raise
     if pid == 0:
         status = 1
         try:
@@ -315,68 +319,13 @@ def extended_recurrence_check(table) -> CheckReport:
                                  lambda r, m, j: comb(j, 2), table.entry)
 
 
-# ---------------------------------------------------------------------------
-# the exponential specialization e_k = q^C(k,2) / k!, a route to J(n, r), on
-# rows scaled by k!: a_k = k! e_k = q^C(k,2) and b_k = k! h_k lie in Z[q]
-
-
-def _shifted_sum(terms) -> list:
-    """sum of c q^s f over the (c, s, f) in terms, f an int coefficient
-    list; the sum's trailing zeros are stripped."""
-    total = []
-    for c, s, f in terms:
-        end = s + len(f)
-        total.extend(repeat(0, end - len(total)))
-        total[s:end] = map(add, total[s:end], map(mul, f, repeat(c)))
-    while total and not total[-1]:
-        total.pop()
-    return total
-
-
-def exp_rows(order: int) -> list:
-    """b_0..b_order: b_0 = 1, b_n = sum over k = 1..n of (-1)^(k+1) C(n, k)
-    a_k b_(n-k), symfunc.complete_from_elementary scaled by n!; a smaller
-    order's are a prefix."""
-    b = [[1]]
-    for n in range(1, order + 1):
-        b.append(_shifted_sum(((-1) ** (k + 1) * comb(n, k), comb(k, 2), b[n - k])
-                              for k in range(1, n + 1)))
-    return b
-
-
-def scaled_p_nr(b, n: int, r: int) -> list:
-    """n! p_n^(r), n < len(b): symfunc.qp_nr_direct's alternating sum with
-    ordinary binomials, scaled by n!, the sum over k = 0..n-r of (-1)^k
-    C(r+k, r) C(n, r+k) a_(r+k) b_(n-r-k)."""
-    return _shifted_sum(((-1) ** k * comb(r + k, r) * comb(n, r + k),
-                         comb(r + k, 2), b[n - r - k]) for k in range(n - r + 1))
-
-
-def j_from_scaled_p(c, n: int, r: int) -> UniPoly:
-    """J(n, r) = c / (C(n, r) q^C(r,2) (1-q)^(n-r)), c being n! p_n^(r):
-    coefficientwise by C(n, r), a shift past C(r, 2) zeros, and n - r
-    running sums, each undoing a factor 1 - q.  A remainder raises
-    InexactDivisionError: the claimed divisibility is checked too."""
-    if not (n >= r >= 1):
-        raise ValueError("need n >= r >= 1")
-    d, s = comb(n, r), comb(r, 2)
-    if any(c[:s]) or any(x % d for x in c):
-        raise InexactDivisionError(f"{d} q^{s} does not divide {n}! p_{n}^({r})")
-    c = [x // d for x in c[s:]]
-    for i in range(n - r):
-        c = list(accumulate(c))
-        if any(c[-1:]):
-            raise InexactDivisionError(f"(1-q)^{i + 1} does not divide {n}! p_{n}^({r})")
-        del c[-1:]
-    return UniPoly(c)
-
-
 def specialization_bracket_shift_check(n_max: int) -> CheckReport:
     """p_n^(r) collapses to a scaled r = 1 analog with brackets in base q^r:
     n! p_n^(r) = (1 - q^r) q^C(r,2) C(n, r) P_(n-r), P_m being m! times the
     Hessenberg determinant of symfunc.pn_bracket_determinant in base q^r.
     Along its last row, P_k = (-1)^(k-1) [k]_(q^r) a_k + sum over i < k of
     (-1)^(i-1) C(k, i) a_i P_(k-i): the a's alone, no b."""
+    from .jpoly import _shifted_sum, exp_rows, scaled_p_nr
     report = CheckReport()
     b, bracket_p = exp_rows(n_max), {}
     for r in range(1, n_max):
@@ -397,7 +346,8 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
 def cross_formula_check(table) -> CheckReport:
     """The table against the composition formula (for n > r) and against
     the exponential specialization."""
-    from .jpoly import j_explicit_composition
+    from .jpoly import (exp_rows, j_explicit_composition, j_from_scaled_p,
+                        scaled_p_nr)
     report = CheckReport()
     n_max = table.n_max
     b = exp_rows(n_max)

@@ -9,7 +9,9 @@ The parking sum by every ordered prefix of the first m - 1 values, each
 sorted on its own, and the literal parking condition that both parking
 walks are tested against.  Cofactor expansion, the reference for
 det_hessenberg, and the q-derivative of a truncated series, the operator of
-the generating-series identity.  Test helpers no battery reads: one
+the generating-series identity.  Long division over the rationals, exact or
+not, the reference for the quotients of Gaussian binomials and of the
+q-derivative by [r]!.  Test helpers no battery reads: one
 elementary value, one classical p_n^(r), the principal alphabet
 x_i = q^(i-1), and the exponential specialization's elementary values
 e_k = q^C(k,2) / k! as Fractions, with their bundle."""
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import sub
 
-from qsym.exactpoly import UniPoly, one, zero
+from qsym.exactpoly import InexactDivisionError, UniPoly, one, zero
 from qsym.oracles import sigma_statistic
 from qsym.pqalgebra import TruncSeries, det_hessenberg
 from qsym.qcalc import qbinomial, qbracket, qfactorial
@@ -245,6 +247,29 @@ def det_cofactor(m):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def divmod_poly(a: UniPoly, b: UniPoly):
+    """Quotient and remainder of a by b over the rationals."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    db, lead = b.degree(), b.leading_coeff()
+    quot = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i]:
+            f = quot[i - db] = Fraction(rem[i]) / lead
+            for j, cb in enumerate(b.coeffs):
+                rem[i - db + j] -= f * cb
+    return UniPoly(quot), UniPoly(rem)
+
+
+def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Divide a by b, insisting the division is exact."""
+    quot, rem = divmod_poly(a, b)
+    if not rem.is_zero():
+        raise InexactDivisionError(f"({a}) is not divisible by ({b})")
+    return quot
 
 
 def q_derivative(f: TruncSeries, r: int = 1) -> TruncSeries:

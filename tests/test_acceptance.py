@@ -12,14 +12,14 @@ from math import comb, factorial
 
 from qsym import cli
 from qsym.exactpoly import UniPoly
-from qsym.jpoly import build_jtable, j_explicit_composition, reciprocal
+from qsym.jpoly import (build_jtable, exp_rows, j_explicit_composition,
+                        j_from_scaled_p, reciprocal, scaled_p_nr)
 from qsym.oracles import (DecreasingRanking, IncreasingRanking, SeededRanking,
                           forest_enumerator_polys, parking_candidates,
                           parking_enumerator_poly)
 from qsym.qstirling import carlitz_tables
-from qsym.report import (exp_rows, j_from_scaled_p,
-                         kung_yan_check, reciprocal_recurrence_check,
-                         scaled_p_nr, specialization_bracket_shift_check,
+from qsym.report import (kung_yan_check, reciprocal_recurrence_check,
+                         specialization_bracket_shift_check,
                          verify_carlitz_identities, verify_conjugated_inverse,
                          verify_triangle_inverse)
 from qsym.symfunc import (SymAlphabet, SymSeriesBundle,

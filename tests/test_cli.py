@@ -1,5 +1,6 @@
 """Command-line contract: commands, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import errno
 import io
@@ -112,17 +113,21 @@ def test_query_jpoly():
 
 
 def test_query_jpoly_is_the_table_entry():
-    # query jpoly takes one recurrence step past the table to n - r
-    table = jpoly.build_jtable(20)
-    for n in range(1, 21):
+    # query jpoly takes the specialization, the table the row recurrence:
+    # two routes, one answer, in JSON to 25 and in every format to 8
+    table = jpoly.build_jtable(25)
+    for n in range(1, 26):
         for r in range(1, n + 1):
             for variant, expected in [
                     ("standard", table.entry(n, r)),
                     ("reciprocal", jpoly.reciprocal(n, r, table))]:
-                code, text = run("query", "jpoly", "--n", str(n), "--r", str(r),
-                                 "--variant", variant, "--format", "json")
-                assert code == 0 and text == expected.to_json() + "\n", \
-                    (n, r, variant)
+                for fmt in cli.ALL_FORMATS if n <= 8 else ["json"]:
+                    code, text = run("query", "jpoly", "--n", str(n), "--r",
+                                     str(r), "--variant", variant, "--format", fmt)
+                    rendered = cli._render_poly(
+                        expected, argparse.Namespace(format=fmt, ascii=True))
+                    assert code == 0 and text == rendered + "\n", \
+                        (n, r, variant, fmt)
 
 
 def test_query_qbinomial_and_stirling():
@@ -945,6 +950,29 @@ def test_an_os_error_off_the_output_stays_a_fault(monkeypatch, forks, capsys):
         "BlockingIOError: [Errno 11] Resource temporarily unavailable\n")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_failed_fork_leaks_no_descriptor(monkeypatch, forks):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    assert run("verify", "qstirling", "--n-max", "3") == (cli.EXIT_INTERNAL, "")
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_help_on_a_full_stdout_exits_two_in_a_process():
+    # argparse drops a write error of its own help; the CLI reports it
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qsym.cli", "query",
+                               "jpoly", "--help"], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env=process_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_stdout_exits_two_in_a_process():
     with open("/dev/full", "w") as full:
@@ -960,13 +988,39 @@ def test_inexact_division_is_a_fail_record(monkeypatch):
     def inexact(c, n, r):
         raise InexactDivisionError(f"J({n}, {r}) left a remainder")
 
-    monkeypatch.setattr("qsym.report.j_from_scaled_p", inexact)
+    monkeypatch.setattr("qsym.jpoly.j_from_scaled_p", inexact)
     code, text = run("verify", "jpoly", "--n-max", "3")
     assert code == 1
     lines = text.splitlines()
     assert "FAIL table-vs-specialization (0/6 instances)" in lines
     assert lines[-1] == ('first counterexample: {"identity":"table-vs-specialization",'
                          '"n":1,"r":1,"status":"fail","detail":"J(1, 1) left a remainder"}')
+
+
+def test_an_inexact_division_in_a_query_is_a_failed_identity(monkeypatch,
+                                                            capsys):
+    # the division is the paper's divisibility claim: exit 1, one error line
+    def inexact(c, n, r):
+        raise InexactDivisionError(f"J({n}, {r}) left a remainder")
+
+    monkeypatch.setattr("qsym.jpoly.j_from_scaled_p", inexact)
+    assert run("query", "jpoly", "--n", "6", "--r", "2") == (1, "")
+    assert capsys.readouterr().err == "error: J(6, 2) left a remainder\n"
+
+    def no_quotient(c, a=1):
+        raise InexactDivisionError(f"1 - q^{a} leaves a remainder")
+
+    monkeypatch.setattr("qsym.qcalc.one_minus_q_div", no_quotient)
+    assert run("query", "qbinomial", "--n", "6", "--k", "2") == (1, "")
+    assert capsys.readouterr().err == "error: 1 - q^1 leaves a remainder\n"
+
+
+def test_query_jpoly_checks_the_shape_invariants(monkeypatch, capsys):
+    # a specialization that loses the top coefficient of J(5, 3)
+    monkeypatch.setattr("qsym.jpoly.j_from_scaled_p",
+                        lambda c, n, r: UniPoly((2, 3, 4, 3, 2)))
+    assert run("query", "jpoly", "--n", "5", "--r", "3") == (1, "")
+    assert capsys.readouterr().err == "error: J(5,3) degree 4 != 5\n"
 
 
 def test_failed_composition_formula_shows_both_sides(monkeypatch):

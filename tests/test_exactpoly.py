@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from qsym.exactpoly import (BiPoly, InexactDivisionError, TruncSeries,
-                            UniPoly, bracket_mul, det_hessenberg, divmod_poly,
-                            exact_div, json_coeff_list, one, poly_text, q, zero)
+                            UniPoly, bracket_mul, det_hessenberg,
+                            json_coeff_list, one, one_minus_q_div, poly_text,
+                            q, zero)
 from qsym.qcalc import qbracket
 
 from polytext import parse_poly_text
-from routes import det_cofactor
+from routes import det_cofactor, divmod_poly, exact_div
 
 
 def P(*coeffs):
@@ -195,6 +196,21 @@ def test_divmod_and_exact_div():
 def test_exact_div_raises_on_remainder():
     with pytest.raises(InexactDivisionError):
         exact_div(P(1, 1, 1), P(1, 1))
+
+
+def test_division_by_one_minus_q_power():
+    # exact on products of 1 - q^a, a = 1 and a > 1; a remainder raises
+    rng = random.Random(7)
+    for a in (1, 2, 3, 5):
+        for _ in range(20):
+            f = P(*(rng.randint(-9, 9) for _ in range(rng.randint(0, 8))))
+            product = (one - UniPoly.monomial(a)) * f
+            assert one_minus_q_div(product.coeffs, a) == list(f.coeffs), (a, f)
+    assert one_minus_q_div([], 4) == []
+    assert one_minus_q_div([1, 0, 0, 0, 0, -1], 1) == [1, 1, 1, 1, 1]
+    for c, a in [([1], 1), ([1, 1], 2), ([1, 0, 0, -1, 1], 3), ([2, -1], 1)]:
+        with pytest.raises(InexactDivisionError):
+            one_minus_q_div(c, a)
 
 
 def test_division_of_int_polys_is_exact_rational():

@@ -7,14 +7,13 @@ import pytest
 
 from qsym.exactpoly import InexactDivisionError, UniPoly, one, q, zero
 from qsym.qcalc import qbracket
-from qsym.jpoly import (JTable, build_jtable, composition_sum,
-                        j_explicit_composition, jtable_csv_rows, jtable_latex,
-                        reciprocal)
-from qsym.report import (cross_formula_check, exp_rows,
-                         extended_recurrence_check, j_from_scaled_p,
+from qsym.jpoly import (JTable, build_jtable, composition_sum, exp_rows,
+                        j_entry, j_explicit_composition, j_from_scaled_p,
+                        jtable_csv_rows, jtable_latex, reciprocal, scaled_p_nr)
+from qsym.report import (cross_formula_check, extended_recurrence_check,
                          kung_yan_check, reciprocal_composition_forms,
                          reciprocal_explicit_check,
-                         reciprocal_recurrence_check, scaled_p_nr)
+                         reciprocal_recurrence_check)
 from routes import (COMPOSITION_EXPONENTS, compositions, dense_composition_sum,
                     dense_jtable, exp_bundle, multinomial, p_nr_determinant,
                     p_nr_series)
@@ -173,6 +172,16 @@ def test_specialization_fails_at_the_moved_unit_only():
               if rec.identity == "table-vs-specialization"
               and rec.status == "fail"]
     assert failed == [(6, 3)]
+
+
+def test_an_entry_alone_is_the_table_entry():
+    # j_entry takes the specialization and builds no table
+    table = build_jtable(30)
+    for n, r in [(30, 1), (30, 13), (30, 30), (1, 1)]:
+        assert j_entry(n, r) == table.entry(n, r), (n, r)
+    for n, r in [(3, 4), (3, 0)]:
+        with pytest.raises(ValueError):
+            j_entry(n, r)
 
 
 def test_inexact_specialization_division_raises():

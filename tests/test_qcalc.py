@@ -8,10 +8,10 @@ from math import comb, factorial
 import pytest
 
 from qsym.exactpoly import UniPoly, one, zero
-from qsym.pqalgebra import BiPoly, TruncSeries, exact_div, pq_binomial
+from qsym.pqalgebra import BiPoly, TruncSeries, pq_binomial
 from qsym.qcalc import qbinomial, qbracket, qbracket_power_base, qfactorial
 
-from routes import exp_elementary, q_derivative
+from routes import exact_div, exp_elementary, q_derivative
 
 
 def P(*coeffs):

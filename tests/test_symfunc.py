@@ -8,7 +8,7 @@ import pytest
 
 import qsym.symfunc as symfunc
 from qsym.exactpoly import UniPoly, one, zero
-from qsym.pqalgebra import BiPoly, TruncSeries, exact_div
+from qsym.pqalgebra import BiPoly, TruncSeries
 from qsym.qcalc import qfactorial
 from qsym.qstirling import carlitz_tables
 from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
@@ -20,9 +20,9 @@ from qsym.symfunc import (SymAlphabet, SymSeriesBundle,
                           qp_nr_direct, symfunc_suite_report,
                           transfer_theorem_check)
 
-from routes import (elementary, monomial_sum_by_permutations, p_nr_monomial,
-                    p_nr_series, partitions_with_length, principal,
-                    q_derivative)
+from routes import (elementary, exact_div, monomial_sum_by_permutations,
+                    p_nr_monomial, p_nr_series, partitions_with_length,
+                    principal, q_derivative)
 
 
 TABLES = carlitz_tables(6)      # what verify hands the checks, to size 6
