@@ -12,8 +12,10 @@ its traceback goes to stderr), 141 the reader closed stdout early (128 +
 SIGPIPE, what a shell reports for other writers cut off the same way, as in
 ``qsym jtable --n-max 14 | head -1``).  Output is byte-deterministic for
 fixed flags and seed.  Each command imports only the modules it uses,
-inside its handler, and the parser is filled in for that one command and
-kind, so a small query starts fast.
+inside its handler.  A well-formed command line is read straight from
+OPTIONS (_well_formed), so a call that succeeds loads no argparse, and
+with it no gettext or locale; help and every usage error go to argparse,
+whose parser is filled in for the one command and kind argv names.
 
 When main runs the process's own command line (called with no argv, as
 ``python -m qsym.cli`` and the ``qsym`` script call it), its last step on
@@ -28,13 +30,13 @@ gives the time this saves.  Callers that pass argv keep their collector.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from contextlib import nullcontext
 from itertools import groupby
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, InexactDivisionError,
                         JTableShapeError, UniPoly, json_coeff_list, latex_poly, poly_text)
@@ -56,7 +58,7 @@ def _arg(*flags, **kwargs):
 _N, _R, _K, _M = (_arg(f"--{size}", type=int, required=True) for size in "nrkm")
 _N_MAX = _arg("--n-max", type=int, required=True)
 _FORMAT = _arg("--format", choices=ALL_FORMATS, default="plain")
-_ASCII = _arg("--ascii", action=argparse.BooleanOptionalAction, default=True,
+_ASCII = _arg("--ascii", action="boolean_optional", default=True,
               help="render powers as q^2; --no-ascii uses superscripts")
 _SEED = _arg("--seed", type=int, default=0)
 _CAP = _arg("--cap", type=int, default=DEFAULT_CAP,
@@ -100,35 +102,89 @@ OPTIONS = {
         _arg("--format", choices=["csv"], default="csv")],
 }
 KIND_DEST = {"verify": "suite", "query": "kind", "export": "what"}
+# verify_suite takes a seed and a cap for every suite, read or not
+VERIFY_DEFAULTS = {"seed": 0, "cap": DEFAULT_CAP}
 
 
-class _KindFirst(argparse.HelpFormatter):
-    """Usage as "prog command kind [options]": the kind is in prog, so only
-    the options are listed after it."""
+def _well_formed(argv):
+    """The namespace build_parser(argv).parse_args(argv) returns, read
+    without argparse when argv is a command, its kind if it has one, then
+    only exact flags of OPTIONS[(command, kind)]: each valued flag followed
+    by one value that passes its type and choices and does not start with
+    "-" unless it is a negative integer, the last of a repeated flag kept,
+    and every required option given.  Anything else, help and every usage
+    error among it, gives None, and argparse parses argv."""
+    command = argv[0] if argv else None
+    kind = argv[1] if command in KIND_DEST and len(argv) > 1 else None
+    options = OPTIONS.get((command, kind))
+    if options is None:
+        return None
+    args = {"command": command}
+    if kind:
+        args[KIND_DEST[command]] = kind
+    if command == "verify":
+        args.update(VERIFY_DEFAULTS)
+    flags, required = {}, set()
+    for names, kwargs in options:
+        dest = names[-1][2:].replace("-", "_")      # the long flag names it
+        action = kwargs.get("action")
+        args[dest] = kwargs.get("default", False if action == "store_true" else None)
+        for name in names:
+            flags[name] = dest, kwargs
+        if action == "boolean_optional":
+            flags["--no-" + names[0][2:]] = dest, kwargs
+        if kwargs.get("required"):
+            required.add(dest)
+    words = iter(argv[2 if kind else 1:])
+    for word in words:
+        if word not in flags:
+            return None
+        dest, kwargs = flags[word]
+        if "action" in kwargs:          # a switch: it takes no value
+            args[dest] = not word.startswith("--no-")
+            continue
+        value = next(words, "-")        # a missing value fails as "-" does
+        if value.startswith("-") and not (value[1:].isascii() and value[1:].isdigit()):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", [value]):
+            return None
+        args[dest] = value
+        required.discard(dest)
+    return None if required else SimpleNamespace(**args)
 
-    def add_usage(self, usage, actions, groups, prefix=None):
-        super().add_usage(usage, [a for a in actions if a.option_strings],
-                          groups, prefix)
 
-
-class _Parser(argparse.ArgumentParser):
-    """Help and usage written to stdout go through _Output, as a command's
-    output does, so a write error there exits 2 too; argparse drops it."""
-
-    def _print_message(self, message, file=None):
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
-        with _Output(file, "stdout"):
-            file.write(message)
-            file.flush()
-
-
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: every command is registered, but only the one
-    argv names gets arguments, and of verify, query and export only those
-    its kind reads.  Command and kind are argv's first two words not
+def build_parser(argv):
+    """The argparse parser for argv: every command is registered, but only
+    the one argv names gets arguments, and of verify, query and export only
+    those its kind reads.  Command and kind are argv's first two words not
     starting with "-", so the kind comes before any option with a value."""
-    parser = _Parser(
+    import argparse
+
+    class KindFirst(argparse.HelpFormatter):
+        """Usage as "prog command kind [options]": the kind is in prog, so
+        only the options are listed after it."""
+
+        def add_usage(self, usage, actions, groups, prefix=None):
+            super().add_usage(usage, [a for a in actions if a.option_strings],
+                              groups, prefix)
+
+    class Parser(argparse.ArgumentParser):
+        """Help and usage written to stdout go through _Output, as a
+        command's output does, so a write error there exits 2 too; argparse
+        drops it."""
+
+        def _print_message(self, message, file=None):
+            if file is not sys.stdout:
+                return super()._print_message(message, file)
+            with _Output(file, "stdout"):
+                file.write(message)
+                file.flush()
+
+    parser = Parser(
         prog="qsym",
         description="Exact q-analog toolkit: q-Stirling triangles, q-analogs "
                     "of symmetric power-type sums, and tree-inversion / "
@@ -146,12 +202,14 @@ def build_parser(argv) -> argparse.ArgumentParser:
         commands[command].add_argument(
             KIND_DEST[command], choices=[k for c, k in OPTIONS if c == command],
             help="comes before its options; add --help after it to list them")
-    if command == "verify":        # verify_suite takes them for every suite
-        commands[command].set_defaults(seed=0, cap=DEFAULT_CAP)
+    if command == "verify":
+        commands[command].set_defaults(**VERIFY_DEFAULTS)
     for flags, kwargs in OPTIONS.get((command, kind), ()):
+        if kwargs.get("action") == "boolean_optional":
+            kwargs = dict(kwargs, action=argparse.BooleanOptionalAction)
         commands[command].add_argument(*flags, **kwargs)
     if kind and (command, kind) in OPTIONS:     # usage names the kind first
-        commands[command].formatter_class = lambda prog: _KindFirst(f"{prog} {kind}")
+        commands[command].formatter_class = lambda prog: KindFirst(f"{prog} {kind}")
     return parser
 
 
@@ -315,7 +373,7 @@ def main(argv=None, out=None) -> int:
 def _run(argv, out) -> int:
     out = _Output(out, "stdout")
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _well_formed(argv) or build_parser(argv).parse_args(argv)
         for name, low in (("n_max", 1), ("cap", 0), ("n", 0), ("r", 0),
                           ("k", 0), ("m", 0)):      # every number but --seed
             value = getattr(args, name, None)

@@ -31,14 +31,14 @@ def qfactorial(n: int) -> UniPoly:
     return UniPoly(reduce(bracket_mul, range(2, n + 1), [1]))
 
 
-def triangle_rows(weight, k_max: int):
+def triangle_rows(weight):
     """Rows n = 0, 1, 2, ... of the triangle T[n,k] = T[n-1,k-1] + w T[n-1,k],
-    T[0,0] = 1, each cut to the band 0 <= k <= min(n, k_max).
+    T[0,0] = 1, row n holding columns 0..n.
 
     w = sign q^s [a] with (a, s[, sign]) = weight(n, k), sign 1 if left out:
     one bracket_mul window sum on ascending int coefficient lists.  Rows are
-    built bottom-up and only the previous one is kept, so an entry far down
-    the triangle needs no recursion and memory for one band-wide row.
+    built bottom-up and only the previous one is kept, so a row far down
+    the triangle needs no recursion.
     """
     row, n = ([1],), 0
     while True:
@@ -47,8 +47,7 @@ def triangle_rows(weight, k_max: int):
         nxt = [bracket_mul(row[0], *weight(n, 0))]
         nxt.extend(bracket_mul(row[k], *weight(n, k), plus=row[k - 1])
                    for k in range(1, len(row)))
-        if len(row) <= k_max:
-            nxt.append(row[-1])          # T[n,n] = T[n-1,n-1]
+        nxt.append(row[-1])              # T[n,n] = T[n-1,n-1]
         row = tuple(nxt)
 
 
@@ -56,7 +55,7 @@ def qbinomial_lookup(n: int):
     """[l k] for l <= n from rows 0..n of triangle_rows, built once by
     [l k] = [l-1 k-1] + q^k [l-1 k] and read by exactpoly.triangle_entry."""
     rows = [tuple(map(UniPoly, row))
-            for row in islice(triangle_rows(lambda l, k: (1, k), n), n + 1)]
+            for row in islice(triangle_rows(lambda l, k: (1, k)), n + 1)]
     return lambda l, k: triangle_entry(rows, n, l, k)
 
 

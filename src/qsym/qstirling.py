@@ -3,9 +3,11 @@
 Each kind by its own triangular recurrence, S[n,k] = S[n-1,k-1] + [k] S[n-1,k]
 and s[n,k] = s[n-1,k-1] - [n-1] s[n-1,k], both from T[0,0] = 1: inverse
 matrices computed independently, which the checks in ``report`` compare.
-A triangle keeps the rows of qcalc.triangle_rows whole and answers by
-exactpoly.triangle_entry; the CSV export (export_chunks) holds one row at
-a time.  carlitz_tables holds both triangles with the q-binomials and
+A single entry (qstirling1, qstirling2) walks the diagonals between it
+and T[k,k], so it pays for n - k steps over k + 1 columns, not for rows
+0..n.  A triangle keeps the rows of qcalc.triangle_rows whole and answers
+by exactpoly.triangle_entry; the CSV export (export_chunks) holds one row
+at a time.  carlitz_tables holds both triangles with the q-binomials and
 (1-q) powers those checks read, so verify builds each once.
 Users comparing against other first-kind normalizations in the literature
 should check sign conventions.
@@ -15,31 +17,39 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .exactpoly import (Frozen, UniPoly, csv_cell, json_coeff_list, one,
-                        powers, q, set_field, triangle_entry, zero)
+from .exactpoly import (Frozen, UniPoly, bracket_mul, csv_cell, json_coeff_list,
+                        one, powers, q, set_field, triangle_entry, zero)
 from .qcalc import qbinomial_lookup, triangle_rows
 
-# weight(n, k) = (a, s, sign) of w = sign q^s [a] in the triangle_rows
-# recurrence T[n,k] = T[n-1,k-1] + w T[n-1,k].
+# weight(n, k) = (a, s, sign) of w = sign q^s [a] in the recurrence
+# T[n,k] = T[n-1,k-1] + w T[n-1,k], of triangle_rows and _diagonal_entry.
 WEIGHTS = {"second": lambda n, k: (k, 0, 1), "first": lambda n, k: (n - 1, 0, -1)}
 
 
-def _band_entry(kind: str, n: int, k: int) -> UniPoly:
-    """Row n built bottom-up in the band of columns 0..k; 0 outside
-    0 <= k <= n."""
+def _diagonal_entry(kind: str, n: int, k: int) -> UniPoly:
+    """T[n,k] = D_(n-k)[k] on the diagonals D_d[j] = T[j+d, j], from
+    D_0[j] = 1 and D_d[0] = 0 for d >= 1 by D_d[j] = D_d[j-1] +
+    w(j+d, j) D_(d-1)[j]: (n-k) steps over columns 0..k, so an entry near
+    the diagonal is cheap; 0 outside 0 <= k <= n."""
     if not 0 <= k <= n:
         return zero
-    return UniPoly(next(islice(triangle_rows(WEIGHTS[kind], k), n, None))[k])
+    weight, diagonal = WEIGHTS[kind], [[1]] * (k + 1)
+    for d in range(1, n - k + 1):
+        nxt = [[]]
+        for j in range(1, k + 1):
+            nxt.append(bracket_mul(diagonal[j], *weight(j + d, j), plus=nxt[-1]))
+        diagonal = nxt
+    return UniPoly(diagonal[k])
 
 
 def qstirling2(n: int, k: int) -> UniPoly:
     """Second-kind q-Stirling number S[n,k]; S[n,0] = [n == 0], 0 for k > n."""
-    return _band_entry("second", n, k)
+    return _diagonal_entry("second", n, k)
 
 
 def qstirling1(n: int, k: int) -> UniPoly:
     """First-kind q-Stirling number s[n,k]; s[n,0] = [n == 0], 0 for k > n."""
-    return _band_entry("first", n, k)
+    return _diagonal_entry("first", n, k)
 
 
 class StirlingTriangle(Frozen):
@@ -66,7 +76,7 @@ def export_chunks(kind: str, n_max: int):
     """The kind's CSV export to n_max: the header, then one string of lines
     n,k,coeffs per row n, each row drawn once the string before is taken."""
     yield "n,k,coeffs\n"
-    rows = triangle_rows(WEIGHTS[kind], n_max)
+    rows = triangle_rows(WEIGHTS[kind])
     next(rows)                                    # row 0 has no k >= 1
     for n in range(1, n_max + 1):
         row = next(rows)
@@ -84,7 +94,7 @@ def _json_ints(c) -> str:
 def _triangle(kind: str, n_max: int) -> StirlingTriangle:
     if n_max < 1:
         raise ValueError("triangle size must be >= 1")
-    rows = islice(triangle_rows(WEIGHTS[kind], n_max), n_max + 1)
+    rows = islice(triangle_rows(WEIGHTS[kind]), n_max + 1)
     return StirlingTriangle(kind, n_max, tuple(tuple(map(UniPoly, row))
                                                for row in rows))
 

@@ -160,6 +160,15 @@ def test_query_far_down_the_triangle(kind, degree, value_at_one):
     assert poly.evaluate(1) == value_at_one
 
 
+@pytest.mark.parametrize("kind, sign", [("qstirling1", -1), ("qstirling2", 1)])
+def test_query_next_to_the_diagonal(kind, sign):
+    # s[n,n-1] = -S[n,n-1] = -([1] + ... + [n-1]), whose coefficient of q^j
+    # is -(n-1-j): one diagonal step over n columns, not rows 0..n
+    code, text = run("query", kind, "--n", "200", "--k", "199", "--format", "csv")
+    coeffs = ",".join(str(sign * (199 - j)) for j in range(199))
+    assert (code, text) == (0, f"198,[{coeffs}]\n")
+
+
 def test_query_qbinomial_large_n_small_k():
     code, text = run("query", "qbinomial", "--n", "3000", "--k", "2")
     assert code == 0
@@ -794,8 +803,8 @@ def rows_drawn(monkeypatch, most: int) -> list:
     drawn = []
     triangle_rows = qstirling.triangle_rows
 
-    def counted(weight, k_max):
-        for row in triangle_rows(weight, k_max):
+    def counted(weight):
+        for row in triangle_rows(weight):
             if len(drawn) == most:
                 raise AssertionError(f"row {most} drawn")
             drawn.append(row)

@@ -38,6 +38,18 @@ def test_second_kind_recurrence_and_triangle_agree():
             assert tri.entry(n, k) == qstirling2(n, k)
 
 
+@pytest.mark.parametrize("single, triangle", [
+    (qstirling1, qstirling1_triangle), (qstirling2, qstirling2_triangle)],
+    ids=["first", "second"])
+def test_single_entries_walk_to_the_triangle_entries(single, triangle):
+    # the diagonal walk of one entry against the rows of the whole triangle,
+    # off the triangle's edges included
+    tri = triangle(20)
+    for n in range(21):
+        for k in range(-1, n + 2):
+            assert single(n, k) == tri.entry(n, k), (n, k)
+
+
 def classical_stirling2(n, k, _memo={}):
     if (n, k) in _memo:
         return _memo[(n, k)]

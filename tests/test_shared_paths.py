@@ -177,17 +177,21 @@ def test_verify_all_builds_each_triangle_once(monkeypatch):
     builds = []
     triangle_rows = qcalc.triangle_rows
 
-    def counted(weight, k_max):
-        builds.append((weight(3, 2), k_max))
-        return triangle_rows(weight, k_max)
+    def counted(weight):            # records the weight and the rows drawn
+        drawn = []
+        builds.append((weight(3, 2), drawn))
+        for row in triangle_rows(weight):
+            drawn.append(row)
+            yield row
 
     for module in (qcalc, qstirling):
         monkeypatch.setattr(module, "triangle_rows", counted)
     monkeypatch.delattr(os, "fork")             # every battery in this process
     assert verify_suite("all", 7, 0, DEFAULT_CAP).passed
     # the weight at n = 3, k = 2: q^2 [1] binomial, [2] second, -[2] first kind
-    assert Counter(builds) == {((1, 2), 7): 1, ((2, 0, 1), 7): 1,
-                               ((2, 0, -1), 7): 1}
+    assert Counter(w for w, _ in builds) == {(1, 2): 1, (2, 0, 1): 1,
+                                             (2, 0, -1): 1}
+    assert all(len(drawn) == 8 for _, drawn in builds)    # rows 0..7
 
 
 # -- one entry rule for every triangle --------------------------------------------

@@ -6,7 +6,8 @@ JSON does not load ``json``, no command loads ``fractions`` or
 ``signal``, and ``import qsym`` still offers every public name of the
 package, resolved on first access.  Run as a program, the CLI freezes the
 collector's objects as it ends, so the collection at interpreter exit
-passes them by.
+passes them by.  A command line that succeeds is read without argparse,
+which only help and usage errors load.
 """
 
 import gc
@@ -42,6 +43,7 @@ STIRLING = BASE | {"qsym.qcalc", "qsym.qstirling"}
 JTABLE = BASE | {"qsym.jpoly"}
 ORACLES = BASE | {"qsym.oracles"}
 SYMFUNC = STIRLING | {"qsym.report", "qsym.symfunc", "qsym.pqalgebra"}
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def src_env() -> dict:
@@ -62,7 +64,7 @@ def loaded_modules(*argv) -> set:
 # verify loads what its battery needs.  No command loads fractions or
 # decimal: every battery runs on int rows and integer alphabets, and a unit
 # is its own inverse; nor signal, which only a fault in the parent beside a
-# forked battery needs.
+# forked battery needs; nor argparse, gettext or locale.
 @pytest.mark.parametrize("argv, expected, writes_json", [
     (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
      False),
@@ -94,6 +96,29 @@ def test_each_command_loads_only_its_modules(argv, expected, writes_json):
         assert "json" not in modules
     assert "fractions" not in modules and "decimal" not in modules
     assert "signal" not in modules
+    assert not modules & ARGPARSE
+
+
+# Only help and usage errors, which argparse writes, load argparse and the
+# translation machinery it loads for its messages.
+FALLBACK_PROBE = ("import sys\n"
+                  "from qsym.cli import main\n"
+                  "try:\n"
+                  "    main(sys.argv[1:])\n"
+                  "finally:\n"
+                  "    import json\n"
+                  "    print(json.dumps(sorted(sys.modules)))\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("query", "qbinomial", "--help"), 0),
+    (("query", "qbinomial", "--n", "5", "--k", "x"), 2),
+], ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_PROBE, *argv],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert ARGPARSE <= set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 # Run main() as the program does, on argv[1:], and at exit print the
