@@ -6,10 +6,9 @@ kind of verify, query and export, accepts only the options it reads.  Exit
 codes are a stable contract: 0 success, 1 a mathematical identity failed, 2
 usage error (a bad argument, or an output file or stdout that cannot be
 written), 3 enumeration cap exceeded, 4 an internal error (any other
-exception, an OSError not from the output too, also one in the forked child
-of verify, which runs a battery of the suite as report.verify_suite says;
-its traceback goes to stderr), 141 the reader closed stdout early (128 +
-SIGPIPE, what a shell reports for other writers cut off the same way, as in
+exception, an OSError not from the output included; its traceback goes
+to stderr), 141 the reader closed stdout early (128 + SIGPIPE, what a
+shell reports for other writers cut off the same way, as in
 ``qsym jtable --n-max 14 | head -1``).  Output is byte-deterministic for
 fixed flags and seed.  Each command imports only the modules it uses,
 inside its handler.  A well-formed command line is read straight from
@@ -21,8 +20,7 @@ When main runs the process's own command line (called with no argv, as
 ``python -m qsym.cli`` and the ``qsym`` script call it), its last step on
 every exit path, a usage error from argparse included, is gc.freeze().
 The collection at interpreter exit then passes over every object tracked
-so far, the forked verify parent's among them, whose pages the fork left
-shared: it would reclaim only cyclic garbage, which the process's end
+so far: it would reclaim only cyclic garbage, which the process's end
 frees anyway.  Frozen objects are still freed by reference counting as
 the modules are torn down.  The README (Start-up and the module map)
 gives the time this saves.  Callers that pass argv keep their collector.

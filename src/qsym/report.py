@@ -13,19 +13,17 @@ n_max; the J routes they compare it with, the exponential specialization
 among them, are in jpoly.  The symmetric-function batteries stay in symfunc.
 
 verify_suite is the one plan of the verify suites: which batteries each
-runs and in what order, their size caps, the one J table and the one set
-of qstirling.carlitz_tables it hands them, and which battery runs in a
-forked child; its docstring says.
+runs and in what order, their size caps, and the one J table and the one
+set of qstirling.carlitz_tables it hands them; its docstring says.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
 from math import comb
 
-from .exactpoly import (EnumerationCapExceeded, Frozen, InexactDivisionError,
-                        UniPoly, one, powers, q, set_field, zero)
+from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, Frozen,
+                        InexactDivisionError, UniPoly, one, powers, q,
+                        set_field, zero)
 from .qcalc import alternating_binomial_sum, qbracket, qbracket_power_base
 
 
@@ -116,91 +114,6 @@ class CheckReport:
                 mark = "ok  "
             lines.append(f"{mark} {name} ({passes}/{len(recs)} instances)")
         return lines
-
-
-def _spare_cpu() -> bool:
-    """Whether a forked child could run beside this process: os.fork exists
-    and the process may run on more than one CPU."""
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-def _fork_battery(battery):
-    """Fork a child that runs battery() and sends its records back as
-    (identity, status, params, detail) tuples, marshalled over a pipe;
-    returns the child's pid and the read end as a file.
-
-    The child never writes to stdout.  An exception prints its traceback
-    to stderr (fd 2, past the stdio buffers) and the child exits 1.  It
-    always leaves by os._exit, so it runs no atexit handler and never
-    flushes the stdio buffers it inherited.  If os.fork raises, both ends
-    of the pipe are closed before the exception leaves.
-    """
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:               # no child: neither end is handed on
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(rfd)
-            rows = [(r.identity, r.status, r.params, r.detail)
-                    for r in battery().records]
-            with os.fdopen(wfd, "wb") as pipe:
-                marshal.dump(rows, pipe)
-            status = 0
-        except BaseException:
-            import traceback
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(status)
-    os.close(wfd)
-    return pid, os.fdopen(rfd, "rb")
-
-
-def run_batteries(batteries, forked: int = -1) -> CheckReport:
-    """Merge the reports of the batteries (functions of no arguments), in
-    order.
-
-    Where there are at least two and _spare_cpu allows, batteries[forked]
-    runs in a forked child while this process runs the others, in order;
-    the child's records are merged in that battery's place, so the report is
-    the same either way.  verify_suite's docstring says which battery that
-    is.  A fault in the child raises ChildProcessError here.  If a battery
-    here raises first, the child is killed and reaped before the exception
-    leaves.  Fork only from a process with one thread, as the CLI is.
-    """
-    if len(batteries) < 2 or not _spare_cpu():
-        reports = [battery() for battery in batteries]
-    else:
-        forked %= len(batteries)
-        pid, pipe = _fork_battery(batteries[forked])
-        try:
-            reports = [None if i == forked else battery()
-                       for i, battery in enumerate(batteries)]
-            data = pipe.read()
-        except BaseException:
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-        if status:
-            raise ChildProcessError(f"the forked battery exited with status "
-                                    f"{os.waitstatus_to_exitcode(status)}")
-        reports[forked] = CheckReport(CheckRecord(*row)
-                                      for row in marshal.loads(data))
-    report = CheckReport()
-    for part in reports:
-        report.merge(part)
-    return report
 
 
 def verify_carlitz_identities(n_max: int, tables: tuple) -> CheckReport:
@@ -343,9 +256,15 @@ def specialization_bracket_shift_check(n_max: int) -> CheckReport:
     return report
 
 
-def cross_formula_check(table) -> CheckReport:
+def _compositions_past_cap(m: int, cap: int) -> bool:
+    """Whether the 2^(m-1) compositions of m >= 1 exceed the cap."""
+    return 1 << (m - 1) > cap
+
+
+def cross_formula_check(table, cap: int = DEFAULT_CAP) -> CheckReport:
     """The table against the composition formula (for n > r) and against
-    the exponential specialization."""
+    the exponential specialization.  An (n, r) whose compositions of n - r
+    exceed the cap skips the composition walk."""
     from .jpoly import (exp_rows, j_explicit_composition, j_from_scaled_p,
                         scaled_p_nr)
     report = CheckReport()
@@ -354,7 +273,9 @@ def cross_formula_check(table) -> CheckReport:
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
             expected = table.entry(n, r)
-            if n > r:
+            if n > r and _compositions_past_cap(n - r, cap):
+                report.add_skip("composition-formula-skipped-by-cap", n=n, r=r)
+            elif n > r:
                 report.check("table-vs-composition-formula",
                              j_explicit_composition(n, r), expected, n=n, r=r)
             try:
@@ -382,12 +303,17 @@ def reciprocal_composition_forms(m: int, r: int):
     return UniPoly(form_one), UniPoly(form_two)
 
 
-def reciprocal_explicit_check(table) -> CheckReport:
-    """Both composition sums for the reciprocal against the table's."""
+def reciprocal_explicit_check(table, cap: int = DEFAULT_CAP) -> CheckReport:
+    """Both composition sums for the reciprocal against the table's; an
+    (n, r) whose compositions of n - r exceed the cap is skipped."""
     from .jpoly import reciprocal
     report = CheckReport()
     for n in range(2, table.n_max + 1):
         for r in range(1, n):
+            if _compositions_past_cap(n - r, cap):
+                report.add_skip("reciprocal-composition-skipped-by-cap",
+                                n=n, r=r)
+                continue
             expected = reciprocal(n, r, table)
             acc1, acc2 = reciprocal_composition_forms(n - r, r)
             report.check("reciprocal-composition-formula", acc1, expected,
@@ -453,35 +379,17 @@ def parking_oracle_check(table, cap: int) -> CheckReport:
     return report
 
 
-def oracle_batteries(table, seed: int, cap: int) -> list:
+def oracle_battery(table, seed: int, cap: int) -> CheckReport:
     """The oracle battery, forest and parking enumerators against the
-    closed-form table, as a list of batteries whose reports, merged in
-    order, are its records: a ranking-seeds record, then forest_oracle_check
-    of every shape 1 <= r < n <= table.n_max, row by row, then
-    parking_oracle_check and reciprocal_explicit_check.
-
-    Where there is a forest shape, the list is cut at the largest one, (n, 1)
-    with n = table.n_max, into three: the ranking-seeds record and the
-    shapes before it | that walk alone | the shapes after it, the parking
-    oracle and the composition forms.  Otherwise it is one battery.
-    """
+    closed-form table: a ranking-seeds record, forest_oracle_check of every
+    shape 1 <= r < n <= table.n_max, row by row, then parking_oracle_check
+    and reciprocal_explicit_check."""
+    report = CheckReport()
+    report.add_pass("ranking-seeds", seeds=f"{seed},{seed + 1},{seed + 2}")
     shapes = [(n, r) for n in range(2, table.n_max + 1) for r in range(1, n)]
-    cut = shapes.index((table.n_max, 1)) if shapes else 0
-
-    def head():
-        report = CheckReport()
-        report.add_pass("ranking-seeds", seeds=f"{seed},{seed + 1},{seed + 2}")
-        return report.merge(forest_oracle_check(table, shapes[:cut], seed, cap))
-
-    def tail():
-        report = forest_oracle_check(table, shapes[cut + 1:], seed, cap)
-        report.merge(parking_oracle_check(table, cap))
-        return report.merge(reciprocal_explicit_check(table))
-
-    if not shapes:
-        return [lambda: head().merge(tail())]
-    return [head, lambda: forest_oracle_check(table, shapes[cut:cut + 1], seed,
-                                              cap), tail]
+    report.merge(forest_oracle_check(table, shapes, seed, cap))
+    report.merge(parking_oracle_check(table, cap))
+    return report.merge(reciprocal_explicit_check(table, cap))
 
 
 CONJUGATION_N_MAX = 8       # the scaled-triangle inverse check
@@ -492,21 +400,17 @@ ORACLE_N_MAX = 7            # the oracle battery under verify all
 def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
     """Run verify suite qstirling, symfunc, jpoly, oracles or all (those
     four in order) to n_max, but symfunc to SYMFUNC_N_MAX at most and,
-    under all, the oracle battery to ORACLE_N_MAX; seed and cap go to it.
+    under all, the oracle battery to ORACLE_N_MAX.  seed goes to the oracle
+    battery, and cap to its forest, parking and composition walks and to
+    the composition walk of the cross formulas.
 
-    A suite is a list of batteries in record order, and run_batteries runs
-    one of them in a forked child where there are two or more:
-    qstirling: the Carlitz expansions | the inverse and conjugated inverse
-    checks (forked); jpoly: the cross formulas and the reciprocal's row
-    recurrence | its column recurrence, the bracket shift and the extended
-    recurrence (forked); oracles: oracle_batteries, cut at the
-    largest forest shape (n, 1), whose walk alone is forked; all: the
-    batteries of the other four, the (n, 1) walk forked, n =
-    min(n_max, ORACLE_N_MAX).  Where the oracle battery has no forest shape
-    (n_max 1) it is one battery: all forks its last battery, and symfunc
-    and oracles fork nothing.  The J table and carlitz_tables, at the largest
-    size read, are built once, before the fork.  Each battery imports its
-    layers, and looks up its checks in this module, as it runs.
+    Each suite is one battery, and all runs the other four in order, in
+    this process: qstirling: the Carlitz expansions, the inverse and
+    conjugated inverse checks; jpoly: the cross formulas, the reciprocal's
+    row and column recurrences, the bracket shift and the extended
+    recurrence; oracles: oracle_battery.  The J table and carlitz_tables,
+    at the largest size read, are built once, first.  Each battery imports
+    its layers, and looks up its checks in this module, as it runs.
     """
     if suite in ("jpoly", "oracles", "all"):
         from .jpoly import build_jtable
@@ -515,29 +419,22 @@ def verify_suite(suite: str, n_max: int, seed: int, cap: int) -> CheckReport:
         from .qstirling import carlitz_tables
         tables = carlitz_tables(
             min(n_max, SYMFUNC_N_MAX) if suite == "symfunc" else n_max)
-
-    def symfunc_battery():
+    report = CheckReport()
+    if suite in ("qstirling", "all"):
+        report.merge(verify_carlitz_identities(n_max, tables))
+        report.merge(verify_triangle_inverse(n_max, tables))
+        report.merge(verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX),
+                                               tables))
+    if suite in ("symfunc", "all"):
         from .symfunc import symfunc_suite_report
-        return symfunc_suite_report(min(n_max, SYMFUNC_N_MAX), tables)
-
-    def shift_and_recurrences():
-        report = kung_yan_check(table)
+        report.merge(symfunc_suite_report(min(n_max, SYMFUNC_N_MAX), tables))
+    if suite in ("jpoly", "all"):
+        report.merge(cross_formula_check(table, cap))
+        report.merge(reciprocal_recurrence_check(table))
+        report.merge(kung_yan_check(table))
         report.merge(specialization_bracket_shift_check(n_max))
-        return report.merge(extended_recurrence_check(table))
-
-    plan = [("qstirling", lambda: verify_carlitz_identities(n_max, tables)),
-            ("qstirling", lambda: verify_triangle_inverse(n_max, tables).merge(
-                verify_conjugated_inverse(min(n_max, CONJUGATION_N_MAX),
-                                          tables))),
-            ("symfunc", symfunc_battery),
-            ("jpoly", lambda: cross_formula_check(table).merge(
-                reciprocal_recurrence_check(table))),
-            ("jpoly", shift_and_recurrences)]
-    oracles = []
+        report.merge(extended_recurrence_check(table))
     if suite in ("oracles", "all"):
-        oracles = oracle_batteries(
-            table.head(ORACLE_N_MAX) if suite == "all" else table, seed, cap)
-    batteries = [battery for name, battery in plan
-                 if suite in (name, "all")] + oracles
-    # of three oracle batteries the middle one, the (n, 1) walk; else the last
-    return run_batteries(batteries, -2 if len(oracles) == 3 else -1)
+        report.merge(oracle_battery(
+            table.head(ORACLE_N_MAX) if suite == "all" else table, seed, cap))
+    return report

@@ -3,13 +3,13 @@
 import argparse
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
 import shlex
 import subprocess
 import sys
-import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -20,10 +20,11 @@ import qsym.cli as cli
 import qsym.jpoly as jpoly
 import qsym.qstirling as qstirling
 import qsym.symfunc as symfunc
-from qsym.exactpoly import (EnumerationCapExceeded, InexactDivisionError,
-                            JTableShapeError, UniPoly, bracket_mul, csv_cell,
-                            json_coeff_list, zero)
-from qsym.report import CheckReport, forest_oracle_check, run_batteries
+from qsym.exactpoly import (DEFAULT_CAP, EnumerationCapExceeded,
+                            InexactDivisionError, JTableShapeError, UniPoly,
+                            bracket_mul, csv_cell, json_coeff_list, zero)
+from qsym.report import (CheckReport, cross_formula_check,
+                         reciprocal_explicit_check)
 
 from polytext import parse_poly_text
 
@@ -397,189 +398,120 @@ def test_verify_symfunc_reads_q_binomials_from_rows(monkeypatch):
     assert code == 0 and calls == []
 
 
-# -- verify runs one battery of a suite in a child process -----------------------
+# -- verify runs every battery in this process ------------------------------
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Make verify start its child whatever this host's CPU count, and list
-    the pids of the children it starts."""
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork on this platform")
-    pids = []
-    fork = os.fork
+def no_fork(monkeypatch):
+    """Make os.fork raise, so a command that forks exits 4."""
+    def fork():
+        raise AssertionError("verify forked")
 
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1},
-                        raising=False)
-    return pids
+    monkeypatch.setattr(os, "fork", fork, raising=False)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+VERIFY_SUITES = {"qstirling": ("verify", "qstirling", "--n-max", "12"),
+                 "jpoly": ("verify", "jpoly", "--n-max", "9"),
+                 "oracles": ("verify", "oracles", "--n-max", "6", "--seed", "17"),
+                 "all": ("verify", "all", "--n-max", "5", "--seed", "3"),
+                 "all-7": ("verify", "all", "--n-max", "7")}
+VERIFY_SUITES.update({f"{suite}-{n}": ("verify", suite, "--n-max", n)
+                      for suite in ("qstirling", "symfunc", "jpoly", "oracles",
+                                    "all")
+                      for n in ("1", "6")})
 
-
-FORKING_SUITES = {"qstirling": ("verify", "qstirling", "--n-max", "12"),
-                  "jpoly": ("verify", "jpoly", "--n-max", "9"),
-                  "oracles": ("verify", "oracles", "--n-max", "6", "--seed", "17"),
-                  "all": ("verify", "all", "--n-max", "5", "--seed", "3"),
-                  "all-7": ("verify", "all", "--n-max", "7")}
+# sha256 prefixes of the outputs as they were when one battery of a suite
+# ran in a forked child, its records merged back in plan order
+CHILD_DIGESTS = {
+    ("qstirling", "plain"): "d32accb75249a3a7",
+    ("qstirling", "json"): "48b778c9954f819f",
+    ("jpoly", "plain"): "92bebe5e8d84bb6f",
+    ("jpoly", "json"): "ee8681744aa85396",
+    ("oracles", "plain"): "e94415a0a0dc45b5",
+    ("oracles", "json"): "62b49cc0932f373e",
+    ("all", "plain"): "571a233a8a0df4e9",
+    ("all", "json"): "1ea1988be2c48349",
+    ("all-7", "plain"): "15276c10e37e60e5",
+    ("all-7", "json"): "10ecf8c766704a3b",
+    ("qstirling-1", "plain"): "28de86acd0fa860a",
+    ("qstirling-1", "json"): "2fb7728b218c0895",
+    ("qstirling-6", "plain"): "3d68ad7baca614b3",
+    ("qstirling-6", "json"): "bb33be3fe606f70e",
+    ("symfunc-1", "plain"): "f9553bc9bd4fb042",
+    ("symfunc-1", "json"): "5c8402c93105cd0a",
+    ("symfunc-6", "plain"): "80ce2d6bac10c4b0",
+    ("symfunc-6", "json"): "b9d9159c0bf31dda",
+    ("jpoly-1", "plain"): "b6626dcbb900e748",
+    ("jpoly-1", "json"): "74248a041be2f088",
+    ("jpoly-6", "plain"): "f109051f6bc80a33",
+    ("jpoly-6", "json"): "e1a3a701e8486a12",
+    ("oracles-1", "plain"): "328e14dc54be8bfe",
+    ("oracles-1", "json"): "eda62a3453aaed9a",
+    ("oracles-6", "plain"): "e94415a0a0dc45b5",
+    ("oracles-6", "json"): "1ebc31909be3ab87",
+    ("all-1", "plain"): "7491c27dce71c219",
+    ("all-1", "json"): "d4bebb283557ad2f",
+    ("all-6", "plain"): "76f75fb204db4892",
+    ("all-6", "json"): "a71798bcba92d439",
+}
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
-@pytest.mark.parametrize("suite", FORKING_SUITES)
-def test_verify_is_the_same_with_and_without_the_child(monkeypatch, forks,
-                                                       suite, fmt):
-    argv = FORKING_SUITES[suite] + ("--format", fmt)
-    with_child = run(*argv)
-    assert len(forks) == 1
-    assert_no_child_left()
-    monkeypatch.delattr(os, "fork")
-    assert run(*argv) == with_child
-    assert with_child[0] == 0 and with_child[1]
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_is_the_same_with_and_without_the_child(no_fork, suite, fmt):
+    code, text = run(*VERIFY_SUITES[suite], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] \
+        == CHILD_DIGESTS[suite, fmt]
 
 
-# symfunc is one battery and forks nothing; the oracle battery is cut at its
-# largest forest shape, whose walk is the one child
 @pytest.mark.parametrize("suite", ["symfunc", "oracles"])
-def test_one_battery_suites_fork_nothing(forks, suite):
+def test_one_battery_suites_fork_nothing(no_fork, suite):
     code, text = run("verify", suite, "--n-max", "5")
-    assert code == 0 and text and len(forks) == (suite == "oracles")
+    assert code == 0 and text
 
 
 @pytest.mark.parametrize("suite", ["oracles", "all"])
-def test_an_oracle_battery_without_a_forest_is_not_cut(forks, suite):
+def test_an_oracle_battery_without_a_forest_is_not_cut(no_fork, suite):
     code, text = run("verify", suite, "--n-max", "1", "--format", "json")
-    assert code == 0 and len(forks) == (suite == "all")
+    assert code == 0
     assert [r["identity"] for r in json.loads(text)
             if r["identity"] in ("ranking-seeds", "parking-sum-enumerator")] \
         == ["ranking-seeds", "parking-sum-enumerator"]
 
 
-def labelled(label):
-    """A battery of two records that name it and the process it ran in."""
-    def battery():
-        report = CheckReport()
-        for i in range(2):
-            report.add_pass(label, i=i, pid=os.getpid())
-        return report
-    return battery
-
-
-@pytest.mark.parametrize("forked", [0, 2, 4, -1])
-def test_the_forked_battery_merges_in_plan_order(forks, forked):
-    batteries = [labelled(f"battery-{i}") for i in range(5)]
-    report = run_batteries(batteries, forked)
-    assert len(forks) == 1
-    assert_no_child_left()
-    assert ([(r.identity, r.params["i"]) for r in report.records]
-            == [(f"battery-{i}", j) for i in range(5) for j in range(2)])
-    # the forked battery's records, and only they, come from the child
-    child = [r.params["pid"] == forks[0] for r in report.records]
-    assert child == [i == forked % 5 for i in range(5) for _ in range(2)]
-
-
-@pytest.mark.parametrize("suite", ["qstirling", "symfunc", "jpoly", "oracles",
-                                   "all"])
-def test_one_cpu_forks_nothing(monkeypatch, forks, suite):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
-    code, text = run("verify", suite, "--n-max", "4")
-    assert code == 0 and text and forks == []
-
-
 def broken_battery(*args, **kwargs):
-    raise TypeError("a fault in the child")
+    raise TypeError("a fault in a battery")
 
 
 def failing_battery(*args, **kwargs):
     report = CheckReport()
-    report.add_fail("child-identity", detail="lhs=0 rhs=1", n=3, r=1)
+    report.add_fail("broken-identity", detail="lhs=0 rhs=1", n=3, r=1)
     return report
 
 
-def at_the_largest_shape(monkeypatch, battery):
-    """Patch the forest oracle so that battery replaces the walk of the
-    largest shape (n, 1), n = table.n_max, and of that shape only."""
-    def patched(table, shapes, *args):
-        if shapes == [(table.n_max, 1)]:
-            return battery(table, shapes, *args)
-        return forest_oracle_check(table, shapes, *args)
-    monkeypatch.setattr("qsym.report.forest_oracle_check", patched)
+# the battery of each suite that a test replaces: the forest oracle under
+# verify all, the extended recurrence under verify jpoly
+BATTERIES = {"all": "qsym.report.forest_oracle_check",
+             "jpoly": "qsym.report.extended_recurrence_check"}
 
 
-def assert_child_fault_exits_four(argv, forks, capfd):
-    code, text = run(*argv)
-    assert code == cli.EXIT_INTERNAL and text == "" and len(forks) == 1
-    err = capfd.readouterr().err
-    assert "TypeError: a fault in the child\n" in err
-    assert err.rstrip().endswith("exited with status 1")
-    assert_no_child_left()
+@pytest.mark.parametrize("suite", BATTERIES)
+def test_fault_in_a_battery_exits_four(monkeypatch, capsys, suite):
+    monkeypatch.setattr(BATTERIES[suite], broken_battery)
+    assert run("verify", suite, "--n-max", "4") == (cli.EXIT_INTERNAL, "")
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("TypeError: a fault in a battery\n")
 
 
-def assert_child_failure_exits_one(argv, forks):
-    code, text = run(*argv)
-    assert code == 1 and len(forks) == 1
+@pytest.mark.parametrize("suite", BATTERIES)
+def test_failed_identity_in_a_battery_exits_one(monkeypatch, suite):
+    monkeypatch.setattr(BATTERIES[suite], failing_battery)
+    code, text = run("verify", suite, "--n-max", "4")
+    assert code == 1
     assert text.splitlines()[-1] == (
-        'first counterexample: {"identity":"child-identity","n":3,"r":1,'
+        'first counterexample: {"identity":"broken-identity","n":3,"r":1,'
         '"status":"fail","detail":"lhs=0 rhs=1"}')
-
-
-def test_fault_in_the_child_exits_four(monkeypatch, forks, capfd):
-    at_the_largest_shape(monkeypatch, broken_battery)
-    assert_child_fault_exits_four(("verify", "all", "--n-max", "4"), forks, capfd)
-
-
-def test_failed_identity_in_the_child_exits_one(monkeypatch, forks):
-    at_the_largest_shape(monkeypatch, failing_battery)
-    assert_child_failure_exits_one(("verify", "all", "--n-max", "4"), forks)
-
-
-def test_the_child_runs_the_largest_walk_alone(monkeypatch, forks, capfd):
-    # every forest walk outside the parent, and the (7, 1) walk anywhere
-    # else than in a child, raises; verify all caps the oracle table at 7
-    parent = os.getpid()
-
-    def checked(table, shapes, *args):
-        if (shapes == [(7, 1)]) == (os.getpid() == parent):
-            raise TypeError(f"{shapes} in the wrong process")
-        return forest_oracle_check(table, shapes, *args)
-    monkeypatch.setattr("qsym.report.forest_oracle_check", checked)
-    code, text = run("verify", "all", "--n-max", "8", "--format", "json")
-    assert (code, capfd.readouterr().err) == (0, "") and len(forks) == 1
-    assert_no_child_left()
-
-
-def test_fault_in_the_jpoly_child_exits_four(monkeypatch, forks, capfd):
-    monkeypatch.setattr("qsym.report.extended_recurrence_check", broken_battery)
-    assert_child_fault_exits_four(("verify", "jpoly", "--n-max", "4"), forks,
-                                  capfd)
-
-
-def test_failed_identity_in_the_jpoly_child_exits_one(monkeypatch, forks):
-    monkeypatch.setattr("qsym.report.extended_recurrence_check", failing_battery)
-    assert_child_failure_exits_one(("verify", "jpoly", "--n-max", "4"), forks)
-
-
-def test_fault_before_the_child_is_done_kills_and_reaps_it(monkeypatch, forks,
-                                                           capsys):
-    def broken(table):
-        raise TypeError("a fault in the parent")
-
-    # a child left to finish would keep this test waiting for a minute
-    at_the_largest_shape(monkeypatch, lambda *args: time.sleep(60))
-    monkeypatch.setattr("qsym.report.cross_formula_check", broken)
-    started = time.monotonic()
-    code, text = run("verify", "all", "--n-max", "4")
-    assert code == cli.EXIT_INTERNAL and text == "" and len(forks) == 1
-    assert time.monotonic() - started < 30
-    assert capsys.readouterr().err.endswith("TypeError: a fault in the parent\n")
-    assert_no_child_left()
 
 
 def test_verify_all_in_a_process_prints_one_line():
@@ -949,25 +881,14 @@ def test_a_write_error_on_the_output_exits_two(capsys, argv, at):
         "error: cannot write stdout: No space left on device\n"
 
 
-def test_an_os_error_off_the_output_stays_a_fault(monkeypatch, forks, capsys):
-    def no_fork():
+def test_an_os_error_off_the_output_stays_a_fault(monkeypatch, capsys):
+    def blocked(*args):
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr("qsym.report.verify_triangle_inverse", blocked)
     assert run("verify", "qstirling", "--n-max", "3") == (cli.EXIT_INTERNAL, "")
     assert capsys.readouterr().err.endswith(
         "BlockingIOError: [Errno 11] Resource temporarily unavailable\n")
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-def test_a_failed_fork_leaks_no_descriptor(monkeypatch, forks):
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    before = len(os.listdir("/proc/self/fd"))
-    assert run("verify", "qstirling", "--n-max", "3") == (cli.EXIT_INTERNAL, "")
-    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -1081,6 +1002,41 @@ def test_capped_checks_are_skips_not_passes():
     skipped = [r for r in records if r["identity"].endswith("-skipped-by-cap")]
     assert skipped and all(r["status"] == "skip" for r in skipped)
     assert {r["status"] for r in records} == {"pass", "skip"}
+
+
+@pytest.mark.parametrize("check, walked, skipped", [
+    (cross_formula_check, "table-vs-composition-formula",
+     "composition-formula-skipped-by-cap"),
+    (reciprocal_explicit_check, "reciprocal-composition-formula",
+     "reciprocal-composition-skipped-by-cap")])
+def test_the_cap_skips_the_composition_walks(check, walked, skipped):
+    # an (n, r) walks the 2^(n-r-1) compositions of n - r, or is skipped
+    # whole: under cap 8, n - r <= 4 walks
+    table = jpoly.build_jtable(8)
+    records = check(table, 8).records
+    shapes = [(n, r) for n in range(2, 9) for r in range(1, n)]
+
+    def at(identity):
+        return [(rec.params["n"], rec.params["r"]) for rec in records
+                if rec.identity == identity]
+    assert at(walked) == [(n, r) for n, r in shapes if n - r <= 4]
+    assert at(skipped) == [(n, r) for n, r in shapes if n - r > 4]
+    assert {rec.status for rec in records} == {"pass", "skip"}
+    # at the default cap the first skip is at n - r = 25
+    assert 2 ** 23 <= DEFAULT_CAP < 2 ** 24
+    assert all(rec.status == "pass" for rec in check(table).records)
+
+
+def test_verify_oracles_to_24_under_a_small_cap():
+    # every walk past 1000 objects is skipped, the composition sums too
+    code, text = run("verify", "oracles", "--n-max", "24", "--cap", "1000",
+                     "--format", "json")
+    records = json.loads(text)
+    assert code == 0 and "fail" not in {r["status"] for r in records}
+    skipped = {r["identity"] for r in records if r["status"] == "skip"}
+    assert skipped == {"forest-oracle-skipped-by-cap",
+                       "parking-oracle-skipped-by-cap",
+                       "reciprocal-composition-skipped-by-cap"}
 
 
 def test_a_failed_check_renders_both_sides():

@@ -63,8 +63,7 @@ def loaded_modules(*argv) -> set:
 # batteries (qsym.report) or the verification algebra (qsym.pqalgebra);
 # verify loads what its battery needs.  No command loads fractions or
 # decimal: every battery runs on int rows and integer alphabets, and a unit
-# is its own inverse; nor signal, which only a fault in the parent beside a
-# forked battery needs; nor argparse, gettext or locale.
+# is its own inverse; nor signal, argparse, gettext or locale.
 @pytest.mark.parametrize("argv, expected, writes_json", [
     (("query", "qbinomial", "--n", "5", "--k", "2"), BASE | {"qsym.qcalc"},
      False),
