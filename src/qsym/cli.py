@@ -10,11 +10,15 @@ exception, an OSError not from the output included; its traceback goes
 to stderr), 141 the reader closed stdout early (128 + SIGPIPE, what a
 shell reports for other writers cut off the same way, as in
 ``qsym jtable --n-max 14 | head -1``).  Output is byte-deterministic for
-fixed flags and seed.  Each command imports only the modules it uses,
-inside its handler.  A well-formed command line is read straight from
-OPTIONS (_well_formed), so a call that succeeds loads no argparse, and
-with it no gettext or locale; help and every usage error go to argparse,
-whose parser is filled in for the one command and kind argv names.
+fixed flags and seed.  jtable and export jtable write the J triangle row
+by row as jpoly.table_chunks computes it by the specialization, so a
+failed identity past row 2 exits 1 after the rows before it; export
+opens -o only once the first chunk (rows 1 and 2) is made.  Each command
+imports only the modules it uses, inside its handler.  A well-formed
+command line is read straight from OPTIONS (_well_formed), so a call that
+succeeds loads no argparse, and with it no gettext or locale; help and
+every usage error go to argparse, whose parser is filled in for the one
+command and kind argv names.
 
 When main runs the process's own command line (called with no argv, as
 ``python -m qsym.cli`` and the ``qsym`` script call it), its last step on
@@ -32,8 +36,6 @@ import gc
 import os
 import sys
 from contextlib import nullcontext
-from itertools import groupby
-from operator import itemgetter
 from types import SimpleNamespace
 
 from .exactpoly import (DEFAULT_CAP, EnumerationCapExceeded, InexactDivisionError,
@@ -223,22 +225,10 @@ def _render_poly(poly: UniPoly, args) -> str:
 
 
 def _cmd_jtable(args, out) -> int:
-    from .jpoly import build_jtable, export_chunks
-    table = build_jtable(args.n_max)
-    if args.format in ("csv", "latex"):
-        for chunk in export_chunks(table, args.format, args.reciprocal):
-            out.write(chunk)
-    elif args.format == "json":
-        import json
-        records = [{"n": n, "r": r, "degree": table.degree(n, r),
-                    "poly": poly.to_json_dict()}
-                   for n, r, poly in table.entries(args.reciprocal)]
-        out.write(json.dumps(records, separators=(",", ":")) + "\n")
-    else:
-        for n, row in groupby(table.entries(args.reciprocal), key=itemgetter(0)):
-            cells = [poly_text(poly, superscripts=not args.ascii)
-                     for _n, _r, poly in row]
-            out.write(f"n={n}: " + " | ".join(cells) + "\n")
+    from .jpoly import table_chunks
+    for chunk in table_chunks(args.n_max, args.format, args.reciprocal,
+                              superscripts=not args.ascii):
+        out.write(chunk)
     return EXIT_OK
 
 
@@ -312,17 +302,21 @@ def _cmd_query(args, out) -> int:
 
 
 def _cmd_export(args, out) -> int:
-    # Each chunk is written as soon as it is made.  The J table is built
-    # whole before -o is opened, so a failed identity leaves no file.
+    # Each chunk is written as soon as it is made, and the first is drawn
+    # before -o is opened.  For the J table it holds rows 1 and 2, so a
+    # failed identity there leaves no file (one in a later row exits 1 and
+    # leaves the rows before it); for a Stirling triangle it is the header,
+    # so a path that cannot be written fails before any row is made.
     if args.what == "jtable":
-        from .jpoly import build_jtable, export_chunks
-        chunks = export_chunks(build_jtable(args.n_max), args.format,
-                               args.reciprocal)
+        from .jpoly import table_chunks
+        chunks = table_chunks(args.n_max, args.format, args.reciprocal)
     else:
         from .qstirling import export_chunks
         chunks = export_chunks(args.kind, args.n_max)
+    first = next(chunks)
     with _Output(None, args.output), (
             nullcontext(out) if args.output == "-" else open(args.output, "w")) as sink:
+        sink.write(first)
         for chunk in chunks:
             sink.write(chunk)
     return EXIT_OK

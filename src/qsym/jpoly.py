@@ -8,7 +8,9 @@ J is here, as mutually checking code paths: the whole triangle row by row
 from a linear recurrence whose coefficients are bracket powers
 (build_jtable); an explicit composition sum for n > r; and the paper's own
 route, p_n^(r) specialized at e_k = q^C(k,2) / k! on k!-scaled rows in Z[q],
-which serves a single entry (j_entry).
+which serves every command that prints J: a single entry (j_entry) and the
+triangle streamed row by row in four formats (table_chunks).  The
+recurrence table is verify's independent route.
 The composition sums, of J and of both forms of its reciprocal, are one
 depth-first walk over the compositions that shares each prefix's bracket
 chain among all compositions extending it.
@@ -16,13 +18,13 @@ chain among all compositions extending it.
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import islice, repeat
 from math import comb, factorial
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .exactpoly import (InexactDivisionError, JTableShapeError, UniPoly,
                         bracket_mul, csv_cell, json_coeff_list, latex_poly,
-                        one, one_minus_q_div, triangle_entry, zero)
+                        one, one_minus_q_div, poly_text, triangle_entry, zero)
 
 
 def j_degree(n: int, r: int) -> int:
@@ -47,13 +49,6 @@ class JTable:
 
     def head(self, n_max: int) -> "JTable":     # the first n_max rows
         return JTable(min(n_max, self.n_max), self._rows)
-
-    def entries(self, use_reciprocal: bool = False):
-        """(n, r, J(n, r) or its reciprocal) for 1 <= r <= n <= n_max, row by row."""
-        for n in range(1, self.n_max + 1):
-            for r in range(1, n + 1):
-                yield n, r, (reciprocal(n, r, self) if use_reciprocal
-                             else self._rows[n][r])
 
 
 def _validate_entry(n: int, r: int, poly: UniPoly):
@@ -156,15 +151,21 @@ def j_from_scaled_p(c, n: int, r: int) -> UniPoly:
     return UniPoly(c)
 
 
+def _specialized_entry(b, n: int, r: int) -> UniPoly:
+    """J(n, r) by the specialization on the rows b, n - r < len(b), checked
+    against the shape invariants."""
+    entry = j_from_scaled_p(scaled_p_nr(b, n, r), n, r)
+    _validate_entry(n, r, entry)
+    return entry
+
+
 def j_entry(n: int, r: int) -> UniPoly:
     """J(n, r) alone, by the specialization: b_0..b_(n-r), then n! p_n^(r)
     and its division, checked against the shape invariants.  No table is
     built: past the rows b, each step is a pass over one int list."""
     if not (n >= r >= 1):
         raise ValueError("need n >= r >= 1")
-    entry = j_from_scaled_p(scaled_p_nr(exp_rows(n - r), n, r), n, r)
-    _validate_entry(n, r, entry)
-    return entry
+    return _specialized_entry(exp_rows(n - r), n, r)
 
 
 def composition_sum(m: int, r: int, step) -> list:
@@ -215,38 +216,59 @@ def reciprocal(n: int, r: int, table: JTable) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# exports
+# the triangle as text
 
 
-def jtable_csv_rows(table: JTable, use_reciprocal: bool = False):
-    """Rows n,r,degree,coeffs with coeffs as a compact JSON array."""
-    for n, r, poly in table.entries(use_reciprocal):
-        yield n, r, table.degree(n, r), json_coeff_list(poly)
+def table_chunks(n_max: int, fmt: str, use_reciprocal: bool,
+                 superscripts: bool = False):
+    """J(n, r), or its reciprocal, for 1 <= r <= n <= n_max in fmt "csv",
+    "latex", "json" or "plain", as strings to write in turn: one per row n.
 
+    Every row reads one set of rows b = exp_rows(n_max - 1); each J(n, r),
+    r < n, is checked as j_entry checks it, and J(n, n) = 1 by convention.
+    The first string holds the header and rows 1 and 2, so none is given
+    before J(2, 1), the first entry checked, has passed.  The last string
+    closes the table; for csv and plain it is empty.  Only fmt "json"
+    loads the json module.
+    """
+    if n_max < 1:
+        raise ValueError("table size must be >= 1")
+    head, tail = "", ""
+    if fmt == "csv":
+        head = "n,r,degree,coeffs\n"
 
-def export_chunks(table: JTable, fmt: str, use_reciprocal: bool):
-    """The table as fmt "csv" or "latex" in strings to write in turn: for
-    csv the header, then one string of jtable_csv_rows lines per row n."""
-    if fmt == "latex":
-        yield jtable_latex(table, use_reciprocal) + "\n"
-        return
-    yield "n,r,degree,coeffs\n"
-    for _n, row in groupby(jtable_csv_rows(table, use_reciprocal), itemgetter(0)):
-        yield "".join(f"{n},{r},{d},{csv_cell(c)}\n" for n, r, d, c in row)
+        def render(n, polys):
+            return "".join(f"{n},{r},{j_degree(n, r)},{csv_cell(json_coeff_list(p))}\n"
+                           for r, p in enumerate(polys, 1))
+    elif fmt == "latex":
+        head = ("\\begin{tabular}{|l|" + "l|" * n_max + "}\n\\hline\n$n \\backslash r$ & "
+                + " & ".join(f"${r}$" for r in range(1, n_max + 1)) + " \\\\ \\hline\n")
+        tail = "\\end{tabular}\n"
 
+        def render(n, polys):
+            cells = ([f"${n}$"] + [f"${latex_poly(p)}$" for p in polys]
+                     + [""] * (n_max - n))
+            return " & ".join(cells) + " \\\\ \\hline\n"
+    elif fmt == "json":
+        head, tail = "[", "]\n"
 
-def jtable_latex(table: JTable, use_reciprocal: bool = False) -> str:
-    """A tabular triangle in the layout of the printed table: one row per n,
-    one column per r."""
-    n_max = table.n_max
-    lines = []
-    lines.append(r"\begin{tabular}{|l|" + "l|" * n_max + "}")
-    lines.append(r"\hline")
-    header = ["$n \\backslash r$"] + [f"${r}$" for r in range(1, n_max + 1)]
-    lines.append(" & ".join(header) + r" \\ \hline")
-    for n, row in groupby(table.entries(use_reciprocal), key=itemgetter(0)):
-        cells = ([f"${n}$"] + [f"${latex_poly(poly)}$" for _n, _r, poly in row]
-                 + [""] * (n_max - n))
-        lines.append(" & ".join(cells) + r" \\ \hline")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines)
+        def render(n, polys):
+            return ("," if n > 1 else "") + ",".join(
+                f'{{"n":{n},"r":{r},"degree":{j_degree(n, r)},"poly":{p.to_json()}}}'
+                for r, p in enumerate(polys, 1))
+    else:
+        def render(n, polys):
+            text = " | ".join(poly_text(p, superscripts) for p in polys)
+            return f"n={n}: {text}\n"
+
+    b = exp_rows(n_max - 1)
+
+    def entry(n, r):
+        j = _specialized_entry(b, n, r) if r < n else one
+        return j.reversed_to(j_degree(n, r)) if use_reciprocal else j
+
+    rows = (render(n, [entry(n, r) for r in range(1, n + 1)])
+            for n in range(1, n_max + 1))
+    yield head + "".join(islice(rows, 2))
+    yield from rows
+    yield tail

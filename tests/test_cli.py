@@ -22,7 +22,8 @@ import qsym.qstirling as qstirling
 import qsym.symfunc as symfunc
 from qsym.exactpoly import (DEFAULT_CAP, EnumerationCapExceeded,
                             InexactDivisionError, JTableShapeError, UniPoly,
-                            bracket_mul, csv_cell, json_coeff_list, zero)
+                            csv_cell, json_coeff_list, latex_poly, poly_text,
+                            zero)
 from qsym.report import (CheckReport, cross_formula_check,
                          reciprocal_explicit_check)
 
@@ -815,16 +816,79 @@ def test_the_stirling_export_is_the_csv_writer_text(kind):
     assert "\n1,1,[1]\n" in expected
 
 
+def recurrence_text(table, fmt: str, reciprocal: bool, superscripts=False) -> str:
+    """The whole J table in fmt, rendered here from the recurrence's
+    entries: the reference the table commands' stream is held to."""
+    n_max = table.n_max
+    rows = [[jpoly.reciprocal(n, r, table) if reciprocal else table.entry(n, r)
+             for r in range(1, n + 1)] for n in range(1, n_max + 1)]
+    cells = [(n, r, table.degree(n, r), poly) for n, row in enumerate(rows, 1)
+             for r, poly in enumerate(row, 1)]
+    if fmt == "csv":
+        return csv_writer_text(["n", "r", "degree", "coeffs"],
+                               [(n, r, d, json_coeff_list(p)) for n, r, d, p in cells])
+    if fmt == "json":
+        return json.dumps([{"n": n, "r": r, "degree": d, "poly": p.to_json_dict()}
+                           for n, r, d, p in cells], separators=(",", ":")) + "\n"
+    if fmt == "latex":
+        header = ["$n \\backslash r$"] + [f"${r}$" for r in range(1, n_max + 1)]
+        lines = [r"\begin{tabular}{|l|" + "l|" * n_max + "}", r"\hline",
+                 " & ".join(header) + r" \\ \hline"]
+        lines += [" & ".join([f"${n}$"] + [f"${latex_poly(p)}$" for p in row]
+                             + [""] * (n_max - n)) + r" \\ \hline"
+                  for n, row in enumerate(rows, 1)]
+        return "\n".join(lines + [r"\end{tabular}"]) + "\n"
+    return "".join(f"n={n}: " + " | ".join(poly_text(p, superscripts) for p in row) + "\n"
+                   for n, row in enumerate(rows, 1))
+
+
 @pytest.mark.parametrize("reciprocal", [False, True])
 def test_the_jtable_export_is_the_csv_writer_text(reciprocal):
-    table = jpoly.build_jtable(20)
-    expected = csv_writer_text(["n", "r", "degree", "coeffs"],
-                               jpoly.jtable_csv_rows(table, reciprocal))
-    assert "".join(jpoly.export_chunks(table, "csv", reciprocal)) == expected
+    expected = recurrence_text(jpoly.build_jtable(20), "csv", reciprocal)
+    assert "".join(jpoly.table_chunks(20, "csv", reciprocal)) == expected
     flag = ("--reciprocal",) if reciprocal else ()
     assert run("export", "jtable", "--n-max", "20", *flag) == (0, expected)
     assert run("jtable", "--n-max", "20", "--format", "csv", *flag) \
         == (0, expected)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 17])
+def test_the_table_commands_print_the_recurrence_table(n_max, monkeypatch):
+    # the table commands stream the specialization, verify's route is the
+    # recurrence: the same bytes in every format, and no table is built
+    table = jpoly.build_jtable(n_max)
+
+    def refuse(n_max):
+        raise AssertionError("a table command built the recurrence table")
+
+    monkeypatch.setattr(jpoly, "build_jtable", refuse)
+    size = ("--n-max", str(n_max))
+    for reciprocal in (False, True):
+        flag = ("--reciprocal",) if reciprocal else ()
+        for fmt in cli.ALL_FORMATS:
+            expected = recurrence_text(table, fmt, reciprocal)
+            assert run("jtable", *size, "--format", fmt, *flag) == (0, expected)
+            if fmt in ("csv", "latex"):
+                assert run("export", "jtable", *size, "--format", fmt, *flag) \
+                    == (0, expected)
+        assert run("jtable", *size, "--no-ascii", *flag) \
+            == (0, recurrence_text(table, "plain", reciprocal, superscripts=True))
+
+
+def test_a_failed_jtable_identity_in_a_later_row_keeps_the_rows_before(
+        monkeypatch, tmp_path, capsys):
+    validate = jpoly._validate_entry
+
+    def refuse_row_4(n, r, poly):
+        if n == 4:
+            raise JTableShapeError(f"J({n},{r}) refused")
+        validate(n, r, poly)
+
+    monkeypatch.setattr(jpoly, "_validate_entry", refuse_row_4)
+    target = tmp_path / "jtable.csv"
+    assert run("export", "jtable", "--n-max", "6", "-o", str(target)) == (1, "")
+    assert capsys.readouterr().err == "error: J(4,1) refused\n"
+    assert target.read_text() == recurrence_text(jpoly.build_jtable(3), "csv", False)
 
 
 # The probe reports its own peak resident set.  It is started from a small
@@ -851,6 +915,21 @@ def test_the_stirling_export_holds_one_row(tmp_path):
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0 and target.read_text().count("\n") == 1 + 60 * 61 // 2
     assert peak_kb < 48 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is read in KB as Linux reports it")
+def test_the_jtable_export_holds_one_row(tmp_path):
+    # the recurrence table to 50 and its rows peak at about 46 MB; the
+    # stream holds the rows b of the specialization and one row of J
+    target = tmp_path / "jtable-50.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN, sys.executable, "-c", PEAK_PROBE,
+         "export", "jtable", "--n-max", "50", "-o", str(target)],
+        env=process_env(), capture_output=True, text=True, timeout=120)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0 and target.read_text().count("\n") == 1 + 50 * 51 // 2
+    assert peak_kb < 32 * 1024
 
 
 class FullDisk:
@@ -965,10 +1044,12 @@ def test_failed_composition_formula_shows_both_sides(monkeypatch):
 
 
 def test_jtable_shape_failure_is_an_error_line(monkeypatch, capsys):
-    def long_bracket_mul(c, a, *args, **kwargs):    # [a] one term too long
-        return bracket_mul(c, a + 1, *args, **kwargs)
+    j_from_scaled_p = jpoly.j_from_scaled_p
 
-    monkeypatch.setattr(jpoly, "bracket_mul", long_bracket_mul)
+    def long_j(c, n, r):                    # J(n, r) one degree too high
+        return j_from_scaled_p(c, n, r) * UniPoly((1, 1))
+
+    monkeypatch.setattr(jpoly, "j_from_scaled_p", long_j)
     code, text = run("jtable", "--n-max", "4")
     assert code == 1 and text == ""
     assert capsys.readouterr().err == "error: J(2,1) degree 1 != 0\n"

@@ -1,5 +1,7 @@
 """The J triangle, its explicit formulas, reciprocals, and recurrences."""
 
+import csv
+import io
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,7 +11,7 @@ from qsym.exactpoly import InexactDivisionError, UniPoly, one, q, zero
 from qsym.qcalc import qbracket
 from qsym.jpoly import (JTable, build_jtable, composition_sum, exp_rows,
                         j_entry, j_explicit_composition, j_from_scaled_p,
-                        jtable_csv_rows, jtable_latex, reciprocal, scaled_p_nr)
+                        reciprocal, scaled_p_nr, table_chunks)
 from qsym.report import (cross_formula_check, extended_recurrence_check,
                          kung_yan_check, reciprocal_composition_forms,
                          reciprocal_explicit_check,
@@ -332,18 +334,24 @@ def test_each_j_record_checks_its_own_entry():
                         check.__name__, rec.identity, at)
 
 
+def csv_rows(n_max, use_reciprocal=False):
+    """The (n, r, degree, coeffs) rows of table_chunks' csv text."""
+    text = "".join(table_chunks(n_max, "csv", use_reciprocal))
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["n", "r", "degree", "coeffs"]
+    return [(int(n), int(r), int(d), c) for n, r, d, c in rows]
+
+
 def test_csv_rows():
-    table = build_jtable(6)
-    rows = list(jtable_csv_rows(table))
+    rows = csv_rows(6)
     assert (6, 2, 10, "[24,60,78,80,68,52,35,20,10,4,1]") in rows
     assert rows[0] == (1, 1, 0, "[1]")
-    rec_rows = list(jtable_csv_rows(table, use_reciprocal=True))
+    rec_rows = csv_rows(6, use_reciprocal=True)
     assert (3, 1, 1, "[1,2]") in rec_rows
 
 
 def test_latex_layout():
-    table = build_jtable(3)
-    tex = jtable_latex(table)
+    tex = "".join(table_chunks(3, "latex", False))
     assert tex.startswith(r"\begin{tabular}")
     assert "$2+q$" in tex and "$1+q$" in tex
     assert tex.count(r"\hline") == 5

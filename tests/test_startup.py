@@ -74,7 +74,9 @@ def loaded_modules(*argv) -> set:
     (("query", "forest-stat", "--n", "4", "--r", "2"), ORACLES, False),
     (("export", "stirling", "--n-max", "5"), STIRLING, False),
     (("export", "jtable", "--n-max", "5"), JTABLE, False),
+    (("export", "jtable", "--n-max", "5", "--format", "latex"), JTABLE, False),
     (("jtable", "--n-max", "5"), JTABLE, False),
+    (("jtable", "--n-max", "5", "--format", "latex"), JTABLE, False),
     (("verify", "qstirling", "--n-max", "3"), STIRLING | {"qsym.report"},
      False),
     (("verify", "jpoly", "--n-max", "3"), JTABLE | {"qsym.qcalc", "qsym.report"},
@@ -85,8 +87,9 @@ def loaded_modules(*argv) -> set:
     (("verify", "all", "--n-max", "7"), SYMFUNC | JTABLE | ORACLES, False),
 ], ids=["query-qbinomial", "query-qstirling2", "query-qstirling1",
         "query-jpoly", "query-parking", "query-forest-stat", "export-stirling",
-        "export-jtable", "jtable", "verify-qstirling", "verify-jpoly",
-        "verify-oracles", "verify-symfunc", "verify-all"])
+        "export-jtable", "export-jtable-latex", "jtable", "jtable-latex",
+        "verify-qstirling", "verify-jpoly", "verify-oracles", "verify-symfunc",
+        "verify-all"])
 def test_each_command_loads_only_its_modules(argv, expected, writes_json):
     modules = loaded_modules(*argv)
     assert "dataclasses" not in modules and "inspect" not in modules
